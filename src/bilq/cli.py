@@ -2,13 +2,10 @@
 
 Each command writes CSV artifacts (17-significant-digit doubles, '\\n'
 line endings) and ends by printing one JSON status line; the exit code is
-0 iff every asserted postcondition held.  BILQ_THREADS caps the number of
-parallel Monte Carlo workers (default 1); outputs are byte-identical for
-any worker count.
+0 iff every asserted postcondition held.
 """
 
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,14 +35,6 @@ class ExperimentSpec:
     config_path: str = None
     out_path: str = None
     overrides: dict = None
-
-
-def _max_workers():
-    raw = os.environ.get("BILQ_THREADS", "")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
 
 
 def _finish(spec, failures):
@@ -130,7 +119,6 @@ def cmd_double_integrator(runs, seed, c1, out):
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     horizon = DEFAULT_HORIZON
-    workers = _max_workers()
     variants = (
         ("perfect", PolicyConfig("perfect_state_lqr", "sampled_from_prior")),
         ("linear", PolicyConfig("separation_lqg", "sampled_from_prior")),
@@ -141,7 +129,7 @@ def cmd_double_integrator(runs, seed, c1, out):
     for name, policy in variants:
         system, noise, cost = double_integrator_config(obs_model=name, c1=c1)
         config = SimConfig(system, noise, cost, policy, horizon)
-        res = monte_carlo(config, runs, seed, max_workers=workers)
+        res = monte_carlo(config, runs, seed)
         write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.records)
         blocks.append((res.percentiles, policy.kind, name))
         results[name] = res
@@ -177,7 +165,6 @@ def cmd_orthogonal(runs, seed, variant, out):
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     horizon = DEFAULT_HORIZON
-    workers = _max_workers()
     base_stream = RngStream(seed)
     sys_bil, noise, cost = orthogonal_config(base_stream, variant=variant,
                                              obs_model="bilinear")
@@ -215,7 +202,7 @@ def cmd_orthogonal(runs, seed, variant, out):
         config = SimConfig(system, noise, cost,
                            PolicyConfig("separation_lqg", "sampled_from_prior"),
                            horizon)
-        res = monte_carlo(config, runs, seed, max_workers=workers)
+        res = monte_carlo(config, runs, seed)
         write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.records)
         blocks.append((res.percentiles, "separation_lqg", name))
     write_summary_csv(outdir / "summary.csv", blocks)
@@ -257,7 +244,7 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
     outdir.mkdir(parents=True, exist_ok=True)
     config = SimConfig(system, noise, cost, PolicyConfig(policy, init_estimate),
                        horizon)
-    res = monte_carlo(config, runs, seed, max_workers=_max_workers())
+    res = monte_carlo(config, runs, seed)
     write_trajectory_csv(outdir / "trajectories.csv", res.records)
     write_summary_csv(outdir / "summary.csv",
                       [(res.percentiles, policy, "config")])

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import is_symmetric, min_eigenvalue, observation_matrix, symmetrize
+from .core import (is_symmetric, matvec, min_eigenvalue, observation_matrix,
+                   symmetrize)
 
 LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
@@ -74,10 +75,14 @@ def riccati_recursion(cost, sys, horizon):
 
 
 def lqg_policy(tables, t, x_hat):
-    """Certainty-equivalent action gain_seq[t] @ x_hat."""
+    """Certainty-equivalent action gain_seq[t] @ x_hat; a stack of
+    estimates (R, n) gives one action per estimate, (R, p)."""
     if not 0 <= t < tables.horizon:
         raise ValueError(f"stage {t} out of range for horizon {tables.horizon}")
-    return tables.gain_seq[t] @ np.asarray(x_hat, dtype=float).reshape(-1)
+    x_hat = np.asarray(x_hat, dtype=float)
+    if x_hat.ndim != 2:
+        x_hat = x_hat.reshape(-1)
+    return matvec(tables.gain_seq[t], x_hat)
 
 
 @dataclass(frozen=True)
@@ -316,7 +321,12 @@ class BellmanObjectiveParams:
 
 
 def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
-    """Stage objective data at stage t (exact for the last-but-two stage)."""
+    """Stage objective data at stage t.
+
+    Exact for the last-but-two stage (t = T - 2).  At earlier stages the
+    estimation penalty is still weighted by the LQR table p_seq[t+1], so
+    minimizing it is a one-step look-ahead, not the optimal decision.
+    """
     if not 0 <= t <= tables.horizon - 2:
         raise ValueError(f"stage {t} has no estimation-penalty objective")
     k_next = tables.k_seq[t + 1]

@@ -39,13 +39,23 @@ def _as_vector(x, name):
 
 
 def symmetrize(s):
-    """Return (S + S^T)/2; guards against eigenvalue drift over long rollouts."""
-    return 0.5 * (s + s.T)
+    """Return (S + S^T)/2 (of each matrix in a stack); guards against
+    eigenvalue drift over long rollouts."""
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def is_symmetric(s, tol=SYM_TOL):
     scale = max(1.0, float(np.abs(s).max()) if s.size else 1.0)
     return float(np.abs(s - s.T).max()) <= tol * scale
+
+
+def matvec(a, x):
+    """a @ x for a vector x (n,) or a stack of them (..., n).
+
+    Written as a matrix product against x[..., None] so each stacked item
+    takes the same BLAS route, and gives the same bits, as a 2-d a @ x.
+    """
+    return (a @ np.asarray(x)[..., None])[..., 0]
 
 
 def min_eigenvalue(s):
@@ -130,6 +140,48 @@ class CostSpec:
         object.__setattr__(self, "r", _as_matrix(self.r, "r"))
 
 
+class BatchCheckError(ValueError):
+    """A numerical check failed on a stack of items.
+
+    ``check`` is the failed check's message, ``index`` the position of the
+    first failing item in the stack and ``detail`` an optional figure
+    (e.g. a condition number); ``str()`` gives the check and the detail.
+    """
+
+    def __init__(self, check, index, detail=None):
+        self.check = check
+        self.index = int(index)
+        self.detail = detail
+        super().__init__(check if detail is None else f"{check} ({detail})")
+
+
+def raise_first_failure(bad, check, detail=None):
+    """Raise BatchCheckError for the first True entry of the mask ``bad``;
+    ``detail(index)``, when given, supplies its figure."""
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise BatchCheckError(check, index, None if detail is None else detail(index))
+
+
+def check_beliefs(means, covs):
+    """BeliefState's checks on a stack of beliefs, means (R, n) and covs
+    (R, n, n), all at once: finite entries, covariance symmetric within
+    SYM_TOL (relative to max(1, max |entry|)) and PSD within PSD_TOL.
+
+    Raises BatchCheckError naming the first failing belief.
+    """
+    raise_first_failure(~np.isfinite(means).all(axis=-1), "mean has non-finite entries")
+    raise_first_failure(~np.isfinite(covs).all(axis=(-2, -1)), "cov has non-finite entries")
+    if covs.shape[-1] == 0:
+        return
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    asym = np.abs(covs - covs.swapaxes(-1, -2)).max(axis=(-2, -1))
+    raise_first_failure(asym > SYM_TOL * scale, "cov not symmetric")
+    low = np.linalg.eigvalsh(symmetrize(covs)).min(axis=-1)
+    raise_first_failure(low < -PSD_TOL, "cov not PSD",
+                        lambda i: f"min eigenvalue {low[i]:.3e}")
+
+
 @dataclass(frozen=True)
 class BeliefState:
     """Predicted state estimate and its error covariance."""
@@ -142,10 +194,7 @@ class BeliefState:
         cov = _as_matrix(self.cov, "cov")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean size {mean.size}")
-        if not is_symmetric(cov, SYM_TOL):
-            raise ValueError("cov not symmetric")
-        if cov.size and min_eigenvalue(cov) < -PSD_TOL:
-            raise ValueError("cov not PSD")
+        check_beliefs(mean[None], cov[None])
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -208,17 +257,35 @@ def validate_system(sys, noise, cost):
 def observation_matrix(sys, u):
     """Effective observation matrix c0 + sum_k u[k]*ck[k].
 
-    Summation runs in ascending k for bit-reproducibility.
+    A single input of length p gives an (m, n) matrix; a stack of inputs
+    (R, p) gives one matrix per input, (R, m, n).  Summation runs in
+    ascending k for bit-reproducibility.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size != sys.p:
-        raise ValueError(f"input length {u.size} != p = {sys.p}")
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        u = u.reshape(-1)
+    if u.shape[-1] != sys.p:
+        raise ValueError(f"input length {u.shape[-1]} != p = {sys.p}")
     if len(sys.ck) != sys.p:
         raise ValueError("ck count mismatch")
+    weights = u if u.ndim == 1 else u.T[..., None, None]
     c = sys.c0.copy()
     for k in range(sys.p):
-        c = c + u[k] * sys.ck[k]
+        c = c + weights[k] * sys.ck[k]
     return c
+
+
+def _box_muller(u1_words, u2_words):
+    """Normals from raw 64-bit words: pair i takes u1 from u1_words[..., i]
+    and u2 from u2_words[..., i]; cos/sin interleaved on the last axis."""
+    u1 = ((u1_words >> np.uint64(11)).astype(float) + 1.0) * 2.0 ** -53
+    u2 = (u2_words >> np.uint64(11)).astype(float) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    z = np.empty(u1.shape[:-1] + (2 * u1.shape[-1],))
+    z[..., 0::2] = radius * np.cos(angle)
+    z[..., 1::2] = radius * np.sin(angle)
+    return z
 
 
 class RngStream:
@@ -247,28 +314,45 @@ class RngStream:
         return RngStream(self.seed, self.stream_id ^ ((int(tag) + 1) << 48))
 
     def standard_normal(self, n):
-        """n i.i.d. standard normal draws (Box-Muller pairs, cos/sin interleaved)."""
+        """n i.i.d. standard normal draws (Box-Muller pairs, cos/sin interleaved).
+
+        A draw of n takes ceil(n/2) pairs: u1 from the first half of its
+        2*ceil(n/2) raw words, u2 from the second; for odd n the last
+        normal is dropped.
+        """
         n = int(n)
         if n <= 0:
             return np.empty(0)
         pairs = (n + 1) // 2
         raw = self._bits.random_raw(2 * pairs)
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(float) + 1.0) * 2.0 ** -53
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(float) * 2.0 ** -53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
-        return z[:n]
+        return _box_muller(raw[:pairs], raw[pairs:])[:n]
 
 
-def sample_gaussian(stream, mean, cov):
-    """Draw one multivariate normal vector from the stream.
+def normal_tape(streams, sizes):
+    """What successive ``standard_normal(k)`` calls, k in sizes, would
+    return on each stream, concatenated: shape (len(streams), sum(sizes)).
 
-    Uses the lower Cholesky factor when cov is PD and a symmetric
-    eigendecomposition otherwise (PSD-singular covariances are fine;
-    cov = 0 returns the mean exactly).
+    Philox is counter-based, so each stream's raw words are fetched in one
+    call and sliced exactly as the successive draws slice them; the
+    streams advance as if the draws had been made.
+    """
+    sizes = [int(k) for k in sizes]
+    pairs = np.array([(k + 1) // 2 for k in sizes], dtype=np.intp)
+    starts = np.cumsum(2 * pairs) - 2 * pairs
+    u1_index = np.concatenate([s + np.arange(p) for s, p in zip(starts, pairs)])
+    u2_index = u1_index + np.repeat(pairs, pairs)
+    keep = np.concatenate([s + np.arange(k) for s, k in zip(starts, sizes)])
+    raw = np.stack([stream._bits.random_raw(int(2 * pairs.sum()))
+                    for stream in streams])
+    return _box_muller(raw[:, u1_index], raw[:, u2_index])[:, keep]
+
+
+def gaussian_draws(mean, cov, normals):
+    """mean + F z for each standard-normal vector z in normals (..., n).
+
+    F F^T = cov, computed once: the lower Cholesky factor when cov is PD, a
+    symmetric eigendecomposition otherwise (PSD-singular covariances are
+    fine; cov = 0 returns the mean exactly).
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
@@ -281,8 +365,13 @@ def sample_gaussian(stream, mean, cov):
         if vals.min() < -1e-8:
             raise ValueError("not PSD")
         factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    z = stream.standard_normal(mean.size)
-    return mean + factor @ z
+    return mean + matvec(factor, normals)
+
+
+def sample_gaussian(stream, mean, cov):
+    """Draw one multivariate normal vector from the stream (see
+    :func:`gaussian_draws`)."""
+    return gaussian_draws(mean, cov, stream.standard_normal(np.size(mean)))
 
 
 def config_from_dict(data):

@@ -11,11 +11,16 @@ grid Bayes oracle for scalar systems.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 
-from .core import BeliefState, min_eigenvalue, observation_matrix, symmetrize
+from .core import (BeliefState, check_beliefs, matvec, min_eigenvalue,
+                   observation_matrix, raise_first_failure, symmetrize)
 
 COND_LIMIT = 1e14
+
+# the LAPACK routines behind scipy's cho_factor/cho_solve, called directly
+# in the per-run solve loop to skip their per-call argument handling
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 @dataclass(frozen=True)
@@ -27,37 +32,79 @@ class KalmanStep:
     next_belief: BeliefState
 
 
-def _spd_solve(mat, rhs, context):
-    vals = np.linalg.eigvalsh(symmetrize(mat))
-    if vals.min() <= 0.0 or vals.max() / vals.min() > COND_LIMIT:
-        raise ValueError(context)
-    return cho_solve(cho_factor(symmetrize(mat), lower=True), rhs)
+def _gains(covs, cs, sys, noise):
+    """Gains -A S C^T (C S C^T + sigma_z)^(-1) for a stack of covariances
+    (R, n, n) and observation matrices (R, m, n); returns (R, n, m).
+
+    Each innovation covariance must be PD with condition number at most
+    COND_LIMIT, else BatchCheckError names the first one that is not.
+    """
+    innov_cov = symmetrize(cs @ covs @ cs.swapaxes(-1, -2) + noise.sigma_z)
+    vals = np.linalg.eigvalsh(innov_cov)
+    low, high = vals.min(axis=-1), vals.max(axis=-1)
+    cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
+    raise_first_failure(cond > COND_LIMIT, "innovation covariance singular",
+                        lambda i: f"condition number {cond[i]:.3e}")
+    # solve for (innov_cov)^(-1) C S A^T, then transpose; keeps the solve SPD
+    rhs = cs @ covs @ sys.a.T
+    gains = np.empty((len(rhs), sys.n, cs.shape[-2]))
+    for i, (mat, b) in enumerate(zip(innov_cov, rhs)):
+        factor, info = _POTRF(mat, lower=True)
+        if info == 0:
+            sol, info = _POTRS(factor, b, lower=True)
+        if info != 0:
+            raise LinAlgError(f"Cholesky solve of innovation covariance {i} failed "
+                              f"(LAPACK info {info})")
+        gains[i] = -sol.T
+    return gains
 
 
 def kalman_gain(belief, sys, noise, u):
     """Input-dependent gain -A S C(u)^T (C(u) S C(u)^T + sigma_z)^(-1)."""
     c = observation_matrix(sys, u)
-    s = belief.cov
-    innov_cov = c @ s @ c.T + noise.sigma_z
-    # solve for (innov_cov)^(-1) C S A^T, then transpose; keeps the solve SPD
-    rhs = c @ s @ sys.a.T
-    return -_spd_solve(innov_cov, rhs, "innovation covariance singular").T
+    return _gains(belief.cov[None], c[None], sys, noise)[0]
+
+
+def _advance(means, covs, sys, noise, inputs, outputs):
+    """kf_step_batch's arithmetic and innovation check, without the
+    next-belief checks."""
+    cs = observation_matrix(sys, inputs)
+    gains = _gains(covs, cs, sys, noise)
+    innovations = outputs - matvec(cs, means)
+    means_next = (matvec(sys.a, means) + matvec(sys.b, inputs)
+                  - matvec(gains, innovations))
+    covs_next = symmetrize(sys.a @ covs @ sys.a.T
+                           + gains @ cs @ covs @ sys.a.T
+                           + noise.sigma_w)
+    return gains, innovations, means_next, covs_next
+
+
+def kf_step_batch(means, covs, sys, noise, inputs, outputs):
+    """Advance R predicted beliefs, means (R, n) and covs (R, n, n), through
+    one input/output pair each, inputs (R, p) and outputs (R, m).
+
+    Every check of kf_step runs on all R at once: innovation covariance
+    conditioning (see kalman_gain), then finite, symmetric and PSD next
+    beliefs (see check_beliefs); a failure raises BatchCheckError naming
+    the first failing entry.  Returns (gains, innovations, next means,
+    next covs); entry i is bit for bit what kf_step gives on belief i.
+    """
+    gains, innovations, means_next, covs_next = _advance(
+        means, covs, sys, noise, inputs, outputs)
+    check_beliefs(means_next, covs_next)
+    return gains, innovations, means_next, covs_next
 
 
 def kf_step(belief, sys, noise, u, y):
-    """Advance the predicted belief through one input/output pair."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    c = observation_matrix(sys, u)
-    gain = kalman_gain(belief, sys, noise, u)
-    innovation = y - c @ belief.mean
-    mean_next = sys.a @ belief.mean + sys.b @ u - gain @ innovation
-    cov_next = (sys.a @ belief.cov @ sys.a.T
-                + gain @ c @ belief.cov @ sys.a.T
-                + noise.sigma_w)
-    cov_next = symmetrize(cov_next)
-    return KalmanStep(gain=gain, innovation=innovation,
-                      next_belief=BeliefState(mean=mean_next, cov=cov_next))
+    """Advance the predicted belief through one input/output pair: the
+    stacked step on a batch of one, its next-belief checks made by
+    BeliefState."""
+    u = np.asarray(u, dtype=float).reshape(1, -1)
+    y = np.asarray(y, dtype=float).reshape(1, -1)
+    gains, innovations, means, covs = _advance(
+        belief.mean[None], belief.cov[None], sys, noise, u, y)
+    return KalmanStep(gain=gains[0], innovation=innovations[0],
+                      next_belief=BeliefState(mean=means[0], cov=covs[0]))
 
 
 def cov_update_information_form(cov, sys, noise, u):

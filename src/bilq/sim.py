@@ -3,32 +3,117 @@
 Rollout protocol per step t: the action u_t is computed from information
 available before the output y_t exists (the controller never reads y_t or,
 except in the perfect-observation mode, x_t); then the process and
-measurement noises are drawn in a fixed order (w_t, then z_t), the output
-is emitted, the filter advances, and the state transitions.  The fixed
-draw order means runs with the same (seed, run index) share noise
-realizations across controller and observation variants, which pairs the
-comparisons.
+measurement noises enter in a fixed order (w_t, then z_t), the output is
+emitted, the filter advances, and the state transitions.
+
+All rollouts of one config -- the R runs of a Monte Carlo batch, or the
+single run of :func:`rollout` -- go through one lockstep engine that
+advances every run together with stacked (R, n) and (R, n, n) numpy
+operations.  The Riccati tables and the noise covariance factors are
+computed once per config.  Each run owns a stream, (seed, run index) in
+Monte Carlo, and its draws are materialized up front as a noise tape: the
+x_0 draw first, then (w_t, z_t) for each step t, sliced from the stream's
+raw words exactly as successive ``standard_normal`` calls would slice them.
+A run's record is therefore bit for bit the same in any batch, and runs
+with the same (seed, run index) share noise realizations across
+controller and observation variants, which pairs the comparisons.
+
+Policies are a table of functions of (batch, t) returning one action per
+run.  The certainty-equivalent ones are one stacked matrix-vector product
+per step; ``scalar_nonlinear_t2`` and ``numeric_bellman`` decide run by
+run.  ``numeric_bellman`` minimizes the stage objective of
+:func:`bilq.control.bellman_objective_Tm2` with the estimation penalty
+weighted by the LQR table ``p_seq[t+1]``: exact for T = 2, a one-step
+look-ahead for T > 2, not the optimal policy.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BeliefState, RngStream, observation_matrix, sample_gaussian)
-from .kalman import kf_step
+from .core import (BatchCheckError, BeliefState, RngStream, check_beliefs,
+                   gaussian_draws, matvec, normal_tape, observation_matrix)
+from .kalman import kf_step_batch
 from .control import (bellman_minimize_Tm2, bellman_params_at_stage, lqg_policy,
                       riccati_recursion, scalar_critical_points,
                       scalar_gap_params, scalar_optimal_controller_T2,
                       select_rollout_action)
 
-POLICY_KINDS = ("perfect_state_lqr", "separation_lqg", "scalar_nonlinear_t2",
-                "numeric_bellman")
 INIT_ESTIMATES = ("prior_mean", "sampled_from_prior")
 METRICS = ("stage_cost", "cum_cost", "u_norm", "est_err", "cov_trace")
 
 INIT_ESTIMATE_SUBSTREAM = 0
+
+
+@dataclass
+class _Batch:
+    """State of R runs of one config at the current step: true states x
+    (R, n), predicted means (R, n) and covs (R, n, n) (None for the
+    perfect-observation policy), and per-run decisions a policy keeps
+    between steps."""
+
+    sys: object
+    noise: object
+    cost: object
+    tables: object
+    horizon: int
+    x: np.ndarray
+    means: np.ndarray = None
+    covs: np.ndarray = None
+    decisions: list = None
+
+
+def _perfect_state_lqr(batch, t):
+    return lqg_policy(batch.tables, t, batch.x)
+
+
+def _separation_lqg(batch, t):
+    return lqg_policy(batch.tables, t, batch.means)
+
+
+def _scalar_nonlinear_t2(batch, t):
+    """Scalar two-stage optimum, per run: at t = 0 the tie-broken global
+    minimizer of the stage objective at the run's prior (regime warnings
+    silenced), at t = 1 that controller's linear final-stage rule."""
+    if t == 0:
+        controllers = []
+        for mean, cov in zip(batch.means, batch.covs):
+            params = scalar_gap_params(batch.sys, batch.noise, batch.cost,
+                                       prior_var=cov[0, 0], x_hat0=mean[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                controllers.append(scalar_optimal_controller_T2(params))
+        batch.decisions = controllers
+        return np.array([[select_rollout_action(c.u0_candidates)]
+                         for c in controllers])
+    return np.array([[c.u1_rule(mean[0])]
+                     for c, mean in zip(batch.decisions, batch.means)])
+
+
+def _numeric_bellman(batch, t):
+    """Per run, the numeric minimizer of the stage objective whose
+    estimation penalty is weighted by p_seq[t+1]; the certainty-equivalent
+    action at the last stage, where it is exact.  Optimal for T = 2; for
+    T > 2 a one-step look-ahead, not the optimal policy."""
+    if t == batch.horizon - 1:
+        return lqg_policy(batch.tables, t, batch.means)
+    actions = []
+    for mean, cov in zip(batch.means, batch.covs):
+        bp = bellman_params_at_stage(batch.sys, batch.noise, batch.cost,
+                                     batch.tables, t,
+                                     BeliefState(mean=mean, cov=cov))
+        actions.append(bellman_minimize_Tm2(bp)[0])
+    return np.array(actions)
+
+
+POLICIES = {
+    "perfect_state_lqr": _perfect_state_lqr,
+    "separation_lqg": _separation_lqg,
+    "scalar_nonlinear_t2": _scalar_nonlinear_t2,
+    "numeric_bellman": _numeric_bellman,
+}
+POLICY_KINDS = tuple(POLICIES)
 
 
 @dataclass(frozen=True)
@@ -88,90 +173,90 @@ def _validate_policy(policy, sys, horizon):
         raise ValueError("numeric_bellman requires p <= 3")
 
 
-def rollout(sys, noise, cost, policy, horizon, stream):
-    """Simulate one closed-loop trajectory; deterministic given the stream."""
+def _quadratic(v, weight):
+    """v' W v for each row of v (R, k), by the same BLAS route as a 1-d
+    v @ W @ v."""
+    return (v[:, None, :] @ weight @ v[:, :, None])[:, 0, 0]
+
+
+def _localized(exc, streams, t):
+    """A failed stacked check, restated with the failing run and step."""
+    detail = "" if exc.detail is None else f", {exc.detail}"
+    return ValueError(f"{exc.check}: run {streams[exc.index].stream_id}, "
+                      f"step {t}{detail}")
+
+
+def _simulate(sys, noise, cost, policy, horizon, streams):
+    """The lockstep engine: one closed-loop rollout per stream, all
+    advanced together; returns a tuple of TrajectoryRecords."""
     T = int(horizon)
     if T < 1:
         raise ValueError("horizon must be >= 1")
     _validate_policy(policy, sys, T)
-    tables = riccati_recursion(cost, sys, T)
+    act = POLICIES[policy.kind]
     n, m, p = sys.n, sys.m, sys.p
+    R = len(streams)
 
-    x = sample_gaussian(stream, noise.x0_mean, noise.sigma_0)
-    belief = None
-    if policy.kind != "perfect_state_lqr":
+    tape = normal_tape(streams, [n] + [n, m] * T)
+    step_normals = tape[:, n:].reshape(R, T, n + m)
+    w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
+    z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
+    batch = _Batch(sys=sys, noise=noise, cost=cost,
+                   tables=riccati_recursion(cost, sys, T), horizon=T,
+                   x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
+    filtered = policy.kind != "perfect_state_lqr"
+    if filtered:
         if policy.init_estimate == "sampled_from_prior":
-            init_stream = stream.substream(INIT_ESTIMATE_SUBSTREAM)
-            mean0 = sample_gaussian(init_stream, noise.x0_mean, noise.sigma_0)
+            init = normal_tape([s.substream(INIT_ESTIMATE_SUBSTREAM) for s in streams], [n])
+            batch.means = gaussian_draws(noise.x0_mean, noise.sigma_0, init)
         else:
-            mean0 = noise.x0_mean
-        belief = BeliefState(mean=mean0, cov=noise.sigma_0)
+            batch.means = np.broadcast_to(noise.x0_mean, (R, n)).copy()
+        batch.covs = np.broadcast_to(noise.sigma_0, (R, n, n)).copy()
+        try:
+            check_beliefs(batch.means, batch.covs)
+        except BatchCheckError as exc:
+            raise _localized(exc, streams, 0) from exc
 
-    t2_controller = None
+    states = np.empty((R, T + 1, n))
+    inputs = np.empty((R, T, p))
+    outputs = np.empty((R, T, m))
+    means = np.empty((R, T + 1, n))
+    covs = np.zeros((R, T + 1, n, n))
+    stage_costs = np.empty((R, T))
 
-    def action(t):
-        nonlocal t2_controller
-        if policy.kind == "perfect_state_lqr":
-            return lqg_policy(tables, t, x)
-        if policy.kind == "separation_lqg":
-            return lqg_policy(tables, t, belief.mean)
-        if policy.kind == "scalar_nonlinear_t2":
-            if t == 0:
-                params = scalar_gap_params(sys, noise, cost,
-                                           prior_var=belief.cov[0, 0],
-                                           x_hat0=belief.mean[0])
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    t2_controller = scalar_optimal_controller_T2(params)
-                return np.array([select_rollout_action(t2_controller.u0_candidates)])
-            return np.array([t2_controller.u1_rule(belief.mean[0])])
-        # numeric_bellman: estimation-aware stage objective until the last
-        # stage, where the certainty-equivalent action is exact
-        if t == T - 1:
-            return lqg_policy(tables, t, belief.mean)
-        bp = bellman_params_at_stage(sys, noise, cost, tables, t, belief)
-        u_star, _ = bellman_minimize_Tm2(bp)
-        return u_star
+    for t in range(T + 1):
+        x = batch.x
+        states[:, t] = x
+        means[:, t] = batch.means if filtered else x
+        if filtered:
+            covs[:, t] = batch.covs
+        if t == T:
+            break
+        u = np.asarray(act(batch, t), dtype=float).reshape(R, p)
+        y = matvec(observation_matrix(sys, u), x) + z[:, t]
+        inputs[:, t] = u
+        outputs[:, t] = y
+        stage_costs[:, t] = _quadratic(x, cost.q) + _quadratic(u, cost.r)
+        if filtered:
+            try:
+                _, _, batch.means, batch.covs = kf_step_batch(
+                    batch.means, batch.covs, sys, noise, u, y)
+            except BatchCheckError as exc:
+                raise _localized(exc, streams, t) from exc
+        batch.x = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
 
-    states = np.empty((T + 1, n))
-    inputs = np.empty((T, p))
-    outputs = np.empty((T, m))
-    means = np.empty((T + 1, n))
-    covs = np.empty((T + 1, n, n))
-    stage_costs = np.empty(T)
-    zero_n = np.zeros(n)
-    zero_m = np.zeros(m)
+    terminal_costs = _quadratic(batch.x, cost.q_t)
+    return tuple(TrajectoryRecord(states=states[r], inputs=inputs[r],
+                                  outputs=outputs[r], means=means[r],
+                                  covs=covs[r], stage_costs=stage_costs[r],
+                                  terminal_cost=float(terminal_costs[r]))
+                 for r in range(R))
 
-    for t in range(T):
-        states[t] = x
-        if belief is None:
-            means[t] = x
-            covs[t] = 0.0
-        else:
-            means[t] = belief.mean
-            covs[t] = belief.cov
-        u = np.asarray(action(t), dtype=float).reshape(-1)
-        w = sample_gaussian(stream, zero_n, noise.sigma_w)
-        z = sample_gaussian(stream, zero_m, noise.sigma_z)
-        y = observation_matrix(sys, u) @ x + z
-        inputs[t] = u
-        outputs[t] = y
-        stage_costs[t] = float(x @ cost.q @ x + u @ cost.r @ u)
-        if belief is not None:
-            belief = kf_step(belief, sys, noise, u, y).next_belief
-        x = sys.a @ x + sys.b @ u + w
 
-    states[T] = x
-    if belief is None:
-        means[T] = x
-        covs[T] = 0.0
-    else:
-        means[T] = belief.mean
-        covs[T] = belief.cov
-    terminal_cost = float(x @ cost.q_t @ x)
-    return TrajectoryRecord(states=states, inputs=inputs, outputs=outputs,
-                            means=means, covs=covs, stage_costs=stage_costs,
-                            terminal_cost=terminal_cost)
+def rollout(sys, noise, cost, policy, horizon, stream):
+    """Simulate one closed-loop trajectory; deterministic given the stream
+    (the lockstep engine on a batch of one)."""
+    return _simulate(sys, noise, cost, policy, horizon, [stream])[0]
 
 
 @dataclass(frozen=True)
@@ -197,22 +282,15 @@ class MonteCarloResult:
     percentiles: dict
 
 
-def monte_carlo(config, runs, seed, max_workers=None):
-    """Independent rollouts on streams (seed, 0..runs-1) with percentile
-    aggregation; output is identical for any worker count."""
+def monte_carlo(config, runs, seed):
+    """Rollouts on streams (seed, 0..runs-1), advanced in lockstep, with
+    percentile aggregation; record k is bit for bit
+    ``rollout(..., RngStream(seed, k))``."""
     runs = int(runs)
     if runs < 1:
         raise ValueError("runs must be >= 1")
-
-    def one(run):
-        return rollout(config.system, config.noise, config.cost, config.policy,
-                       config.horizon, RngStream(seed, run))
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = tuple(pool.map(one, range(runs)))
-    else:
-        records = tuple(one(run) for run in range(runs))
+    records = _simulate(config.system, config.noise, config.cost, config.policy,
+                        config.horizon, [RngStream(seed, run) for run in range(runs)])
     return MonteCarloResult(records=records,
                             percentiles=aggregate_percentiles(records))
 

@@ -2,10 +2,14 @@
 
 Everything here is deliberately coded on a different route from the
 package (textbook predict/update filter with explicit inverses,
-update-then-predict ordering) so agreement is a real cross-check.
+update-then-predict ordering) so agreement is a real cross-check.  The
+exception is `per_step_lqg_rollout`, which repeats the package's own
+arithmetic one run and one 2-d operation at a time, as a bit-for-bit
+reference for the stacked engine.
 """
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 
 def standard_riccati_gains(a, b, q, q_t, r, horizon):
@@ -80,6 +84,52 @@ def standard_lqg_rollout(a, b, c, q, q_t, r, sigma_w, sigma_z, x0_mean,
         "means": np.array(means),
         "covs": np.array(covs),
     }
+
+
+def per_step_lqg_rollout(sys_, noise, cost, gains, perfect, init_mean, stream):
+    """Certainty-equivalent rollout, one 2-d operation at a time.
+
+    The package's arithmetic in its order (Cholesky noise factors; gain
+    -(C S C' + Sz)^-1 C S A' solved by scipy's Cholesky; covariance
+    A S A' + L C S A' + Sw, symmetrized), with the draws x0, then w_t and
+    z_t per step.  A bit-for-bit reference for the lockstep engine, which
+    stacks these operations over runs; `init_mean` is the filter's initial
+    mean, `gains` the package's Riccati gains.
+    """
+    def sym(s):
+        return 0.5 * (s + s.T)
+
+    a, b = sys_.a, sys_.b
+    n, m = sys_.n, sys_.m
+    x = noise.x0_mean + np.linalg.cholesky(noise.sigma_0) @ stream.standard_normal(n)
+    mean, cov = np.array(init_mean, dtype=float), noise.sigma_0.copy()
+    chol_w = np.linalg.cholesky(noise.sigma_w)
+    chol_z = np.linalg.cholesky(noise.sigma_z)
+    rows = {"states": [x], "inputs": [], "outputs": [], "means": [x if perfect else mean],
+            "covs": [np.zeros((n, n)) if perfect else cov], "stage_costs": []}
+    for gain_t in gains:
+        u = gain_t @ (x if perfect else mean)
+        w = np.zeros(n) + chol_w @ stream.standard_normal(n)
+        z = np.zeros(m) + chol_z @ stream.standard_normal(m)
+        c = sys_.c0.copy()
+        for k in range(sys_.p):
+            c = c + u[k] * sys_.ck[k]
+        y = c @ x + z
+        rows["inputs"].append(u)
+        rows["outputs"].append(y)
+        rows["stage_costs"].append(x @ cost.q @ x + u @ cost.r @ u)
+        if not perfect:
+            innov_cov = sym(c @ cov @ c.T + noise.sigma_z)
+            gain = -cho_solve(cho_factor(innov_cov, lower=True), c @ cov @ a.T).T
+            mean = a @ mean + b @ u - gain @ (y - c @ mean)
+            cov = sym(a @ cov @ a.T + gain @ c @ cov @ a.T + noise.sigma_w).copy()
+        x = a @ x + b @ u + w
+        rows["states"].append(x)
+        rows["means"].append(x if perfect else mean)
+        rows["covs"].append(np.zeros((n, n)) if perfect else cov)
+    out = {key: np.array(val) for key, val in rows.items()}
+    out["terminal_cost"] = x @ cost.q_t @ x
+    return out
 
 
 def random_spd(rng, n, scale=1.0):

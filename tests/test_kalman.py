@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bilq.core import BeliefState, BilinearSystem, NoiseSpec, RngStream
+from bilq.core import (BatchCheckError, BeliefState, BilinearSystem, NoiseSpec,
+                       RngStream, observation_matrix)
 from bilq.kalman import (cov_update_information_form, grid_bayes_oracle,
-                         kalman_gain, kf_step)
+                         kalman_gain, kf_step, kf_step_batch)
 
 from helpers import standard_kf_update_predict, random_spd
 
@@ -142,6 +144,63 @@ class TestKfStep:
                                       cov_sequence(sys_static, u2))
         assert not np.allclose(cov_sequence(sys_bilinear, u1),
                                cov_sequence(sys_bilinear, u2))
+
+
+class TestKfStepBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), p=st.integers(1, 2),
+           runs=st.integers(1, 5), steps=st.integers(1, 6),
+           input_scale=st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_run_steps_and_textbook_filter(self, n, m, p, runs, steps,
+                                                       input_scale, seed):
+        # the stacked step is per-run kf_step bit for bit, and agrees with
+        # the textbook update-then-predict filter on C(u)
+        rng = np.random.default_rng(seed)
+        sys_ = random_system(rng, n, m, p)
+        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05),
+                          sigma_z=random_spd(rng, m, 0.1),
+                          x0_mean=np.zeros(n), sigma_0=np.eye(n))
+        means = rng.standard_normal((runs, n))
+        covs = np.stack([random_spd(rng, n) for _ in range(runs)])
+        beliefs = [BeliefState(mean=mu, cov=s) for mu, s in zip(means, covs)]
+        for _ in range(steps):
+            inputs = input_scale * rng.standard_normal((runs, p))
+            outputs = rng.standard_normal((runs, m))
+            gains, innovations, means, covs = kf_step_batch(
+                means, covs, sys_, noise, inputs, outputs)
+            for r, belief in enumerate(beliefs):
+                step = kf_step(belief, sys_, noise, inputs[r], outputs[r])
+                assert gains[r].tobytes() == step.gain.tobytes()
+                assert innovations[r].tobytes() == step.innovation.tobytes()
+                assert means[r].tobytes() == step.next_belief.mean.tobytes()
+                assert covs[r].tobytes() == step.next_belief.cov.tobytes()
+                ref_mean, ref_cov = standard_kf_update_predict(
+                    belief.mean, belief.cov, sys_.a, sys_.b,
+                    observation_matrix(sys_, inputs[r]), noise.sigma_w,
+                    noise.sigma_z, inputs[r], outputs[r])
+                np.testing.assert_allclose(means[r], ref_mean, rtol=1e-9,
+                                           atol=1e-9 * np.abs(ref_mean).max())
+                np.testing.assert_allclose(covs[r], ref_cov, rtol=1e-9,
+                                           atol=1e-9 * np.abs(ref_cov).max())
+                beliefs[r] = step.next_belief
+
+    def test_innovation_check_names_first_failing_entry(self):
+        # the second output row is u * x_2, blind at u = 0, where the
+        # innovation covariance is diag(., 1e-15)
+        sys_ = BilinearSystem(a=0.9 * np.eye(2), b=[[1.0], [0.0]],
+                              c0=[[1.0, 0.0], [0.0, 0.0]],
+                              ck=([[0.0, 0.0], [0.0, 1.0]],))
+        noise = NoiseSpec(sigma_w=0.01 * np.eye(2), sigma_z=np.diag([1.0, 1e-15]),
+                          x0_mean=[0.0, 0.0], sigma_0=np.eye(2))
+        means = np.zeros((4, 2))
+        covs = np.stack([np.eye(2)] * 4)
+        inputs = np.array([[1.0], [0.5], [0.0], [0.0]])
+        with pytest.raises(BatchCheckError,
+                           match=r"^innovation covariance singular "
+                                 r"\(condition number 2\.000e\+15\)$") as info:
+            kf_step_batch(means, covs, sys_, noise, inputs, np.zeros((4, 2)))
+        assert info.value.index == 2
 
 
 class TestInformationForm:

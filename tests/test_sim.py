@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
-                       RngStream)
+                       RngStream, sample_gaussian)
 from bilq.kalman import kf_step
 from bilq.control import lqg_policy, riccati_recursion
-from bilq.presets import double_integrator_config, scalar_config
-from bilq.sim import (PolicyConfig, SimConfig,
+from bilq.presets import (double_integrator_config, orthogonal_config,
+                          scalar_config)
+from bilq.sim import (INIT_ESTIMATES, PolicyConfig, SimConfig,
                       TrajectoryRecord, aggregate_percentiles, landscape_sweep,
                       monte_carlo, rollout, write_landscape_csv,
                       write_summary_csv, write_trajectory_csv)
 
-from helpers import standard_lqg_rollout, standard_riccati_gains
+from helpers import (per_step_lqg_rollout, standard_lqg_rollout,
+                     standard_riccati_gains)
 
 
 def lqg_testbed():
@@ -181,17 +183,54 @@ class TestMonteCarlo:
         assert series.p75[0] - series.p50[0] == pytest.approx(
             series.p50[0] - series.p25[0], abs=1e-12)
 
-    def test_thread_count_does_not_change_output(self):
-        sys_, noise, cost = double_integrator_config("bilinear")
-        config = SimConfig(sys_, noise, cost,
-                           PolicyConfig("separation_lqg", "sampled_from_prior"), 20)
-        serial = monte_carlo(config, 6, 11, max_workers=None)
-        threaded = monte_carlo(config, 6, 11, max_workers=3)
-        for name in serial.percentiles:
-            assert np.array_equal(serial.percentiles[name].p50,
-                                  threaded.percentiles[name].p50)
-        for a, b in zip(serial.records, threaded.records):
-            assert np.array_equal(a.states, b.states)
+    def test_output_independent_of_batch_size(self):
+        # every record of a lockstep batch equals the same stream's rollout
+        # alone, bit for bit, for every policy kind
+        di = double_integrator_config("bilinear")
+        cases = (("perfect_state_lqr", di, 20, 6),
+                 ("separation_lqg", di, 20, 6),
+                 ("scalar_nonlinear_t2", scalar_config(), 2, 4),
+                 ("numeric_bellman", di, 4, 3))
+        for kind, (sys_, noise, cost), horizon, runs in cases:
+            policy = PolicyConfig(kind, "sampled_from_prior")
+            res = monte_carlo(SimConfig(sys_, noise, cost, policy, horizon),
+                              runs, 11)
+            assert len(res.records) == runs
+            for run, rec in enumerate(res.records):
+                alone = rollout(sys_, noise, cost, policy, horizon,
+                                RngStream(11, run))
+                for field in ("states", "inputs", "outputs", "means", "covs",
+                              "stage_costs"):
+                    assert (getattr(rec, field).tobytes()
+                            == getattr(alone, field).tobytes()), (kind, run, field)
+                assert rec.terminal_cost == alone.terminal_cost
+
+    def test_lockstep_matches_per_step_reference(self):
+        # stacking the runs changes no bit of the per-step 2-d arithmetic
+        ortho = orthogonal_config(RngStream(3), variant="a", obs_model="bilinear")
+        cases = [(kind, double_integrator_config(model), init)
+                 for kind, model in (("perfect_state_lqr", "perfect"),
+                                     ("separation_lqg", "linear"),
+                                     ("separation_lqg", "bilinear"))
+                 for init in INIT_ESTIMATES]
+        cases.append(("separation_lqg", ortho, "sampled_from_prior"))
+        for kind, (sys_, noise, cost), init in cases:
+            res = monte_carlo(SimConfig(sys_, noise, cost, PolicyConfig(kind, init), 25),
+                              4, 17)
+            gains = riccati_recursion(cost, sys_, 25).gain_seq
+            for run, rec in enumerate(res.records):
+                stream = RngStream(17, run)
+                init_mean = (sample_gaussian(stream.substream(0), noise.x0_mean,
+                                             noise.sigma_0)
+                             if init == "sampled_from_prior" else noise.x0_mean)
+                ref = per_step_lqg_rollout(sys_, noise, cost, gains,
+                                           kind == "perfect_state_lqr", init_mean,
+                                           stream)
+                for field in ("states", "inputs", "outputs", "means", "covs",
+                              "stage_costs"):
+                    assert (getattr(rec, field).tobytes()
+                            == ref[field].tobytes()), (kind, init, run, field)
+                assert rec.terminal_cost == ref["terminal_cost"]
 
     def test_covariances_identical_across_runs_when_static(self):
         sys_, noise, cost = double_integrator_config("linear")
@@ -208,6 +247,46 @@ class TestMonteCarlo:
         config = SimConfig(sys_, noise, cost, PolicyConfig("separation_lqg"), 5)
         with pytest.raises(ValueError):
             monte_carlo(config, 0, 1)
+
+
+class TestFailureLocalization:
+    @staticmethod
+    def blind_config(horizon):
+        # second output row u * x_2 with sigma_z = diag(1, 1e-15): at u = 0
+        # the innovation covariance is diag(2, 1e-15), condition 2e15
+        sys_ = BilinearSystem(a=0.9 * np.eye(2), b=[[1.0], [0.0]],
+                              c0=[[1.0, 0.0], [0.0, 0.0]],
+                              ck=([[0.0, 0.0], [0.0, 1.0]],))
+        noise = NoiseSpec(sigma_w=0.01 * np.eye(2), sigma_z=np.diag([1.0, 1e-15]),
+                          x0_mean=[0.0, 0.0], sigma_0=np.eye(2))
+        cost = CostSpec(q=np.eye(2), q_t=np.eye(2), r=[[1.0]])
+        return SimConfig(sys_, noise, cost,
+                         PolicyConfig("separation_lqg", "prior_mean"), horizon)
+
+    def test_monte_carlo_names_run_step_and_condition_number(self):
+        # the prior mean is 0, so every run's first action is 0
+        with pytest.raises(ValueError, match=r"^innovation covariance singular: "
+                                             r"run 0, step 0, "
+                                             r"condition number 2\.000e\+15$"):
+            monte_carlo(self.blind_config(5), 3, 1)
+
+    def test_rollout_names_its_stream(self):
+        config = self.blind_config(5)
+        with pytest.raises(ValueError, match=r"run 7, step 0,"):
+            rollout(config.system, config.noise, config.cost, config.policy,
+                    config.horizon, RngStream(1, 7))
+
+    def test_belief_check_names_step(self):
+        # an unstable, unobserved mode: the covariance overflows to inf
+        sys_ = BilinearSystem(a=[[1e30]], b=[[1.0]], c0=[[0.0]], ck=([[0.0]],))
+        noise = NoiseSpec(sigma_w=[[1.0]], sigma_z=[[1.0]], x0_mean=[0.0],
+                          sigma_0=[[1.0]])
+        cost = CostSpec(q=[[1.0]], q_t=[[1.0]], r=[[1.0]])
+        config = SimConfig(sys_, noise, cost,
+                           PolicyConfig("separation_lqg", "prior_mean"), 20)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"^cov has non-finite entries: run 0, step \d+$"):
+            monte_carlo(config, 2, 0)
 
 
 class TestLandscapeSweep:
