@@ -6,7 +6,7 @@ line endings) and ends by printing one JSON status line; the exit code is
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -24,24 +24,17 @@ from .sim import (INIT_ESTIMATES, POLICY_KINDS, PolicyConfig, SimConfig,
 
 DEFAULT_HORIZON = 100
 PROBE_THRESHOLD = 1e6
+RUNS = click.IntRange(min=1)
+SEED = click.IntRange(0, 2 ** 64 - 1)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Resolved invocation: experiment name, config source, output target,
-    and the effective overrides (echoed in the final status line)."""
-
-    name: str
-    config_path: str = None
-    out_path: str = None
-    overrides: dict = None
-
-
-def _finish(spec, failures):
-    status = {"command": spec.name,
-              "config": spec.config_path,
-              "out": spec.out_path,
-              "overrides": spec.overrides,
+def _finish(command, config, out, overrides, failures):
+    """Print the status line (the overrides are the effective ones); exit 1
+    on any failed postcondition."""
+    status = {"command": command,
+              "config": config,
+              "out": out,
+              "overrides": overrides,
               "status": "fail" if failures else "ok",
               "failures": list(failures)}
     click.echo(json.dumps(status, sort_keys=True))
@@ -54,6 +47,28 @@ def _load_config_or_fail(path):
         return load_config(path)
     except (OSError, ValueError) as exc:
         raise click.ClickException(str(exc))
+
+
+def _lqg_probe(system, noise, cost, horizon):
+    """The covariance boundedness probe under certainty-equivalent LQG."""
+    tables = riccati_recursion(cost, system, horizon)
+    return covariance_boundedness_probe(
+        system, noise, lambda t, belief: lqg_policy(tables, t, belief.mean),
+        horizon, PROBE_THRESHOLD)
+
+
+def _monte_carlo_variants(outdir, variants, runs, seed):
+    """Monte Carlo of each (name, SimConfig) on the same streams (paired
+    noise); writes the CSVs and returns the percentiles by name."""
+    percentiles = {}
+    for name, config in variants:
+        res = monte_carlo(config, runs, seed)
+        write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.records)
+        percentiles[name] = res.percentiles
+    write_summary_csv(outdir / "summary.csv",
+                      [(percentiles[name], config.policy.kind, name)
+                       for name, config in variants])
+    return percentiles
 
 
 def _check_classifications(points):
@@ -94,18 +109,16 @@ def cmd_scalar_landscape(offset, grid, c1, out):
     write_landscape_csv(out, table)
     report_path = out.with_name(out.stem + "_critical_points.csv")
     write_critical_points_csv(report_path, table.critical_points)
-    spec = ExperimentSpec(name="scalar-landscape", config_path=None,
-                          out_path=str(out),
-                          overrides={"offset": offset, "grid": list(grid), "c1": c1})
     failures = _check_classifications(table.critical_points)
     if not np.all(np.isfinite(table.f_total)):
         failures.append("non-finite landscape values")
-    _finish(spec, failures)
+    _finish("scalar-landscape", None, str(out),
+            {"offset": offset, "grid": list(grid), "c1": c1}, failures)
 
 
 @main.command("double-integrator")
-@click.option("--runs", type=int, default=50, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--runs", type=RUNS, default=50, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--c1", type=float, default=1.0, show_default=True,
               help="Force scaling of the bilinear position sensor.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
@@ -119,26 +132,19 @@ def cmd_double_integrator(runs, seed, c1, out):
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     horizon = DEFAULT_HORIZON
-    variants = (
-        ("perfect", PolicyConfig("perfect_state_lqr", "sampled_from_prior")),
-        ("linear", PolicyConfig("separation_lqg", "sampled_from_prior")),
-        ("bilinear", PolicyConfig("separation_lqg", "sampled_from_prior")),
-    )
-    results = {}
-    blocks = []
-    for name, policy in variants:
+    variants = []
+    for name, kind in (("perfect", "perfect_state_lqr"), ("linear", "separation_lqg"),
+                       ("bilinear", "separation_lqg")):
         system, noise, cost = double_integrator_config(obs_model=name, c1=c1)
-        config = SimConfig(system, noise, cost, policy, horizon)
-        res = monte_carlo(config, runs, seed)
-        write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.records)
-        blocks.append((res.percentiles, policy.kind, name))
-        results[name] = res
-    write_summary_csv(outdir / "summary.csv", blocks)
+        variants.append((name, SimConfig(system, noise, cost,
+                                         PolicyConfig(kind, "sampled_from_prior"),
+                                         horizon)))
+    percentiles = _monte_carlo_variants(outdir, variants, runs, seed)
 
     failures = []
     if runs >= 10:
-        bil = results["bilinear"].percentiles
-        lin = results["linear"].percentiles
+        bil = percentiles["bilinear"]
+        lin = percentiles["linear"]
         if not bil["cum_cost"].p50[horizon] > lin["cum_cost"].p50[horizon]:
             failures.append("bilinear median cumulative cost does not exceed linear")
         if not bil["cov_trace"].p50[horizon] > 2.0 * bil["cov_trace"].p50[20]:
@@ -147,15 +153,13 @@ def cmd_double_integrator(runs, seed, c1, out):
         lin_end = lin["cov_trace"].p50[horizon]
         if not abs(lin_end - lin_20) <= 0.1 * lin_20:
             failures.append("linear median covariance trace not stable")
-    spec = ExperimentSpec(name="double-integrator", config_path=None,
-                          out_path=str(outdir),
-                          overrides={"runs": runs, "seed": seed, "c1": c1})
-    _finish(spec, failures)
+    _finish("double-integrator", None, str(outdir),
+            {"runs": runs, "seed": seed, "c1": c1}, failures)
 
 
 @main.command("orthogonal")
-@click.option("--runs", type=int, default=50, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--runs", type=RUNS, default=50, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--variant", type=click.Choice(["a", "b"]), default="a",
               show_default=True, help="Which static observation draw to use.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
@@ -171,10 +175,7 @@ def cmd_orthogonal(runs, seed, variant, out):
     sys_lin, _, _ = orthogonal_config(base_stream, variant=variant,
                                       obs_model="linear")
 
-    tables = riccati_recursion(cost, sys_bil, horizon)
-    probe = covariance_boundedness_probe(
-        sys_bil, noise, lambda t, belief: lqg_policy(tables, t, belief.mean),
-        horizon, PROBE_THRESHOLD)
+    probe = _lqg_probe(sys_bil, noise, cost, horizon)
     prop = check_proposition1(sys_bil, inputs=probe.inputs[:sys_bil.n])
     tail = float(probe.norms[50:horizon + 1].max())
     head = float(probe.norms[1:51].max())
@@ -197,32 +198,26 @@ def cmd_orthogonal(runs, seed, variant, out):
         }, sort_keys=True, indent=1),
         encoding="utf-8")
 
-    blocks = []
-    for name, system in (("linear", sys_lin), ("bilinear", sys_bil)):
-        config = SimConfig(system, noise, cost,
-                           PolicyConfig("separation_lqg", "sampled_from_prior"),
-                           horizon)
-        res = monte_carlo(config, runs, seed)
-        write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.records)
-        blocks.append((res.percentiles, "separation_lqg", name))
-    write_summary_csv(outdir / "summary.csv", blocks)
+    policy = PolicyConfig("separation_lqg", "sampled_from_prior")
+    _monte_carlo_variants(outdir, [(name, SimConfig(system, noise, cost, policy, horizon))
+                                   for name, system in (("linear", sys_lin),
+                                                        ("bilinear", sys_bil))],
+                          runs, seed)
 
     failures = []
     if not prop.ok:
         failures.append("sufficient observability condition failed")
     if tail > 1.05 * head:
         failures.append("covariance norm still growing in the second half")
-    spec = ExperimentSpec(name="orthogonal", config_path=None,
-                          out_path=str(outdir),
-                          overrides={"runs": runs, "seed": seed, "variant": variant})
-    _finish(spec, failures)
+    _finish("orthogonal", None, str(outdir),
+            {"runs": runs, "seed": seed, "variant": variant}, failures)
 
 
 @main.command("simulate")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False),
               required=True)
-@click.option("--runs", type=int, default=None, help="Override config runs.")
-@click.option("--seed", type=int, default=None, help="Override config seed.")
+@click.option("--runs", type=RUNS, default=None, help="Override config runs.")
+@click.option("--seed", type=SEED, default=None, help="Override config seed.")
 @click.option("--policy", type=click.Choice(POLICY_KINDS),
               default="separation_lqg", show_default=True)
 @click.option("--init-estimate", type=click.Choice(INIT_ESTIMATES),
@@ -234,12 +229,11 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
     report = validate_system(system, noise, cost)
     runs = cfg_runs if runs is None else runs
     seed = cfg_seed if seed is None else seed
-    spec = ExperimentSpec(name="simulate", config_path=str(config_path),
-                          out_path=str(out),
-                          overrides={"runs": runs, "seed": seed, "policy": policy,
-                                     "init_estimate": init_estimate})
+    status = ("simulate", str(config_path), str(out),
+              {"runs": runs, "seed": seed, "policy": policy,
+               "init_estimate": init_estimate})
     if not report.ok:
-        _finish(spec, [f"config invalid: {v}" for v in report.violations])
+        _finish(*status, [f"config invalid: {v}" for v in report.violations])
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     config = SimConfig(system, noise, cost, PolicyConfig(policy, init_estimate),
@@ -257,7 +251,7 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
         if rec.stage_costs.min() < 0.0 or rec.terminal_cost < 0.0:
             failures.append("negative realized cost")
             break
-    _finish(spec, failures)
+    _finish(*status, failures)
 
 
 @main.command("observability")
@@ -269,19 +263,15 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
 def cmd_observability(config_path, horizon, delta):
     """Observability diagnostics along a simulated closed-loop input sequence."""
     system, noise, cost, _, _, _ = _load_config_or_fail(config_path)
-    spec = ExperimentSpec(name="observability", config_path=str(config_path),
-                          out_path=None,
-                          overrides={"horizon": horizon, "delta": delta})
+    status = ("observability", str(config_path), None,
+              {"horizon": horizon, "delta": delta})
     report = validate_system(system, noise, cost)
     if not report.ok:
-        _finish(spec, [f"config invalid: {v}" for v in report.violations])
+        _finish(*status, [f"config invalid: {v}" for v in report.violations])
     n = system.n
     if horizon < n:
         raise click.ClickException(f"horizon must be at least n = {n}")
-    tables = riccati_recursion(cost, system, horizon)
-    probe = covariance_boundedness_probe(
-        system, noise, lambda t, belief: lqg_policy(tables, t, belief.mean),
-        horizon, PROBE_THRESHOLD)
+    probe = _lqg_probe(system, noise, cost, horizon)
     click.echo("window_start,gramian_min_eigenvalue,uniformly_observable")
     for start in range(horizon - n + 1):
         rep = gramian(system, probe.inputs[start:start + n], delta=delta)
@@ -292,7 +282,7 @@ def cmd_observability(config_path, horizon, delta):
     click.echo(f"probe_max_norm,{format_float(probe.max_norm)}")
     click.echo(f"probe_exceeded_threshold,{probe.exceeded}")
     click.echo(f"probe_final_trace,{format_float(probe.traces[-1])}")
-    _finish(spec, [])
+    _finish(*status, [])
 
 
 @main.command("critical-points")
@@ -326,11 +316,9 @@ def cmd_critical_points(config_path, x0hat, c0, c1):
     for pt in points:
         click.echo(f"{format_float(pt.u)},{pt.kind},{format_float(pt.f_value)},"
                    f"{format_float(pt.second_derivative)}")
-    spec = ExperimentSpec(name="critical-points",
-                          config_path=None if config_path is None else str(config_path),
-                          out_path=None,
-                          overrides={"x0hat": x0hat, "c0": c0, "c1": c1})
-    _finish(spec, _check_classifications(points))
+    _finish("critical-points",
+            None if config_path is None else str(config_path), None,
+            {"x0hat": x0hat, "c0": c0, "c1": c1}, _check_classifications(points))
 
 
 if __name__ == "__main__":

@@ -17,10 +17,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .core import (is_symmetric, matvec, min_eigenvalue, observation_matrix,
-                   symmetrize)
+from .core import (chol_solve, is_symmetric, matvec, min_eigenvalue,
+                   observation_matrix, symmetrize)
+from .kalman import information_matrix
 
 LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
@@ -66,7 +66,7 @@ def riccati_recursion(cost, sys, horizon):
         k_next = k_seq[t + 1]
         g = symmetrize(b.T @ k_next @ b + cost.r)
         m = b.T @ k_next @ a
-        sol = cho_solve(cho_factor(g, lower=True), m)
+        sol = chol_solve(g, m)
         p_seq[t] = symmetrize(m.T @ sol)
         gain_seq[t] = -sol
         k_seq[t] = symmetrize(a.T @ k_next @ a - p_seq[t] + cost.q)
@@ -240,6 +240,17 @@ class T2ControllerResult:
     critical_points: tuple
 
 
+def _minima(points):
+    """The local minima (else every finite point), and the u of those tied
+    with the best value within 1e-9 relative."""
+    minima = [p for p in points if p.kind == LOCAL_MIN]
+    if not minima:
+        minima = [p for p in points if np.isfinite(p.f_value)]
+    f_best = min(p.f_value for p in minima)
+    tie_tol = 1e-9 * (1.0 + abs(f_best))
+    return minima, [p.u for p in minima if p.f_value <= f_best + tie_tol]
+
+
 def scalar_optimal_controller_T2(params):
     """First-stage minimizers of the scalar stage objective plus the
     final-stage linear rule.
@@ -261,14 +272,9 @@ def scalar_optimal_controller_T2(params):
     if not in_regime:
         warnings.warn("outside closed-form regime: " + "; ".join(notes))
     points = scalar_critical_points(params)
-    minima = [p for p in points if p.kind == LOCAL_MIN]
-    if not minima:
-        minima = [p for p in points if np.isfinite(p.f_value)]
-    f_best = min(p.f_value for p in minima)
-    tie_tol = 1e-9 * (1.0 + abs(f_best))
-    tied = sorted(p.u for p in minima if p.f_value <= f_best + tie_tol)
+    _, tied = _minima(points)
     candidates = []
-    for u in tied:
+    for u in sorted(tied):
         # collapse repeated roots of the same point (degenerate multiplicities)
         if not candidates or abs(u - candidates[-1]) > 1e-7 * (1.0 + abs(u)):
             candidates.append(u)
@@ -317,7 +323,7 @@ class BellmanObjectiveParams:
 
     @property
     def u_lqg(self):
-        return -cho_solve(cho_factor(self.cal_a, lower=True), self.cal_b @ self.x_hat)
+        return -chol_solve(self.cal_a, self.cal_b @ self.x_hat)
 
 
 def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
@@ -343,16 +349,13 @@ def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
 
 
 def bellman_objective_Tm2(bp, u):
-    """Quadratic control cost plus the trace estimation penalty at input u."""
+    """Quadratic control cost plus the estimation penalty tr(I(u)^-1 cal_g),
+    I(u) the filter's :func:`bilq.kalman.information_matrix` at input u."""
     u = np.asarray(u, dtype=float).reshape(-1)
-    c = observation_matrix(bp.sys, u)
     quad = float(u @ bp.cal_a @ u + 2.0 * (bp.cal_b @ bp.x_hat) @ u)
-    n = bp.prior_cov.shape[0]
-    prior_inv = cho_solve(cho_factor(bp.prior_cov, lower=True), np.eye(n))
-    sz = symmetrize(np.asarray(bp.noise.sigma_z, dtype=float))
-    info = prior_inv + c.T @ cho_solve(cho_factor(sz, lower=True), c)
-    penalty = float(np.trace(cho_solve(cho_factor(symmetrize(info), lower=True), bp.cal_g)))
-    return quad + penalty
+    info = information_matrix(bp.prior_cov, observation_matrix(bp.sys, u),
+                              bp.noise.sigma_z)
+    return quad + float(np.trace(chol_solve(info, bp.cal_g)))
 
 
 def _golden_section(f, a, b, tol):
@@ -443,15 +446,9 @@ def affine_falsification_test(params, x_hat_grid=None):
         if pt.c1 == 0.0:
             u_star[i] = pt.u_lqg
             continue
-        points = scalar_critical_points(pt)
-        minima = [p for p in points if p.kind == LOCAL_MIN]
-        if not minima:
-            minima = [p for p in points if np.isfinite(p.f_value)]
+        minima, tied = _minima(scalar_critical_points(pt))
         if previous is None:
-            f_best = min(p.f_value for p in minima)
-            tie_tol = 1e-9 * (1.0 + abs(f_best))
-            ties = [p.u for p in minima if p.f_value <= f_best + tie_tol]
-            u_star[i] = max(ties)
+            u_star[i] = max(tied)
         else:
             u_star[i] = min((p.u for p in minima), key=lambda u: abs(u - previous))
         previous = u_star[i]

@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 - all matrices are dense float64 numpy arrays, row-major;
 - systems are tiny (n <= 10), so every solve goes through direct dense
-  factorizations;
+  factorizations; :func:`chol_solve` is the package's one symmetric
+  positive definite solve;
 - covariance-producing operations re-symmetrize their output, and a matrix
   is accepted as PSD when its minimum eigenvalue is >= -1e-10.
 """
@@ -13,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 PSD_TOL = 1e-10
 SYM_TOL = 1e-10
@@ -56,6 +58,38 @@ def matvec(a, x):
     takes the same BLAS route, and gives the same bits, as a 2-d a @ x.
     """
     return (a @ np.asarray(x)[..., None])[..., 0]
+
+
+# the LAPACK routines behind scipy's cho_factor/cho_solve, called directly
+# to skip their per-call argument handling
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
+
+def _potrf_potrs(a, b, name):
+    factor, info = _POTRF(a, lower=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of {name} is not positive definite")
+    return _POTRS(factor, b, lower=True)[0]
+
+
+def chol_solve(a, b):
+    """a^-1 b for symmetric PD a, by LAPACK potrf/potrs: scipy's
+    cho_solve(cho_factor(a, lower=True), b) bit for bit, its layout too.
+
+    A stack a (R, n, n), b (R, n, k) gives a C-contiguous (R, n, k).
+    Non-finite input raises ValueError; a matrix that is not PD raises
+    LinAlgError naming its index."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("chol_solve: array must not contain infs or NaNs")
+    if a.ndim == 2:
+        return _potrf_potrs(a, b, "the matrix")
+    out = np.empty(b.shape)
+    for i, (item, rhs) in enumerate(zip(a, b)):
+        out[i] = _potrf_potrs(item, rhs, f"matrix {i}")
+    return out
 
 
 def min_eigenvalue(s):
@@ -212,8 +246,7 @@ class ValidationReport:
 
 
 def _check_sym_pd(report, mat, name, *, strict):
-    scale = max(1.0, float(np.abs(mat).max()) if mat.size else 1.0)
-    if float(np.abs(mat - mat.T).max()) > 1e-12 * scale:
+    if not is_symmetric(mat, tol=1e-12):
         report.add(f"{name} not symmetric")
         return
     lo = min_eigenvalue(mat)
@@ -388,6 +421,12 @@ def config_from_dict(data):
         horizon = int(data["horizon"])
         runs = int(data["runs"])
         seed = int(data["seed"])
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if runs < 1:
+            raise ValueError(f"runs must be >= 1, got {runs}")
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     except KeyError as exc:
         raise ValueError(f"config missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

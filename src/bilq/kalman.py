@@ -4,23 +4,21 @@ The gain here carries a leading minus sign and the mean update subtracts
 gain times innovation; the covariance recursion is the matching
 ``A S A^T + L C S A^T + sigma_w`` form, symmetrized after evaluation.
 An information-form covariance update (valid for strictly PD covariances)
-is provided as an independent route for cross-checks, along with a dense
-grid Bayes oracle for scalar systems.
+is an independent route for cross-checks of that direct form, beside a
+dense grid Bayes oracle for scalar systems.  Its information matrix
+``S^-1 + C^T sigma_z^-1 C`` is shared with the stage objective of
+:mod:`bilq.control`: through it the input sets the next covariance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 
-from .core import (BeliefState, check_beliefs, matvec, min_eigenvalue,
-                   observation_matrix, raise_first_failure, symmetrize)
+from .core import (BeliefState, check_beliefs, chol_solve, matvec,
+                   min_eigenvalue, observation_matrix, raise_first_failure,
+                   symmetrize)
 
 COND_LIMIT = 1e14
-
-# the LAPACK routines behind scipy's cho_factor/cho_solve, called directly
-# in the per-run solve loop to skip their per-call argument handling
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 @dataclass(frozen=True)
@@ -46,17 +44,8 @@ def _gains(covs, cs, sys, noise):
     raise_first_failure(cond > COND_LIMIT, "innovation covariance singular",
                         lambda i: f"condition number {cond[i]:.3e}")
     # solve for (innov_cov)^(-1) C S A^T, then transpose; keeps the solve SPD
-    rhs = cs @ covs @ sys.a.T
-    gains = np.empty((len(rhs), sys.n, cs.shape[-2]))
-    for i, (mat, b) in enumerate(zip(innov_cov, rhs)):
-        factor, info = _POTRF(mat, lower=True)
-        if info == 0:
-            sol, info = _POTRS(factor, b, lower=True)
-        if info != 0:
-            raise LinAlgError(f"Cholesky solve of innovation covariance {i} failed "
-                              f"(LAPACK info {info})")
-        gains[i] = -sol.T
-    return gains
+    sol = chol_solve(innov_cov, cs @ covs @ sys.a.T)
+    return -np.ascontiguousarray(sol.swapaxes(-1, -2))
 
 
 def kalman_gain(belief, sys, noise, u):
@@ -107,21 +96,24 @@ def kf_step(belief, sys, noise, u, y):
                       next_belief=BeliefState(mean=means[0], cov=covs[0]))
 
 
+def information_matrix(cov, c, sigma_z):
+    """The symmetrized information matrix S^-1 + C^T sigma_z^-1 C of a
+    symmetric PD covariance S and an observation matrix C."""
+    cov_inv = chol_solve(cov, np.eye(cov.shape[0]))
+    return symmetrize(cov_inv + c.T @ chol_solve(symmetrize(sigma_z), c))
+
+
 def cov_update_information_form(cov, sys, noise, u):
     """Covariance propagation via A (S^-1 + C^T sigma_z^-1 C)^-1 A^T + sigma_w.
 
-    Requires a strictly PD input covariance; used as a cross-check of
-    kf_step and inside the stage cost-to-go evaluation.
+    Requires a strictly PD input covariance; an independent route used to
+    cross-check kf_step's direct form.
     """
     cov = symmetrize(np.asarray(cov, dtype=float))
     if min_eigenvalue(cov) <= 0.0:
         raise ValueError("information form requires PD covariance")
-    c = observation_matrix(sys, u)
-    n = sys.n
-    cov_inv = cho_solve(cho_factor(cov, lower=True), np.eye(n))
-    cz = cho_solve(cho_factor(symmetrize(noise.sigma_z), lower=True), c)
-    info = cov_inv + c.T @ cz
-    inner = cho_solve(cho_factor(symmetrize(info), lower=True), np.eye(n))
+    info = information_matrix(cov, observation_matrix(sys, u), noise.sigma_z)
+    inner = chol_solve(info, np.eye(sys.n))
     return symmetrize(sys.a @ inner @ sys.a.T + noise.sigma_w)
 
 
@@ -168,25 +160,19 @@ def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):
     xs = np.linspace(lo, hi, points)
     dx = xs[1] - xs[0]
 
-    density = np.exp(-0.5 * (xs - mu0) ** 2 / v0)
-    density /= density.sum() * dx
-
-    def check_boundary(rho):
+    def normalized(rho):
+        rho = rho / (rho.sum() * dx)
         if (rho[0] + rho[-1]) * dx > 1e-6:
             raise ValueError("grid truncation")
+        return rho
 
-    check_boundary(density)
+    density = normalized(np.exp(-0.5 * (xs - mu0) ** 2 / v0))
     shift = xs[:, None] - a * xs[None, :]
     for u, y in zip(inputs, outputs):
         c = float(observation_matrix(sys, [u])[0, 0])
-        lik = np.exp(-0.5 * (y - c * xs) ** 2 / sz)
-        density = density * lik
-        density /= density.sum() * dx
-        check_boundary(density)
+        density = normalized(density * np.exp(-0.5 * (y - c * xs) ** 2 / sz))
         kernel = np.exp(-0.5 * (shift - b * u) ** 2 / sw)
-        density = kernel @ density * dx / np.sqrt(2.0 * np.pi * sw)
-        density /= density.sum() * dx
-        check_boundary(density)
+        density = normalized(kernel @ density * dx / np.sqrt(2.0 * np.pi * sw))
     mean = float((xs * density).sum() * dx)
     var = float(((xs - mean) ** 2 * density).sum() * dx)
     return mean, var

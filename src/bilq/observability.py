@@ -26,23 +26,43 @@ class GramianReport:
     uniformly_observable: bool
 
 
+def _observations(sys, inputs):
+    """Observation matrices C(u_k) of the first n inputs."""
+    inputs = list(inputs)
+    if len(inputs) < sys.n:
+        raise ValueError(f"need at least {sys.n} inputs, got {len(inputs)}")
+    return [observation_matrix(sys, u) for u in inputs[:sys.n]]
+
+
+def _blocks(sys, cs):
+    """The blocks C_k A^k of an observability sum, C_k the k-th of cs."""
+    a_pow = np.eye(sys.n)
+    blocks = []
+    for c in cs:
+        blocks.append(c @ a_pow)
+        a_pow = sys.a @ a_pow
+    return blocks
+
+
+def _gram(blocks):
+    """The symmetrized sum of t^T t over the blocks t."""
+    return symmetrize(sum(t.T @ t for t in blocks))
+
+
 def gramian(sys, inputs, delta=DEFAULT_DELTA):
     """Observability test over the first n inputs of the supplied window."""
-    n = sys.n
-    inputs = list(inputs)
-    if len(inputs) < n:
-        raise ValueError(f"need at least {n} inputs, got {len(inputs)}")
-    total = np.zeros((n, n))
-    a_pow = np.eye(n)
-    for k in range(n):
-        c = observation_matrix(sys, inputs[k])
-        ca = c @ a_pow
-        total += ca.T @ ca
-        a_pow = sys.a @ a_pow
-    total = symmetrize(total)
+    total = _gram(_blocks(sys, _observations(sys, inputs)))
     low = float(np.linalg.eigvalsh(total).min())
     return GramianReport(gramian=total, min_eigenvalue=low, delta=float(delta),
                          uniformly_observable=low > float(delta))
+
+
+def _project_out(mat, basis):
+    """mat minus its projections on an orthonormal basis, one by one."""
+    residual = mat.astype(float).copy()
+    for e in basis:
+        residual -= float(np.sum(e * residual)) * e
+    return residual
 
 
 def _frobenius_basis(matrices):
@@ -53,9 +73,7 @@ def _frobenius_basis(matrices):
     if scale == 0.0:
         return basis
     for mat in matrices:
-        residual = mat.astype(float).copy()
-        for e in basis:
-            residual -= float(np.sum(e * residual)) * e
+        residual = _project_out(mat, basis)
         norm = float(np.linalg.norm(residual))
         if norm > GS_DROP_TOL * scale:
             basis.append(residual / norm)
@@ -64,11 +82,7 @@ def _frobenius_basis(matrices):
 
 def orthogonal_complement_c0(sys):
     """Project the static observation matrix away from span{ck} (Frobenius)."""
-    basis = _frobenius_basis(sys.ck)
-    result = sys.c0.astype(float).copy()
-    for e in basis:
-        result -= float(np.sum(e * result)) * e
-    return result
+    return _project_out(sys.c0, _frobenius_basis(sys.ck))
 
 
 def gramian_decomposition(sys, inputs):
@@ -78,24 +92,11 @@ def gramian_decomposition(sys, inputs):
     o3 only the remainder c(u) - c0_perp, and o2 the cross terms; the
     three add back to the full test matrix.
     """
-    n = sys.n
-    inputs = list(inputs)
-    if len(inputs) < n:
-        raise ValueError(f"need at least {n} inputs, got {len(inputs)}")
     c0_perp = orthogonal_complement_c0(sys)
-    o1 = np.zeros((n, n))
-    o2 = np.zeros((n, n))
-    o3 = np.zeros((n, n))
-    a_pow = np.eye(n)
-    for k in range(n):
-        cbar = observation_matrix(sys, inputs[k]) - c0_perp
-        t1 = c0_perp @ a_pow
-        t3 = cbar @ a_pow
-        o1 += t1.T @ t1
-        o2 += t1.T @ t3 + t3.T @ t1
-        o3 += t3.T @ t3
-        a_pow = sys.a @ a_pow
-    return symmetrize(o1), symmetrize(o2), symmetrize(o3)
+    static = _blocks(sys, [c0_perp] * sys.n)
+    rest = _blocks(sys, [c - c0_perp for c in _observations(sys, inputs)])
+    cross = sum(t1.T @ t3 + t3.T @ t1 for t1, t3 in zip(static, rest))
+    return _gram(static), symmetrize(cross), _gram(rest)
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,8 @@ def check_proposition1(sys, inputs=None, delta=DEFAULT_DELTA):
     of the three-part decomposition along it.
     """
     c0_perp = orthogonal_complement_c0(sys)
-    n = sys.n
-    o1 = np.zeros((n, n))
-    a_pow = np.eye(n)
-    for _ in range(n):
-        t = c0_perp @ a_pow
-        o1 += t.T @ t
-        a_pow = sys.a @ a_pow
-    low = float(np.linalg.eigvalsh(symmetrize(o1)).min())
+    o1 = _gram(_blocks(sys, [c0_perp] * sys.n))
+    low = float(np.linalg.eigvalsh(o1).min())
     ok = low > delta
     if inputs is None:
         return Prop1Report(ok=ok, min_eigenvalue=low, c0_perp=c0_perp)

@@ -340,53 +340,44 @@ def format_float(x):
     return f"{float(x):.17g}"
 
 
+def _write_rows(path, header, row_format, rows):
+    """A header line, then each row tuple formatted with row_format (one
+    %-format string; its %.17g gives format_float's digits)."""
+    line = row_format + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in rows)
+
+
 def write_trajectory_csv(path, records):
     """One row per (run, t); the t = T row carries the terminal cost."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("run,t,stage_cost,cum_cost,u_norm,est_err,cov_trace\n")
-        for run, rec in enumerate(records):
-            series = {name: rec.metric(name) for name in METRICS}
-            for t in range(rec.horizon + 1):
-                fields = [str(run), str(t)]
-                fields += [format_float(series[name][t]) for name in METRICS]
-                fh.write(",".join(fields) + "\n")
+    rows = []
+    for run, rec in enumerate(records):
+        series = np.column_stack([rec.metric(name) for name in METRICS]).tolist()
+        rows += [(run, t, *values) for t, values in enumerate(series)]
+    _write_rows(path, "run,t," + ",".join(METRICS),
+                "%d,%d" + ",%.17g" * len(METRICS), rows)
 
 
 def write_summary_csv(path, blocks):
     """blocks: iterable of (percentiles dict, policy label, obs_model label)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,metric,p25,p50,p75,policy,obs_model\n")
-        for percentiles, policy, obs_model in blocks:
-            for name in METRICS:
-                series = percentiles[name]
-                for t in range(series.p50.size):
-                    fh.write(",".join([
-                        str(t), name,
-                        format_float(series.p25[t]),
-                        format_float(series.p50[t]),
-                        format_float(series.p75[t]),
-                        policy, obs_model,
-                    ]) + "\n")
+    rows = []
+    for percentiles, policy, obs_model in blocks:
+        for name in METRICS:
+            s = percentiles[name]
+            quartiles = np.column_stack([s.p25, s.p50, s.p75]).tolist()
+            rows += [(t, name, *q, policy, obs_model) for t, q in enumerate(quartiles)]
+    _write_rows(path, "t,metric,p25,p50,p75,policy,obs_model",
+                "%d,%s,%.17g,%.17g,%.17g,%s,%s", rows)
 
 
 def write_landscape_csv(path, table):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("u,f_total,f_lqg,g\n")
-        for i in range(table.u.size):
-            fh.write(",".join([
-                format_float(table.u[i]),
-                format_float(table.f_total[i]),
-                format_float(table.f_lqg[i]),
-                format_float(table.g[i]),
-            ]) + "\n")
+    _write_rows(path, "u,f_total,f_lqg,g", "%.17g,%.17g,%.17g,%.17g",
+                zip(table.u.tolist(), table.f_total.tolist(),
+                    table.f_lqg.tolist(), table.g.tolist()))
 
 
 def write_critical_points_csv(path, critical_points):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("u,kind,f_value,second_derivative\n")
-        for pt in critical_points:
-            fh.write(",".join([
-                format_float(pt.u), pt.kind,
-                format_float(pt.f_value),
-                format_float(pt.second_derivative),
-            ]) + "\n")
+    _write_rows(path, "u,kind,f_value,second_derivative", "%.17g,%s,%.17g,%.17g",
+                ((pt.u, pt.kind, pt.f_value, pt.second_derivative)
+                 for pt in critical_points))

@@ -250,11 +250,11 @@ class TestDeterminism:
                      "trajectories_bilinear.csv", "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_thread_env_does_not_change_bytes(self, runner, tmp_path):
+    def test_orthogonal_reruns_byte_identical(self, runner, tmp_path):
         args = ["orthogonal", "--runs", "6", "--seed", "1", "--variant", "a"]
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        invoke(runner, args + ["--out", str(out1)], env={"BILQ_THREADS": "1"})
-        invoke(runner, args + ["--out", str(out2)], env={"BILQ_THREADS": "4"})
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
+        invoke(runner, args + ["--out", str(out1)])
+        invoke(runner, args + ["--out", str(out2)])
         for name in ("trajectories_linear.csv", "trajectories_bilinear.csv",
                      "summary.csv", "prop1_report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -267,3 +267,46 @@ class TestDeterminism:
                             "--grid", "-2", "2", "801", "--out", str(out)])
             files.append(out.read_bytes())
         assert files[0] == files[1]
+
+
+class TestInputRanges:
+    @pytest.mark.parametrize("command, option, value", [
+        ("double-integrator", "--runs", "0"),
+        ("double-integrator", "--seed", "-1"),
+        ("orthogonal", "--seed", "-1"),
+        ("orthogonal", "--seed", str(2 ** 64)),
+        ("orthogonal", "--runs", "-3"),
+    ])
+    def test_out_of_range_option_rejected_before_output(self, runner, tmp_path,
+                                                        command, option, value):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, option, value, "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert not out.exists()
+
+    def test_simulate_runs_override_rejected(self, runner, tmp_path):
+        config = scalar_config_file(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(config),
+                                      "--runs", "0", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--runs'" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("runs", 0), ("horizon", 0),
+                                              ("seed", -1), ("seed", 2 ** 64)])
+    def test_config_field_out_of_range_named(self, runner, tmp_path, field, value):
+        config = scalar_config_file(tmp_path)
+        data = json.loads(config.read_text())
+        data[field] = value
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert "config field invalid" in result.output
+        assert f"{field} must be" in result.output
+        assert "Traceback" not in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilq.core import BeliefState, BilinearSystem, CostSpec, NoiseSpec
 from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, ScalarGapParams,
@@ -11,7 +12,10 @@ from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, ScalarGapParams,
                           riccati_recursion, scalar_cost_to_go,
                           scalar_critical_points, scalar_gap_params,
                           scalar_optimal_controller_T2, select_rollout_action)
+from bilq.kalman import kf_step
 from bilq.presets import double_integrator_config, scalar_config
+
+from helpers import random_spd
 
 U_LQG = -0.05257796257796257
 U_MINUS = -0.24825626381484173
@@ -335,6 +339,38 @@ class TestBellmanObjective:
             BellmanObjectiveParams(cal_a=[[1.0]], cal_b=[[1.0]], cal_g=[[1.0]],
                                    prior_cov=[[0.0]], x_hat=[0.0],
                                    sys=sys_, noise=noise)
+
+
+class TestObjectiveMatchesFilter:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), p=st.integers(1, 2),
+           t=st.integers(0, 1), input_scale=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_penalty_is_weighted_next_covariance(self, n, m, p, t, input_scale, seed):
+        # the estimation penalty at u is tr(P_{t+1} (S_{t+1}(u) - sigma_w)),
+        # S_{t+1}(u) the next covariance of the direct-form filter step
+        rng = np.random.default_rng(seed)
+        sys_ = BilinearSystem(a=rng.standard_normal((n, n)) * 0.5,
+                              b=rng.standard_normal((n, p)),
+                              c0=rng.standard_normal((m, n)),
+                              ck=tuple(rng.standard_normal((m, n)) for _ in range(p)))
+        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05),
+                          sigma_z=random_spd(rng, m, 0.1),
+                          x0_mean=np.zeros(n), sigma_0=np.eye(n))
+        cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n),
+                        r=random_spd(rng, p))
+        tables = riccati_recursion(cost, sys_, 3)
+        belief = BeliefState(mean=rng.standard_normal(n), cov=random_spd(rng, n))
+        bp = bellman_params_at_stage(sys_, noise, cost, tables, t, belief)
+        u = input_scale * rng.standard_normal(p)
+        quad = u @ bp.cal_a @ u + 2.0 * (bp.cal_b @ bp.x_hat) @ u
+        penalty = bellman_objective_Tm2(bp, u) - quad
+        step = kf_step(belief, sys_, noise, u, rng.standard_normal(m))
+        p_next = tables.p_seq[t + 1]
+        want = np.trace(p_next @ (step.next_belief.cov - noise.sigma_w))
+        # 1e-6 relative, plus the rounding of the two subtractions above
+        rounding = 1e-13 * (abs(quad) + np.abs(p_next).sum() * np.abs(noise.sigma_w).max())
+        assert abs(penalty - want) <= 1e-6 * abs(want) + rounding
 
 
 class TestBellmanMinimize:

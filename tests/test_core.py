@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
-                       RngStream, config_from_dict, config_to_dict, load_config,
-                       observation_matrix, sample_gaussian, validate_system)
+                       RngStream, chol_solve, config_from_dict, config_to_dict,
+                       load_config, observation_matrix, sample_gaussian,
+                       validate_system)
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
+
+from helpers import random_spd
 
 
 def identity_setup(n=2, m=2, p=1):
@@ -186,3 +191,46 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="noise"):
             config_from_dict({"system": {"a": [[1.0]], "b": [[1.0]],
                                          "c0": [[1.0]], "ck": []}})
+
+
+def flags(x):
+    return x.shape, x.flags["C_CONTIGUOUS"], x.flags["F_CONTIGUOUS"]
+
+
+class TestCholSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 6), runs=st.integers(1, 4),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scipy_bit_for_bit(self, n, k, runs, scale, seed):
+        rng = np.random.default_rng(seed)
+        mats = np.stack([random_spd(rng, n, scale) for _ in range(runs)])
+        rhs = rng.standard_normal((runs, n, k))
+        for a, b2 in zip(mats, rhs):
+            for b in (b2, b2[:, 0], np.asfortranarray(b2)):
+                got = chol_solve(a, b)
+                want = cho_solve(cho_factor(a, lower=True), b)
+                assert flags(got) == flags(want)
+                assert got.tobytes(order="A") == want.tobytes(order="A")
+        stacked = chol_solve(mats, rhs)
+        assert stacked.shape == (runs, n, k) and stacked.flags["C_CONTIGUOUS"]
+        for i in range(runs):
+            assert stacked[i].tobytes() == chol_solve(mats[i], rhs[i]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        a, b = np.eye(3), np.ones((3, 2))
+        for where in ("a", "b"):
+            a_bad, b_bad = a.copy(), b.copy()
+            (a_bad if where == "a" else b_bad)[1, 1] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                chol_solve(a_bad, b_bad)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                chol_solve(np.stack([a, a_bad]), np.stack([b, b_bad]))
+
+    def test_not_pd_names_its_index(self):
+        mats = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="2-th leading minor of matrix 2 is not positive definite"):
+            chol_solve(mats, np.ones((3, 2, 1)))
+        with pytest.raises(np.linalg.LinAlgError, match="of the matrix"):
+            chol_solve(np.diag([0.0, 1.0]), np.ones(2))
