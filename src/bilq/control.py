@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (chol_solve, is_symmetric, matvec, min_eigenvalue,
-                   observation_matrix, symmetrize)
+                   observation_matrix, quadratic, symmetrize)
 from .kalman import information_matrix
 
 LOCAL_MIN = "local_min"
@@ -320,10 +320,11 @@ class BellmanObjectiveParams:
         object.__setattr__(self, "cal_g", symmetrize(cal_g))
         object.__setattr__(self, "prior_cov", prior_cov)
         object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float).reshape(-1))
+        object.__setattr__(self, "cal_b_x_hat", self.cal_b @ self.x_hat)
 
     @property
     def u_lqg(self):
-        return -chol_solve(self.cal_a, self.cal_b @ self.x_hat)
+        return -chol_solve(self.cal_a, self.cal_b_x_hat)
 
 
 def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
@@ -350,12 +351,16 @@ def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
 
 def bellman_objective_Tm2(bp, u):
     """Quadratic control cost plus the estimation penalty tr(I(u)^-1 cal_g),
-    I(u) the filter's :func:`bilq.kalman.information_matrix` at input u."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    quad = float(u @ bp.cal_a @ u + 2.0 * (bp.cal_b @ bp.x_hat) @ u)
+    I(u) the filter's :func:`bilq.kalman.information_matrix` at input u.
+
+    One input (p,) gives a float; a stack of inputs (N, p) gives (N,)
+    values, each bit for bit its own single call."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    quad = quadratic(u, bp.cal_a) + 2.0 * (u[..., None, :] @ bp.cal_b_x_hat)[..., 0]
     info = information_matrix(bp.prior_cov, observation_matrix(bp.sys, u),
                               bp.noise.sigma_z)
-    return quad + float(np.trace(chol_solve(info, bp.cal_g)))
+    val = quad + chol_solve(info, bp.cal_g).diagonal(0, -2, -1).sum(-1)
+    return float(val) if val.ndim == 0 else val
 
 
 def _golden_section(f, a, b, tol):
@@ -375,32 +380,24 @@ def _golden_section(f, a, b, tol):
     return 0.5 * (a + b)
 
 
-def bellman_minimize_Tm2(bp, box=None, grid_points=51, tol=1e-8, max_passes=200):
+def bellman_minimize_Tm2(bp):
     """Numerically minimize the stage objective (local guarantee only).
 
-    Coarse grid over a box around the certainty-equivalent action (half
-    width 3*|u_lqg| floored at 1 per axis), then coordinatewise
-    golden-section refinement; windows recenter each pass, so the iterate
-    may leave the initial box.
+    The objective is nonconvex, so a 51^p grid around the certainty-
+    equivalent action (half width 3*|u_lqg| floored at 1 per axis) is
+    evaluated first, in one stacked call; then coordinatewise golden-section
+    refinement until a pass moves u by less than 1e-8 (at most 200 passes).
+    Windows recenter each pass, so the iterate may leave the grid's box.
     """
-    u_lqg = np.asarray(bp.u_lqg, dtype=float).reshape(-1)
+    u_lqg = bp.u_lqg
     p = u_lqg.size
     if p > 3:
         raise ValueError("numeric minimizer supports p <= 3")
-    if box is None:
-        half = max(3.0 * float(np.linalg.norm(u_lqg)), 1.0)
-        lo = u_lqg - half
-        hi = u_lqg + half
-    else:
-        lo = np.asarray(box[0], dtype=float).reshape(-1)
-        hi = np.asarray(box[1], dtype=float).reshape(-1)
-    axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(p)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    candidates = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    values = np.array([bellman_objective_Tm2(bp, cand) for cand in candidates])
-    u = candidates[int(np.argmin(values))].copy()
-    step = (hi - lo) / (grid_points - 1)
-    for _ in range(max_passes):
+    half = max(3.0 * float(np.linalg.norm(u_lqg)), 1.0)
+    axes, step = np.linspace(u_lqg - half, u_lqg + half, 51, retstep=True)
+    candidates = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, p)
+    u = candidates[int(np.argmin(bellman_objective_Tm2(bp, candidates)))].copy()
+    for _ in range(200):
         u_prev = u.copy()
         for i in range(p):
             def along(v, i=i):
@@ -408,7 +405,7 @@ def bellman_minimize_Tm2(bp, box=None, grid_points=51, tol=1e-8, max_passes=200)
                 trial[i] = v
                 return bellman_objective_Tm2(bp, trial)
             u[i] = _golden_section(along, u[i] - step[i], u[i] + step[i], tol=1e-10)
-        if float(np.abs(u - u_prev).max()) < tol:
+        if float(np.abs(u - u_prev).max()) < 1e-8:
             break
     return u, bellman_objective_Tm2(bp, u)
 

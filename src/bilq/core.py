@@ -60,35 +60,47 @@ def matvec(a, x):
     return (a @ np.asarray(x)[..., None])[..., 0]
 
 
+def quadratic(v, weight):
+    """v' W v for a vector v (k,) or each row of a stack (..., k), every
+    item by the same BLAS route, and with the same bits, as a 1-d v @ W @ v."""
+    return (v[..., None, :] @ weight @ v[..., :, None])[..., 0, 0]
+
+
 # the LAPACK routines behind scipy's cho_factor/cho_solve, called directly
-# to skip their per-call argument handling
+# (lower=1 passed by position) to skip their per-call argument handling
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
-def _potrf_potrs(a, b, name):
-    factor, info = _POTRF(a, lower=True)
+def _potrf(a, name):
+    factor, info = _POTRF(a, 1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of {name} is not positive definite")
-    return _POTRS(factor, b, lower=True)[0]
+    return factor
 
 
 def chol_solve(a, b):
     """a^-1 b for symmetric PD a, by LAPACK potrf/potrs: scipy's
     cho_solve(cho_factor(a, lower=True), b) bit for bit, its layout too.
 
-    A stack a (R, n, n), b (R, n, k) gives a C-contiguous (R, n, k).
-    Non-finite input raises ValueError; a matrix that is not PD raises
-    LinAlgError naming its index."""
+    A stack a (R, n, n) or b (R, n, k), the other stacked alike or shared
+    (a (n, n) is factored once), gives a C-contiguous (R, n, k), each item
+    bit for bit its own solve.  Non-finite input raises ValueError; a
+    matrix that is not PD raises LinAlgError naming its index."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("chol_solve: array must not contain infs or NaNs")
     if a.ndim == 2:
-        return _potrf_potrs(a, b, "the matrix")
+        factor = _potrf(a, "the matrix")
+        if b.ndim <= 2:
+            return _POTRS(factor, b, 1)[0]
+    elif b.ndim == 2:
+        b = np.broadcast_to(b, a.shape[:1] + b.shape)
     out = np.empty(b.shape)
-    for i, (item, rhs) in enumerate(zip(a, b)):
-        out[i] = _potrf_potrs(item, rhs, f"matrix {i}")
+    for i, rhs in enumerate(b):
+        item_factor = factor if a.ndim == 2 else _potrf(a[i], f"matrix {i}")
+        out[i] = _POTRS(item_factor, rhs, 1)[0]
     return out
 
 

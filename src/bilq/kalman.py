@@ -98,9 +98,9 @@ def kf_step(belief, sys, noise, u, y):
 
 def information_matrix(cov, c, sigma_z):
     """The symmetrized information matrix S^-1 + C^T sigma_z^-1 C of a
-    symmetric PD covariance S and an observation matrix C."""
+    symmetric PD covariance S and an observation matrix C, or each of a stack."""
     cov_inv = chol_solve(cov, np.eye(cov.shape[0]))
-    return symmetrize(cov_inv + c.T @ chol_solve(symmetrize(sigma_z), c))
+    return symmetrize(cov_inv + c.swapaxes(-1, -2) @ chol_solve(symmetrize(sigma_z), c))
 
 
 def cov_update_information_form(cov, sys, noise, u):

@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (BatchCheckError, BeliefState, RngStream, check_beliefs,
-                   gaussian_draws, matvec, normal_tape, observation_matrix)
+                   gaussian_draws, matvec, normal_tape, observation_matrix,
+                   quadratic)
 from .kalman import kf_step_batch
 from .control import (bellman_minimize_Tm2, bellman_params_at_stage, lqg_policy,
                       riccati_recursion, scalar_critical_points,
@@ -173,12 +174,6 @@ def _validate_policy(policy, sys, horizon):
         raise ValueError("numeric_bellman requires p <= 3")
 
 
-def _quadratic(v, weight):
-    """v' W v for each row of v (R, k), by the same BLAS route as a 1-d
-    v @ W @ v."""
-    return (v[:, None, :] @ weight @ v[:, :, None])[:, 0, 0]
-
-
 def _localized(exc, streams, t):
     """A failed stacked check, restated with the failing run and step."""
     detail = "" if exc.detail is None else f", {exc.detail}"
@@ -236,7 +231,7 @@ def _simulate(sys, noise, cost, policy, horizon, streams):
         y = matvec(observation_matrix(sys, u), x) + z[:, t]
         inputs[:, t] = u
         outputs[:, t] = y
-        stage_costs[:, t] = _quadratic(x, cost.q) + _quadratic(u, cost.r)
+        stage_costs[:, t] = quadratic(x, cost.q) + quadratic(u, cost.r)
         if filtered:
             try:
                 _, _, batch.means, batch.covs = kf_step_batch(
@@ -245,7 +240,7 @@ def _simulate(sys, noise, cost, policy, horizon, streams):
                 raise _localized(exc, streams, t) from exc
         batch.x = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
 
-    terminal_costs = _quadratic(batch.x, cost.q_t)
+    terminal_costs = quadratic(batch.x, cost.q_t)
     return tuple(TrajectoryRecord(states=states[r], inputs=inputs[r],
                                   outputs=outputs[r], means=means[r],
                                   covs=covs[r], stage_costs=stage_costs[r],

@@ -343,7 +343,7 @@ class TestBellmanObjective:
 
 class TestObjectiveMatchesFilter:
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 4), m=st.integers(1, 3), p=st.integers(1, 2),
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), p=st.integers(1, 3),
            t=st.integers(0, 1), input_scale=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_penalty_is_weighted_next_covariance(self, n, m, p, t, input_scale, seed):
@@ -371,6 +371,12 @@ class TestObjectiveMatchesFilter:
         # 1e-6 relative, plus the rounding of the two subtractions above
         rounding = 1e-13 * (abs(quad) + np.abs(p_next).sum() * np.abs(noise.sigma_w).max())
         assert abs(penalty - want) <= 1e-6 * abs(want) + rounding
+        # a stack of inputs in one call: each value bit for bit its single call
+        stack = np.vstack([u, rng.standard_normal((5, p)) * [[0.1], [1.0], [3.0], [10.0], [0.0]]])
+        values = bellman_objective_Tm2(bp, stack)
+        assert values.shape == (6,)
+        assert np.array_equal(values, [bellman_objective_Tm2(bp, v) for v in stack])
+        assert type(bellman_objective_Tm2(bp, u)) is float
 
 
 class TestBellmanMinimize:

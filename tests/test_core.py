@@ -211,10 +211,13 @@ class TestCholSolve:
                 want = cho_solve(cho_factor(a, lower=True), b)
                 assert flags(got) == flags(want)
                 assert got.tobytes(order="A") == want.tobytes(order="A")
-        stacked = chol_solve(mats, rhs)
-        assert stacked.shape == (runs, n, k) and stacked.flags["C_CONTIGUOUS"]
-        for i in range(runs):
-            assert stacked[i].tobytes() == chol_solve(mats[i], rhs[i]).tobytes()
+        # a stack against a stack, and one matrix or one right-hand side shared
+        for a, b in ((mats, rhs), (mats[0], rhs), (mats, rhs[0])):
+            stacked = chol_solve(a, b)
+            assert stacked.shape == (runs, n, k) and stacked.flags["C_CONTIGUOUS"]
+            items = zip(a if a.ndim == 3 else [a] * runs, b if b.ndim == 3 else [b] * runs)
+            for i, (item, item_rhs) in enumerate(items):
+                assert stacked[i].tobytes() == chol_solve(item, item_rhs).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
