@@ -321,6 +321,7 @@ class BellmanObjectiveParams:
         object.__setattr__(self, "prior_cov", prior_cov)
         object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float).reshape(-1))
         object.__setattr__(self, "cal_b_x_hat", self.cal_b @ self.x_hat)
+        object.__setattr__(self, "prior_cov_inv", chol_solve(prior_cov, np.eye(len(prior_cov))))
 
     @property
     def u_lqg(self):
@@ -357,7 +358,7 @@ def bellman_objective_Tm2(bp, u):
     values, each bit for bit its own single call."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     quad = quadratic(u, bp.cal_a) + 2.0 * (u[..., None, :] @ bp.cal_b_x_hat)[..., 0]
-    info = information_matrix(bp.prior_cov, observation_matrix(bp.sys, u),
+    info = information_matrix(bp.prior_cov_inv, observation_matrix(bp.sys, u),
                               bp.noise.sigma_z)
     val = quad + chol_solve(info, bp.cal_g).diagonal(0, -2, -1).sum(-1)
     return float(val) if val.ndim == 0 else val

@@ -11,6 +11,8 @@ reference for the stacked engine.
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from bilq.core import observation_matrix
+
 
 def standard_riccati_gains(a, b, q, q_t, r, horizon):
     """Finite-horizon LQR feedback gains via a plain backward loop."""
@@ -141,3 +143,68 @@ def grid_local_minima(us, values):
     """Indices of strict interior local minima of a sampled function."""
     interior = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
     return np.where(interior)[0] + 1
+
+
+def dense_grid_oracle(sys, noise, inputs, outputs, grid=None):
+    """Posterior moments of the latest predicted state from a dense grid.
+
+    The package's grid oracle before its transition kernel became banded:
+    the full points x points kernel on every step, a reference for the
+    banded one.
+
+    Scalar systems only.  Pushes a discretized density through the
+    dynamics (convolution against the process-noise kernel) and the
+    Gaussian output likelihoods, and returns the mean/variance of the
+    resulting predicted posterior.  With no observations, returns the
+    prior moments.  Raises "grid truncation" if posterior mass touches
+    the grid boundary.
+    """
+    if not (sys.n == 1 and sys.m == 1 and sys.p == 1):
+        raise ValueError("grid oracle requires a scalar system")
+    a = float(sys.a[0, 0])
+    b = float(sys.b[0, 0])
+    sw = float(noise.sigma_w[0, 0])
+    sz = float(noise.sigma_z[0, 0])
+    mu0 = float(noise.x0_mean[0])
+    v0 = float(noise.sigma_0[0, 0])
+    inputs = [float(np.asarray(u).reshape(-1)[0]) for u in inputs]
+    outputs = [float(np.asarray(y).reshape(-1)[0]) for y in outputs]
+    if len(inputs) != len(outputs):
+        raise ValueError("inputs and outputs must have equal length")
+    if not inputs:
+        return mu0, v0
+    if sw <= 0.0:
+        raise ValueError("grid oracle requires positive process noise")
+
+    if grid is None:
+        # envelope of the open-loop predictive moments, +/- 8 sigma
+        mu, var = mu0, v0
+        lo = mu - 8.0 * np.sqrt(var)
+        hi = mu + 8.0 * np.sqrt(var)
+        for u in inputs:
+            mu = a * mu + b * u
+            var = a * a * var + sw
+            lo = min(lo, mu - 8.0 * np.sqrt(var))
+            hi = max(hi, mu + 8.0 * np.sqrt(var))
+        points = 4001
+    else:
+        lo, hi, points = float(grid[0]), float(grid[1]), int(grid[2])
+    xs = np.linspace(lo, hi, points)
+    dx = xs[1] - xs[0]
+
+    def normalized(rho):
+        rho = rho / (rho.sum() * dx)
+        if (rho[0] + rho[-1]) * dx > 1e-6:
+            raise ValueError("grid truncation")
+        return rho
+
+    density = normalized(np.exp(-0.5 * (xs - mu0) ** 2 / v0))
+    shift = xs[:, None] - a * xs[None, :]
+    for u, y in zip(inputs, outputs):
+        c = float(observation_matrix(sys, [u])[0, 0])
+        density = normalized(density * np.exp(-0.5 * (y - c * xs) ** 2 / sz))
+        kernel = np.exp(-0.5 * (shift - b * u) ** 2 / sw)
+        density = normalized(kernel @ density * dx / np.sqrt(2.0 * np.pi * sw))
+    mean = float((xs * density).sum() * dx)
+    var = float(((xs - mean) ** 2 * density).sum() * dx)
+    return mean, var

@@ -7,7 +7,7 @@ from bilq.core import (BatchCheckError, BeliefState, BilinearSystem, NoiseSpec,
 from bilq.kalman import (cov_update_information_form, grid_bayes_oracle,
                          kalman_gain, kf_step, kf_step_batch)
 
-from helpers import standard_kf_update_predict, random_spd
+from helpers import dense_grid_oracle, standard_kf_update_predict, random_spd
 
 
 def scalar_setup(a=0.9, b=1.0, c0=0.0, c1=1.0, sw=0.01, sz=0.09, x0=0.1, s0=2.0):
@@ -291,3 +291,75 @@ class TestGridBayesOracle:
                           x0_mean=[0.0, 0.0], sigma_0=np.eye(2))
         with pytest.raises(ValueError, match="scalar"):
             grid_bayes_oracle(sys_, noise, [], [])
+
+    @settings(max_examples=12, deadline=None)
+    @given(a=st.one_of(st.just(0.0), st.floats(-1.1, 1.1)),
+           b=st.floats(-1.5, 1.5), c0=st.floats(0.2, 1.0), c1=st.floats(-1.0, 1.0),
+           s0=st.floats(0.5, 2.0), log_ratio=st.floats(-4.0, 0.0),
+           steps=st.integers(1, 5), grid_points=st.sampled_from([None, 801, 1601, 2401]),
+           pad=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_banded_kernel_matches_dense_reference(self, a, b, c0, c1, s0, log_ratio,
+                                                   steps, grid_points, pad, seed):
+        # sigma_w / sigma_0 from 1e-4 (a band of a few grid points) to 1;
+        # an explicit grid is the default envelope padded, with fewer points
+        sw = s0 * 10.0 ** log_ratio
+        sys_, noise = scalar_setup(a=a, b=b, c0=c0, c1=c1, sw=sw, s0=s0)
+        rng = np.random.default_rng(seed)
+        x = 0.1 + np.sqrt(s0) * rng.standard_normal()
+        inputs, outputs = [], []
+        mu, sd = 0.1, np.sqrt(s0)
+        lo, hi = mu - 8.0 * sd, mu + 8.0 * sd
+        for _ in range(steps):
+            u = rng.uniform(-1.0, 1.0)
+            inputs.append(u)
+            outputs.append((c0 + c1 * u) * x + 0.3 * rng.standard_normal())
+            x = a * x + b * u + np.sqrt(sw) * rng.standard_normal()
+            mu, sd = a * mu + b * u, np.sqrt(a * a * sd * sd + sw)
+            lo, hi = min(lo, mu - 8.0 * sd), max(hi, mu + 8.0 * sd)
+        grid = None if grid_points is None else (lo - pad, hi + pad, grid_points)
+        mean, var = grid_bayes_oracle(sys_, noise, inputs, outputs, grid=grid)
+        ref_mean, ref_var = dense_grid_oracle(sys_, noise, inputs, outputs, grid=grid)
+        assert abs(mean - ref_mean) <= 1e-10
+        assert abs(var - ref_var) <= 1e-10 * ref_var
+
+    @pytest.mark.parametrize("grid, truncated", [((-3.0, 3.0, 1201), False),
+                                                 ((-0.8, 0.8, 401), True)])
+    def test_band_clipped_at_grid_edge(self, grid, truncated):
+        # 8 sigma_w = 0.8: the bands of the outermost columns leave the grid
+        sys_, noise = scalar_setup(sw=0.01, x0=0.0, s0=0.05)
+        lo, hi, _ = grid
+        assert 0.9 * hi + 0.3 + 0.8 > hi and -0.9 * hi + 0.3 - 0.8 < lo
+        try:
+            ref = dense_grid_oracle(sys_, noise, [0.3], [0.1], grid=grid)
+        except ValueError as err:
+            assert truncated and str(err) == "grid truncation"
+            with pytest.raises(ValueError, match="^grid truncation$"):
+                grid_bayes_oracle(sys_, noise, [0.3], [0.1], grid=grid)
+        else:
+            assert not truncated
+            mean, var = grid_bayes_oracle(sys_, noise, [0.3], [0.1], grid=grid)
+            assert abs(mean - ref[0]) <= 1e-10
+            assert abs(var - ref[1]) <= 1e-10 * ref[1]
+
+    @pytest.mark.parametrize("grid", [(-1.0, 1.0, 1), (-1.0, 1.0, 2), (10.0, -10.0, 4001),
+                                      (1.0, 1.0, 11), (np.nan, 1.0, 11),
+                                      (-1.0, np.inf, 11)])
+    def test_invalid_grid_rejected(self, grid):
+        sys_, noise = scalar_setup()
+        with pytest.raises(ValueError, match="finite grid lo < hi, points >= 3"):
+            grid_bayes_oracle(sys_, noise, [0.5], [0.2], grid=grid)
+
+    @pytest.mark.parametrize("inputs, outputs", [([np.nan], [0.2]), ([0.5], [np.inf]),
+                                                 ([0.5, -np.inf], [0.2, 0.1]),
+                                                 ([-np.inf], [np.nan])])
+    def test_non_finite_inputs_or_outputs_rejected(self, inputs, outputs):
+        sys_, noise = scalar_setup()
+        with pytest.raises(ValueError, match="finite inputs and outputs"):
+            grid_bayes_oracle(sys_, noise, inputs, outputs)
+
+    def test_output_off_the_grid_is_truncation(self):
+        # the likelihood of y = 1e6 underflows to zero on the whole grid
+        sys_, noise = scalar_setup(c0=1.0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                          match="^grid truncation$"):
+            grid_bayes_oracle(sys_, noise, [0.5], [1e6])
