@@ -1,7 +1,7 @@
 """Controller synthesis: finite-horizon Riccati tables, the stage objective
-that couples the input to the next-stage estimation covariance, and the
-scalar two-stage nonlinear optimal controller with full critical-point
-classification.
+that couples the input to the next-stage estimation covariance with its
+stacked damped-Newton minimizer, and the scalar two-stage nonlinear optimal
+controller with full critical-point classification.
 
 The scalar stage cost-to-go is
 
@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (chol_solve, is_symmetric, matvec, min_eigenvalue,
-                   observation_matrix, quadratic, symmetrize)
+from .core import (BeliefState, chol_factor, chol_solve, is_symmetric, matvec,
+                   min_eigenvalue, observation_matrix, quadratic, symmetrize)
 from .kalman import information_matrix
 
 LOCAL_MIN = "local_min"
@@ -295,7 +295,10 @@ def select_rollout_action(candidates):
 
 @dataclass(frozen=True)
 class BellmanObjectiveParams:
-    """Quadratic weights and estimation-penalty data of the stage objective."""
+    """Quadratic weights and estimation-penalty data of the stage objective
+    for one belief, x_hat (n,) and prior_cov (n, n), or a stack of R beliefs,
+    (R, n) and (R, n, n).  prior_cov_inv (R, n, n) and cal_b_x_hat (R, p) are
+    stacked for one belief too (R = 1)."""
 
     cal_a: np.ndarray
     cal_b: np.ndarray
@@ -315,21 +318,28 @@ class BellmanObjectiveParams:
         prior_cov = symmetrize(np.asarray(self.prior_cov, dtype=float))
         if min_eigenvalue(prior_cov) <= 0.0:
             raise ValueError("prior_cov must be positive definite")
+        n = prior_cov.shape[-1]
         object.__setattr__(self, "cal_a", cal_a)
         object.__setattr__(self, "cal_b", np.asarray(self.cal_b, dtype=float))
         object.__setattr__(self, "cal_g", symmetrize(cal_g))
         object.__setattr__(self, "prior_cov", prior_cov)
-        object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float).reshape(-1))
-        object.__setattr__(self, "cal_b_x_hat", self.cal_b @ self.x_hat)
-        object.__setattr__(self, "prior_cov_inv", chol_solve(prior_cov, np.eye(len(prior_cov))))
+        object.__setattr__(self, "x_hat", np.reshape(np.asarray(self.x_hat, dtype=float),
+                                                     prior_cov.shape[:-1]))
+        object.__setattr__(self, "cal_b_x_hat", matvec(self.cal_b, self.x_hat.reshape(-1, n)))
+        object.__setattr__(self, "prior_cov_inv",
+                           chol_solve(prior_cov.reshape(-1, n, n), np.eye(n)))
+        object.__setattr__(self, "sigma_z_factor", chol_factor(symmetrize(self.noise.sigma_z)))
 
     @property
     def u_lqg(self):
-        return -chol_solve(self.cal_a, self.cal_b_x_hat)
+        """The certainty-equivalent action -cal_a^-1 cal_b x_hat, (p,) or (R, p)."""
+        u = -chol_solve(self.cal_a, self.cal_b_x_hat[..., None])[..., 0]
+        return u.reshape(self.x_hat.shape[:-1] + u.shape[-1:])
 
 
 def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
-    """Stage objective data at stage t.
+    """Stage objective data at stage t for a BeliefState, or for a stack of
+    beliefs given as a pair (means (R, n), covs (R, n, n)).
 
     Exact for the last-but-two stage (t = T - 2).  At earlier stages the
     estimation penalty is still weighted by the LQR table p_seq[t+1], so
@@ -337,78 +347,168 @@ def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
     """
     if not 0 <= t <= tables.horizon - 2:
         raise ValueError(f"stage {t} has no estimation-penalty objective")
+    mean, cov = (belief.mean, belief.cov) if isinstance(belief, BeliefState) else belief
     k_next = tables.k_seq[t + 1]
     p_next = tables.p_seq[t + 1]
     return BellmanObjectiveParams(
         cal_a=sys.b.T @ k_next @ sys.b + cost.r,
         cal_b=sys.b.T @ k_next @ sys.a,
         cal_g=sys.a.T @ p_next @ sys.a,
-        prior_cov=belief.cov,
-        x_hat=belief.mean,
+        prior_cov=cov,
+        x_hat=mean,
         sys=sys,
         noise=noise,
     )
+
+
+def _stage_terms(bp, u, runs):
+    """The stage objective at inputs u (P, p), input i under belief runs[i],
+    and the summed magnitudes of its three terms; with C(u), I(u) and
+    I(u)^-1 cal_g, which its derivatives reuse."""
+    c = observation_matrix(bp.sys, u)
+    info = information_matrix(bp.prior_cov_inv[runs], c, bp.sigma_z_factor)
+    m_g = chol_solve(info, bp.cal_g)
+    quad = quadratic(u, bp.cal_a)
+    linear = 2.0 * (u[:, None, :] @ bp.cal_b_x_hat[runs, :, None])[:, 0, 0]
+    penalty = m_g.diagonal(0, -2, -1).sum(-1)
+    return (quad + linear + penalty, np.abs(quad) + np.abs(linear) + np.abs(penalty),
+            c, info, m_g)
 
 
 def bellman_objective_Tm2(bp, u):
     """Quadratic control cost plus the estimation penalty tr(I(u)^-1 cal_g),
     I(u) the filter's :func:`bilq.kalman.information_matrix` at input u.
 
-    One input (p,) gives a float; a stack of inputs (N, p) gives (N,)
-    values, each bit for bit its own single call."""
+    Inputs (..., p) broadcast against a stack of beliefs (R,).  One input
+    and one belief give a float, else an array, each value bit for bit its
+    own single call."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    quad = quadratic(u, bp.cal_a) + 2.0 * (u[..., None, :] @ bp.cal_b_x_hat)[..., 0]
-    info = information_matrix(bp.prior_cov_inv, observation_matrix(bp.sys, u),
-                              bp.noise.sigma_z)
-    val = quad + chol_solve(info, bp.cal_g).diagonal(0, -2, -1).sum(-1)
+    runs = np.arange(len(bp.prior_cov_inv)).reshape(bp.x_hat.shape[:-1])
+    runs = np.broadcast_to(runs, np.broadcast_shapes(u.shape[:-1], runs.shape))
+    u = np.broadcast_to(u, runs.shape + u.shape[-1:]).reshape(-1, u.shape[-1])
+    val = _stage_terms(bp, u, runs.ravel())[0].reshape(runs.shape)
     return float(val) if val.ndim == 0 else val
 
 
-def _golden_section(f, a, b, tol):
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _taylor(bp, u, runs):
+    """The stage objective with a bound on its roundoff, and its gradient
+    (P, p) and Hessian (P, p, p), at inputs u (P, p), input i under belief
+    runs[i].  With M = I(u)^-1, W = M cal_g M, I_k = dI/du_k,
+    I_kl = d2I/du_k du_l and each trace a vec(X) . vec(Y):
+        g_k = 2 (cal_a u + cal_b x_hat)_k - tr(I_k W),
+        H_kl = 2 cal_a_kl + 2 tr(I_k M I_l W) - tr(I_kl W).
+    f is a difference of terms that can be much larger than f, so the
+    roundoff bound is 1e-14 (1 + the sum of their magnitudes)."""
+    f, scale, c, info, m_g = _stage_terms(bp, u, runs)
+    ck = np.stack(bp.sys.ck)
+    ck_t = ck.swapaxes(-1, -2)
+    i_k = ck_t @ chol_solve(bp.sigma_z_factor, c)[:, None]              # C_k' sz^-1 C
+    i_kl = ck_t[:, None] @ chol_solve(bp.sigma_z_factor, ck)            # C_k' sz^-1 C_l
+    i_k, i_kl = i_k + i_k.swapaxes(-1, -2), i_kl + i_kl.swapaxes(-1, -2)
+    m = chol_solve(info, np.eye(c.shape[-1]))
+    w = m_g @ m
+    count, p = u.shape
+    vec_w = w.reshape(count, 1, -1, 1)
+    trace_k = (i_k.reshape(count, p, -1) @ vec_w[:, 0])[..., 0]
+    cross = ((i_k @ m[:, None]).reshape(count, p, -1)
+             @ (w[:, None] @ i_k).reshape(count, p, -1).swapaxes(-1, -2))
+    trace_kl = (i_kl.reshape(p, p, -1) @ vec_w)[..., 0]
+    grad = 2.0 * (matvec(bp.cal_a, u) + bp.cal_b_x_hat[runs]) - trace_k
+    return f, 1e-14 * (1.0 + scale), grad, symmetrize(2.0 * bp.cal_a + 2.0 * cross - trace_kl)
+
+
+def _damped_newton(bp, u, runs, cap):
+    """Damped Newton from each start u[i] (P, p) under belief runs[i], steps
+    capped at cap[i]; moves u in place.  A start stops once the decrease
+    that its Newton step predicts (half the Newton decrement) is within the
+    roundoff of f, after taking that step in full; once its line search
+    (step lengths down to 1e-10) decreases f by no more than that roundoff;
+    or after 100 iterations."""
+    state = (u, *_taylor(bp, u, runs))
+    _, f, roundoff, grad, hess = state
+    active = np.arange(len(u))
+    for _ in range(100):
+        eig = np.linalg.eigvalsh(hess[active])
+        shift = np.maximum(0.0, 1e-10 * (1.0 + np.abs(eig).max(-1)) - eig[:, 0])
+        step = -chol_solve(hess[active] + shift[:, None, None] * np.eye(u.shape[1]),
+                           grad[active, :, None])[..., 0]
+        slope = (grad[active, None, :] @ step[..., None])[:, 0, 0]   # minus the decrement
+        done = -0.5 * slope <= roundoff[active]
+        u[active[done]] += step[done]
+        active, step, slope = active[~done], step[~done], slope[~done]
+        scale = cap[active] / np.maximum(np.linalg.norm(step, axis=1), cap[active])
+        step, slope = step * scale[:, None], slope * scale
+        todo, length, f_before = np.arange(len(active)), 1.0, f[active]
+        while todo.size and length > 1e-10:         # Armijo backtracking
+            points = active[todo]
+            trial = u[points] + length * step[todo]
+            new = (trial, *_taylor(bp, trial, runs[points]))
+            ok = new[1] <= f[points] + 1e-4 * length * slope[todo]
+            for old, value in zip(state, new):
+                old[points[ok]] = value[ok]
+            todo, length = todo[~ok], 0.5 * length
+        active = active[f_before - f[active] > roundoff[active]]
+        if not active.size:
+            break
+    return u
+
+
+def unit_design(p):
+    """Starting design on [-1, 1]^p: a grid of 51, 51^2 or 11^3 points for
+    p <= 3, else the first 1000 points of the Kronecker (R_p) sequence."""
+    if p <= 3:
+        axis = np.linspace(-1.0, 1.0, (51, 51, 11)[p - 1])
+        return np.stack(np.meshgrid(*[axis] * p, indexing="ij"), axis=-1).reshape(-1, p)
+    phi = 2.0       # the positive root of x^(p+1) = x + 1, by fixed-point iteration
+    for _ in range(100):
+        phi = (1.0 + phi) ** (1.0 / (p + 1))
+    return 2.0 * ((0.5 + np.arange(1, 1001)[:, None] / phi ** np.arange(1, p + 1)) % 1.0) - 1.0
+
+
+# design points evaluated in one stacked call: a larger stack of beliefs is
+# searched in parts, so memory does not grow with the number of beliefs
+DESIGN_BUDGET = 131_072
 
 
 def bellman_minimize_Tm2(bp):
-    """Numerically minimize the stage objective (local guarantee only).
+    """Minimize the stage objective for one belief, or for each of a stack
+    in one stacked search; the best of several local solutions, so a local
+    guarantee only.
 
-    The objective is nonconvex, so a 51^p grid around the certainty-
-    equivalent action (half width 3*|u_lqg| floored at 1 per axis) is
-    evaluated first, in one stacked call; then coordinatewise golden-section
-    refinement until a pass moves u by less than 1e-8 (at most 200 passes).
-    Windows recenter each pass, so the iterate may leave the grid's box.
+    The objective is nonconvex.  unit_design, scaled to the box around the
+    certainty-equivalent action u_lqg (half width max(3 |u_lqg|, 1)), is
+    evaluated in one call; a basin narrower than its spacing can be missed.
+    Damped Newton (Hessian shifted to PD, steps capped at the half width,
+    Armijo backtracking; Nocedal & Wright, ch. 3) runs from u_lqg and the 4
+    best design points, every start of every belief in one array per
+    iteration.  Per belief the lowest value of bellman_objective_Tm2 wins;
+    ties within 1e-9 (1 + |f|) go to the smallest |u|, then to the
+    lexicographically most negative u.  A stack is searched DESIGN_BUDGET
+    design points at a time, which leaves every result's bits unchanged.
+    Returns (u, f): (p,) and a float for one belief, (R, p) and (R,) for a
+    stack.
     """
-    u_lqg = bp.u_lqg
-    p = u_lqg.size
-    if p > 3:
-        raise ValueError("numeric minimizer supports p <= 3")
-    half = max(3.0 * float(np.linalg.norm(u_lqg)), 1.0)
-    axes, step = np.linspace(u_lqg - half, u_lqg + half, 51, retstep=True)
-    candidates = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, p)
-    u = candidates[int(np.argmin(bellman_objective_Tm2(bp, candidates)))].copy()
-    for _ in range(200):
-        u_prev = u.copy()
-        for i in range(p):
-            def along(v, i=i):
-                trial = u.copy()
-                trial[i] = v
-                return bellman_objective_Tm2(bp, trial)
-            u[i] = _golden_section(along, u[i] - step[i], u[i] + step[i], tol=1e-10)
-        if float(np.abs(u - u_prev).max()) < 1e-8:
-            break
-    return u, bellman_objective_Tm2(bp, u)
+    u_lqg = bp.u_lqg.reshape(-1, bp.cal_a.shape[0])
+    count, p = u_lqg.shape
+    design = unit_design(p)
+    size = max(1, DESIGN_BUDGET // len(design))
+    if count > size:
+        parts = [bellman_minimize_Tm2(replace(bp, x_hat=bp.x_hat[i:i + size],
+                                              prior_cov=bp.prior_cov[i:i + size]))
+                 for i in range(0, count, size)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    half = np.maximum(3.0 * np.linalg.norm(u_lqg, axis=1), 1.0)
+    grid = u_lqg + half[:, None] * design[:, None]
+    best = np.argsort(bellman_objective_Tm2(bp, grid), axis=0, kind="stable")[:4, :, None]
+    starts = np.concatenate([u_lqg[None], np.take_along_axis(grid, best, 0)])
+    runs = np.tile(np.arange(count), len(starts))
+    u = _damped_newton(bp, starts.reshape(-1, p), runs, half[runs]).reshape(starts.shape)
+    f = bellman_objective_Tm2(bp, u)
+    tied = f <= f.min(0) + 1e-9 * (1.0 + np.abs(f.min(0)))
+    keys = (*u.transpose(2, 0, 1)[::-1], np.linalg.norm(u, axis=-1), ~tied)
+    pick = np.lexsort(keys, axis=0)[0]
+    u, f = u[pick, np.arange(count)], f[pick, np.arange(count)]
+    return (u[0], float(f[0])) if bp.x_hat.ndim == 1 else (u, f)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 """
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +72,23 @@ def quadratic(v, weight):
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
-def _potrf(a, name):
+def _potrf(a, index=None):
     factor, info = _POTRF(a, 1)
     if info > 0:
+        name = "the matrix" if index is None else f"matrix {index}"
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of {name} is not positive definite")
     return factor
+
+
+# the lower potrf factor of one symmetric PD matrix, made by chol_factor
+Cholesky = namedtuple("Cholesky", "lower")
+
+
+def chol_factor(a):
+    """Factor a symmetric PD matrix once; chol_solve takes the result in
+    place of the matrix and solves against it without factoring again."""
+    return Cholesky(_potrf(np.asarray(a, dtype=float)))
 
 
 def chol_solve(a, b):
@@ -84,23 +96,27 @@ def chol_solve(a, b):
     cho_solve(cho_factor(a, lower=True), b) bit for bit, its layout too.
 
     A stack a (R, n, n) or b (R, n, k), the other stacked alike or shared
-    (a (n, n) is factored once), gives a C-contiguous (R, n, k), each item
-    bit for bit its own solve.  Non-finite input raises ValueError; a
-    matrix that is not PD raises LinAlgError naming its index."""
-    a = np.asarray(a, dtype=float)
+    (a (n, n), or its chol_factor, is factored once), gives a C-contiguous
+    (R, n, k), each item bit for bit its own solve.  Non-finite input raises
+    ValueError; a matrix that is not PD raises LinAlgError naming its index."""
+    factored = isinstance(a, Cholesky)
+    a = np.asarray(a.lower if factored else a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("chol_solve: array must not contain infs or NaNs")
     if a.ndim == 2:
-        factor = _potrf(a, "the matrix")
+        factor = a if factored else _potrf(a)
         if b.ndim <= 2:
             return _POTRS(factor, b, 1)[0]
-    elif b.ndim == 2:
+        # one potrs on the items' columns side by side: each column is its own solve
+        n, k = b.shape[1:]
+        wide = _POTRS(factor, b.transpose(1, 0, 2).reshape(n, -1), 1)[0]
+        return np.ascontiguousarray(wide.reshape(n, len(b), k).transpose(1, 0, 2))
+    if b.ndim == 2:
         b = np.broadcast_to(b, a.shape[:1] + b.shape)
     out = np.empty(b.shape)
-    for i, rhs in enumerate(b):
-        item_factor = factor if a.ndim == 2 else _potrf(a[i], f"matrix {i}")
-        out[i] = _POTRS(item_factor, rhs, 1)[0]
+    for i, (item, rhs) in enumerate(zip(a, b)):
+        out[i] = _POTRS(_potrf(item, i), rhs, 1)[0]
     return out
 
 

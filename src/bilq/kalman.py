@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BeliefState, check_beliefs, chol_solve, matvec,
+from .core import (BeliefState, check_beliefs, chol_factor, chol_solve, matvec,
                    min_eigenvalue, observation_matrix, raise_first_failure,
                    symmetrize)
 
@@ -97,10 +97,11 @@ def kf_step(belief, sys, noise, u, y):
                       next_belief=BeliefState(mean=means[0], cov=covs[0]))
 
 
-def information_matrix(cov_inv, c, sigma_z):
+def information_matrix(cov_inv, c, sigma_z_factor):
     """The symmetrized information matrix S^-1 + C^T sigma_z^-1 C from the inverse
-    chol_solve(S, I) of a PD covariance and an observation matrix C, or each of a stack."""
-    return symmetrize(cov_inv + c.swapaxes(-1, -2) @ chol_solve(symmetrize(sigma_z), c))
+    chol_solve(S, I) of a PD covariance, an observation matrix C, or each of a
+    stack, and chol_factor(symmetrize(sigma_z))."""
+    return symmetrize(cov_inv + c.swapaxes(-1, -2) @ chol_solve(sigma_z_factor, c))
 
 
 def cov_update_information_form(cov, sys, noise, u):
@@ -113,7 +114,8 @@ def cov_update_information_form(cov, sys, noise, u):
     if min_eigenvalue(cov) <= 0.0:
         raise ValueError("information form requires PD covariance")
     info = information_matrix(chol_solve(cov, np.eye(cov.shape[0])),
-                              observation_matrix(sys, u), noise.sigma_z)
+                              observation_matrix(sys, u),
+                              chol_factor(symmetrize(noise.sigma_z)))
     inner = chol_solve(info, np.eye(sys.n))
     return symmetrize(sys.a @ inner @ sys.a.T + noise.sigma_w)
 

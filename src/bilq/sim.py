@@ -20,8 +20,9 @@ controller and observation variants, which pairs the comparisons.
 
 Policies are a table of functions of (batch, t) returning one action per
 run.  The certainty-equivalent ones are one stacked matrix-vector product
-per step; ``scalar_nonlinear_t2`` and ``numeric_bellman`` decide run by
-run.  ``numeric_bellman`` minimizes the stage objective of
+per step; ``numeric_bellman`` is one stacked minimizer call per step for
+all runs, and ``scalar_nonlinear_t2`` decides run by run.
+``numeric_bellman`` minimizes the stage objective of
 :func:`bilq.control.bellman_objective_Tm2` with the estimation penalty
 weighted by the LQR table ``p_seq[t+1]``: exact for T = 2, a one-step
 look-ahead for T > 2, not the optimal policy.
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BatchCheckError, BeliefState, RngStream, check_beliefs,
+from .core import (BatchCheckError, RngStream, check_beliefs,
                    gaussian_draws, matvec, normal_tape, observation_matrix,
                    quadratic)
 from .kalman import kf_step_batch
@@ -94,18 +95,14 @@ def _scalar_nonlinear_t2(batch, t):
 
 def _numeric_bellman(batch, t):
     """Per run, the numeric minimizer of the stage objective whose
-    estimation penalty is weighted by p_seq[t+1]; the certainty-equivalent
-    action at the last stage, where it is exact.  Optimal for T = 2; for
-    T > 2 a one-step look-ahead, not the optimal policy."""
+    estimation penalty is weighted by p_seq[t+1], all runs in one call; the
+    certainty-equivalent action at the last stage, where it is exact.
+    Optimal for T = 2; for T > 2 a one-step look-ahead, not the optimal
+    policy."""
     if t == batch.horizon - 1:
         return lqg_policy(batch.tables, t, batch.means)
-    actions = []
-    for mean, cov in zip(batch.means, batch.covs):
-        bp = bellman_params_at_stage(batch.sys, batch.noise, batch.cost,
-                                     batch.tables, t,
-                                     BeliefState(mean=mean, cov=cov))
-        actions.append(bellman_minimize_Tm2(bp)[0])
-    return np.array(actions)
+    return bellman_minimize_Tm2(bellman_params_at_stage(
+        batch.sys, batch.noise, batch.cost, batch.tables, t, (batch.means, batch.covs)))[0]
 
 
 POLICIES = {
@@ -170,8 +167,6 @@ def _validate_policy(policy, sys, horizon):
             raise ValueError("scalar_nonlinear_t2 requires a scalar system")
         if horizon != 2:
             raise ValueError("scalar_nonlinear_t2 requires horizon 2")
-    if policy.kind == "numeric_bellman" and sys.p > 3:
-        raise ValueError("numeric_bellman requires p <= 3")
 
 
 def _localized(exc, streams, t):

@@ -11,6 +11,7 @@ reference for the stacked engine.
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from bilq.control import bellman_objective_Tm2
 from bilq.core import observation_matrix
 
 
@@ -200,11 +201,65 @@ def dense_grid_oracle(sys, noise, inputs, outputs, grid=None):
 
     density = normalized(np.exp(-0.5 * (xs - mu0) ** 2 / v0))
     shift = xs[:, None] - a * xs[None, :]
+    kernel = np.empty_like(shift)
     for u, y in zip(inputs, outputs):
         c = float(observation_matrix(sys, [u])[0, 0])
         density = normalized(density * np.exp(-0.5 * (y - c * xs) ** 2 / sz))
-        kernel = np.exp(-0.5 * (shift - b * u) ** 2 / sw)
+        # exp(-0.5 * (shift - b u)^2 / sw), one operation at a time in one buffer
+        np.subtract(shift, b * u, out=kernel)
+        np.square(kernel, out=kernel)
+        np.multiply(-0.5, kernel, out=kernel)
+        np.divide(kernel, sw, out=kernel)
+        np.exp(kernel, out=kernel)
         density = normalized(kernel @ density * dx / np.sqrt(2.0 * np.pi * sw))
     mean = float((xs * density).sum() * dx)
     var = float(((xs - mean) ** 2 * density).sum() * dx)
     return mean, var
+
+
+def _golden_section(f, a, b, tol):
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def reference_minimize_Tm2(bp):
+    """The package's stage minimizer before it became a stacked Newton
+    search: a reference for it on one belief.
+
+    The objective is nonconvex, so a 51^p grid around the certainty-
+    equivalent action (half width 3*|u_lqg| floored at 1 per axis) is
+    evaluated first, in one stacked call; then coordinatewise golden-section
+    refinement until a pass moves u by less than 1e-8 (at most 200 passes).
+    Windows recenter each pass, so the iterate may leave the grid's box.
+    """
+    u_lqg = bp.u_lqg
+    p = u_lqg.size
+    if p > 3:
+        raise ValueError("numeric minimizer supports p <= 3")
+    half = max(3.0 * float(np.linalg.norm(u_lqg)), 1.0)
+    axes, step = np.linspace(u_lqg - half, u_lqg + half, 51, retstep=True)
+    candidates = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, p)
+    u = candidates[int(np.argmin(bellman_objective_Tm2(bp, candidates)))].copy()
+    for _ in range(200):
+        u_prev = u.copy()
+        for i in range(p):
+            def along(v, i=i):
+                trial = u.copy()
+                trial[i] = v
+                return bellman_objective_Tm2(bp, trial)
+            u[i] = _golden_section(along, u[i] - step[i], u[i] + step[i], tol=1e-10)
+        if float(np.abs(u - u_prev).max()) < 1e-8:
+            break
+    return u, bellman_objective_Tm2(bp, u)

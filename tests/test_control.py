@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bilq import control
 from bilq.core import BeliefState, BilinearSystem, CostSpec, NoiseSpec
 from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, ScalarGapParams,
                           affine_falsification_test, bellman_minimize_Tm2,
@@ -11,16 +12,46 @@ from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, ScalarGapParams,
                           gradient_polynomial_coefficients, lqg_policy,
                           riccati_recursion, scalar_cost_to_go,
                           scalar_critical_points, scalar_gap_params,
-                          scalar_optimal_controller_T2, select_rollout_action)
+                          scalar_optimal_controller_T2, select_rollout_action,
+                          unit_design)
 from bilq.kalman import kf_step
 from bilq.presets import double_integrator_config, scalar_config
 
-from helpers import random_spd
+from helpers import random_spd, reference_minimize_Tm2
 
 U_LQG = -0.05257796257796257
 U_MINUS = -0.24825626381484173
 U_PLUS = 0.14310033865891658
 F_AT_MINIMA = 0.19623742367854877
+
+
+def random_stage(seed, n, m, p, t=0, runs=None):
+    """Stage objective data of a random bilinear system (the distribution of
+    TestObjectiveMatchesFilter) at one random belief, or at a stack of runs."""
+    rng = np.random.default_rng(seed)
+    sys_ = BilinearSystem(a=rng.standard_normal((n, n)) * 0.5,
+                          b=rng.standard_normal((n, p)),
+                          c0=rng.standard_normal((m, n)),
+                          ck=tuple(rng.standard_normal((m, n)) for _ in range(p)))
+    noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05),
+                      sigma_z=random_spd(rng, m, 0.1),
+                      x0_mean=np.zeros(n), sigma_0=np.eye(n))
+    cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n),
+                    r=random_spd(rng, p))
+    tables = riccati_recursion(cost, sys_, 3)
+    means = rng.standard_normal((runs or 1, n))
+    covs = np.stack([random_spd(rng, n) for _ in range(runs or 1)])
+    belief = (means, covs) if runs else BeliefState(mean=means[0], cov=covs[0])
+    return bellman_params_at_stage(sys_, noise, cost, tables, t, belief)
+
+
+def central_differences(f, u, h):
+    """Gradient and Hessian of f at u by central differences of step h."""
+    eye = h * np.eye(len(u))
+    grad = np.array([(f(u + e) - f(u - e)) / (2.0 * h) for e in eye])
+    hess = np.array([[(f(u + e + d) - f(u + e - d) - f(u - e + d) + f(u - e - d))
+                      / (4.0 * h * h) for d in eye] for e in eye])
+    return grad, hess
 
 
 @pytest.fixture
@@ -412,6 +443,108 @@ class TestBellmanMinimize:
         bp = bellman_params_at_stage(sys_, noise, cost, tables, 0, belief)
         u_star, f_star = bellman_minimize_Tm2(bp)
         assert f_star <= bellman_objective_Tm2(bp, [0.0]) + 1e-12
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), p=st.integers(1, 2),
+           t=st.integers(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+    def test_never_worse_than_reference(self, n, m, p, t, seed):
+        # the grid-plus-golden-section minimizer this search replaced
+        bp = random_stage(seed, n, m, p, t)
+        _, f = bellman_minimize_Tm2(bp)
+        _, f_ref = reference_minimize_Tm2(bp)
+        assert f <= f_ref + 1e-9 * (1.0 + abs(f_ref))
+
+    @settings(max_examples=4, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_never_worse_than_reference_three_inputs(self, n, m, seed):
+        bp = random_stage(seed, n, m, 3)
+        _, f = bellman_minimize_Tm2(bp)
+        _, f_ref = reference_minimize_Tm2(bp)
+        assert f <= f_ref + 1e-9 * (1.0 + abs(f_ref))
+
+    def test_five_inputs_local_minimum(self):
+        bp = random_stage(5, n=4, m=3, p=5)
+        u, f = bellman_minimize_Tm2(bp)
+        assert f == bellman_objective_Tm2(bp, u)
+        # no worse than any start: u_lqg and the design points on the box
+        half = max(3.0 * np.linalg.norm(bp.u_lqg), 1.0)
+        starts = np.vstack([bp.u_lqg, bp.u_lqg + half * unit_design(5)])
+        assert f <= bellman_objective_Tm2(bp, starts).min()
+        grad, hess = central_differences(lambda v: bellman_objective_Tm2(bp, v), u, 1e-4)
+        assert np.linalg.norm(grad) <= 1e-6 * (1.0 + abs(f))
+        assert np.linalg.eigvalsh(hess).min() >= -1e-5 * (1.0 + np.abs(hess).max())
+
+    def test_stack_matches_single(self):
+        # every belief of a stack decides bit for bit as it would alone
+        bp = random_stage(11, n=3, m=2, p=2, t=1, runs=4)
+        u, f = bellman_minimize_Tm2(bp)
+        assert u.shape == (4, 2) and f.shape == (4,)
+        for r in range(4):
+            alone = replace(bp, x_hat=bp.x_hat[r], prior_cov=bp.prior_cov[r])
+            u_r, f_r = bellman_minimize_Tm2(alone)
+            assert u_r.tobytes() == u[r].tobytes() and f_r == f[r]
+            assert type(f_r) is float and u_r.shape == (2,)
+
+    def test_narrow_basin(self):
+        # a stress draw (strong ck, low observation noise) whose minimum is a
+        # basin about 0.05 wide in a box 6 wide; a 21^2 design misses it
+        rng = np.random.default_rng(44)
+        n, m, p = rng.integers(1, 5), rng.integers(1, 4), 2
+        sys_ = BilinearSystem(a=rng.standard_normal((n, n)) * 0.5,
+                              b=rng.standard_normal((n, p)),
+                              c0=rng.standard_normal((m, n)),
+                              ck=tuple(rng.standard_normal((m, n)) * rng.choice([0.3, 1, 3])
+                                       for _ in range(p)))
+        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05),
+                          sigma_z=random_spd(rng, m, rng.choice([0.01, 0.1, 1])),
+                          x0_mean=np.zeros(n), sigma_0=np.eye(n))
+        cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n),
+                        r=random_spd(rng, p, rng.choice([0.1, 1, 10])))
+        tables = riccati_recursion(cost, sys_, 3)
+        belief = BeliefState(mean=rng.standard_normal(n) * rng.choice([0.1, 1, 3]),
+                             cov=random_spd(rng, n, rng.choice([0.1, 1, 5])))
+        bp = bellman_params_at_stage(sys_, noise, cost, tables, int(rng.integers(0, 2)), belief)
+        _, f = bellman_minimize_Tm2(bp)
+        _, f_ref = reference_minimize_Tm2(bp)
+        assert f_ref < 30.0
+        assert f <= f_ref + 1e-9 * (1.0 + abs(f_ref))
+
+    def test_stack_in_parts_matches_one_search(self, monkeypatch):
+        bp = random_stage(7, n=2, m=2, p=1, t=0, runs=7)
+        u, f = bellman_minimize_Tm2(bp)
+        monkeypatch.setattr(control, "DESIGN_BUDGET", 2 * len(unit_design(1)))
+        u_parts, f_parts = bellman_minimize_Tm2(bp)
+        assert u_parts.tobytes() == u.tobytes() and f_parts.tobytes() == f.tobytes()
+
+    def test_ties_go_to_smallest_then_most_negative_input(self):
+        # symmetric scalar case: the two minimizers +-u* tie exactly
+        sys_, noise, cost = scalar_config(c0=0.0)
+        tables = riccati_recursion(cost, sys_, 2)
+        bp = bellman_params_at_stage(sys_, noise, cost, tables, 0,
+                                     BeliefState(mean=[0.0], cov=[[2.0]]))
+        u, f = bellman_minimize_Tm2(bp)
+        assert u[0] < 0.0
+        assert f <= bellman_objective_Tm2(bp, -u) + 1e-9 * (1.0 + abs(f))
+
+
+class TestStackedObjective:
+    def test_stacked_beliefs_match_single(self):
+        bp = random_stage(4, n=3, m=2, p=2, t=0, runs=3)
+        rng = np.random.default_rng(0)
+        per_belief = rng.standard_normal((3, 2))
+        grid = rng.standard_normal((5, 3, 2))
+        values = bellman_objective_Tm2(bp, per_belief)
+        on_grid = bellman_objective_Tm2(bp, grid)
+        shared = bellman_objective_Tm2(bp, per_belief[0])
+        assert values.shape == (3,) and on_grid.shape == (5, 3) and shared.shape == (3,)
+        for r in range(3):
+            alone = replace(bp, x_hat=bp.x_hat[r], prior_cov=bp.prior_cov[r])
+            assert values[r] == bellman_objective_Tm2(alone, per_belief[r])
+            assert np.array_equal(on_grid[:, r], bellman_objective_Tm2(alone, grid[:, r]))
+            assert shared[r] == bellman_objective_Tm2(alone, per_belief[0])
+        np.testing.assert_allclose(bp.u_lqg[1], replace(bp, x_hat=bp.x_hat[1],
+                                                        prior_cov=bp.prior_cov[1]).u_lqg)
 
 
 class TestAffineFalsification:

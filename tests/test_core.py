@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
-                       RngStream, chol_solve, config_from_dict, config_to_dict,
-                       load_config, observation_matrix, sample_gaussian,
-                       validate_system)
+                       RngStream, chol_factor, chol_solve, config_from_dict,
+                       config_to_dict, load_config, observation_matrix,
+                       sample_gaussian, validate_system)
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
 
 from helpers import random_spd
@@ -218,6 +218,16 @@ class TestCholSolve:
             items = zip(a if a.ndim == 3 else [a] * runs, b if b.ndim == 3 else [b] * runs)
             for i, (item, item_rhs) in enumerate(items):
                 assert stacked[i].tobytes() == chol_solve(item, item_rhs).tobytes()
+
+    def test_factor_in_place_of_matrix(self):
+        # a matrix factored once solves with the bits of the matrix itself
+        rng = np.random.default_rng(5)
+        a, rhs = random_spd(rng, 4), rng.standard_normal((3, 4, 2))
+        factor = chol_factor(a)
+        for b in (rhs[0], rhs[0, :, 0], rhs):
+            assert chol_solve(factor, b).tobytes() == chol_solve(a, b).tobytes()
+        with pytest.raises(np.linalg.LinAlgError, match="of the matrix"):
+            chol_factor(np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):

@@ -1,10 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, sample_gaussian)
 from bilq.kalman import kf_step
-from bilq.control import lqg_policy, riccati_recursion
+from bilq.control import (bellman_minimize_Tm2, bellman_params_at_stage,
+                          lqg_policy, riccati_recursion)
 from bilq.presets import (double_integrator_config, orthogonal_config,
                           scalar_config)
 from bilq.sim import (INIT_ESTIMATES, PolicyConfig, SimConfig,
@@ -133,6 +136,34 @@ class TestRollout:
         assert rec_nb.inputs[1, 0] == pytest.approx(
             -0.45 * rec_nb.means[1, 0], abs=1e-10)
         assert np.array_equal(rec_t2.states[0], rec_nb.states[0])
+
+    def test_numeric_bellman_beyond_three_inputs(self):
+        rng = np.random.default_rng(4)
+        n, m, p = 3, 2, 4
+        sys_ = BilinearSystem(a=0.5 * rng.standard_normal((n, n)),
+                              b=rng.standard_normal((n, p)),
+                              c0=rng.standard_normal((m, n)),
+                              ck=tuple(rng.standard_normal((m, n)) for _ in range(p)))
+        noise = NoiseSpec(sigma_w=0.05 * np.eye(n), sigma_z=0.1 * np.eye(m),
+                          x0_mean=rng.standard_normal(n), sigma_0=np.eye(n))
+        cost = CostSpec(q=np.eye(n), q_t=np.eye(n), r=np.eye(p))
+        rec = rollout(sys_, noise, cost, PolicyConfig("numeric_bellman"), 3,
+                      RngStream(1))
+        assert rec.inputs.shape == (3, p) and np.isfinite(rec.inputs).all()
+        bp = bellman_params_at_stage(sys_, noise, cost, riccati_recursion(cost, sys_, 3), 0,
+                                     BeliefState(mean=noise.x0_mean, cov=noise.sigma_0))
+        assert rec.inputs[0].tobytes() == bellman_minimize_Tm2(bp)[0].tobytes()
+
+    def test_numeric_bellman_three_input_decision_time(self):
+        # one decision on the orthogonal preset (p = 3) within a loose budget
+        sys_, noise, cost = orthogonal_config(RngStream(3), variant="a")
+        assert sys_.p == 3
+        elapsed = []
+        for _ in range(2):
+            start = time.perf_counter()
+            rollout(sys_, noise, cost, PolicyConfig("numeric_bellman"), 3, RngStream(0))
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) / 2 < 0.5       # T = 3: two numeric decisions
 
     def test_policy_validation(self):
         sys_, noise, cost = double_integrator_config("bilinear")
