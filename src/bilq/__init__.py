@@ -4,8 +4,7 @@ from .core import (BatchCheckError, BeliefState, BilinearSystem, CostSpec,
                    NoiseSpec, RngStream, config_from_dict, config_to_dict,
                    load_config, observation_matrix, sample_gaussian,
                    validate_system)
-from .kalman import (KalmanStep, cov_update_information_form, grid_bayes_oracle,
-                     kalman_gain, kf_step, kf_step_batch)
+from .kalman import KalmanStep, grid_bayes_oracle, kf_step, kf_step_batch
 from .control import (AffineFalsificationReport, BellmanObjectiveParams,
                       CriticalPoint, RiccatiTables, ScalarGapParams,
                       T2ControllerResult, affine_falsification_test,

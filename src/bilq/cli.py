@@ -26,6 +26,20 @@ DEFAULT_HORIZON = 100
 PROBE_THRESHOLD = 1e6
 RUNS = click.IntRange(min=1)
 SEED = click.IntRange(0, 2 ** 64 - 1)
+LQG_CLOSED_FORM = "use LQG closed form (c1 = 0)"
+
+
+def _finite(ctx, param, value):
+    if value is not None and not np.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number.")
+    return value
+
+
+def _grid(ctx, param, grid):
+    lo, hi, points = grid
+    if not (np.isfinite([lo, hi]).all() and lo < hi and points >= 2):
+        raise click.BadParameter(f"needs finite LO < HI and N >= 2, got {grid!r}.")
+    return grid
 
 
 def _finish(command, config, out, overrides, failures):
@@ -89,17 +103,19 @@ def main():
 
 
 @main.command("scalar-landscape")
-@click.option("--offset", type=float, default=0.0, show_default=True,
+@click.option("--offset", type=float, default=0.0, show_default=True, callback=_finite,
               help="Distance from the certainty-equivalent action to the "
                    "estimation-penalty peak.")
 @click.option("--grid", type=(float, float, int), default=(-3.0, 3.0, 1201),
-              show_default=True, metavar="LO HI N")
-@click.option("--c1", type=float, default=None,
+              show_default=True, metavar="LO HI N", callback=_grid)
+@click.option("--c1", type=float, default=None, callback=_finite,
               help="Input-dependent observation coefficient (default: the "
                    "quadratic stage weight).")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_scalar_landscape(offset, grid, c1, out):
     """Sweep the scalar stage objective and classify its critical points."""
+    if c1 == 0.0:
+        raise click.ClickException(LQG_CLOSED_FORM)
     if abs(offset) > 1.0:
         click.echo("warning: offset outside [-1, 1]", err=True)
     system, noise, cost = scalar_config(c1=c1)
@@ -119,7 +135,7 @@ def cmd_scalar_landscape(offset, grid, c1, out):
 @main.command("double-integrator")
 @click.option("--runs", type=RUNS, default=50, show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--c1", type=float, default=1.0, show_default=True,
+@click.option("--c1", type=float, default=1.0, show_default=True, callback=_finite,
               help="Force scaling of the bilinear position sensor.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def cmd_double_integrator(runs, seed, c1, out):
@@ -135,7 +151,7 @@ def cmd_double_integrator(runs, seed, c1, out):
     variants = []
     for name, kind in (("perfect", "perfect_state_lqr"), ("linear", "separation_lqg"),
                        ("bilinear", "separation_lqg")):
-        system, noise, cost = double_integrator_config(obs_model=name, c1=c1)
+        system, noise, cost = double_integrator_config(name, c1=c1)
         variants.append((name, SimConfig(system, noise, cost,
                                          PolicyConfig(kind, "sampled_from_prior"),
                                          horizon)))
@@ -170,10 +186,8 @@ def cmd_orthogonal(runs, seed, variant, out):
     outdir.mkdir(parents=True, exist_ok=True)
     horizon = DEFAULT_HORIZON
     base_stream = RngStream(seed)
-    sys_bil, noise, cost = orthogonal_config(base_stream, variant=variant,
-                                             obs_model="bilinear")
-    sys_lin, _, _ = orthogonal_config(base_stream, variant=variant,
-                                      obs_model="linear")
+    sys_bil, noise, cost = orthogonal_config(base_stream, variant=variant)
+    sys_lin = replace(sys_bil, ck=tuple(np.zeros_like(c) for c in sys_bil.ck))
 
     probe = _lqg_probe(sys_bil, noise, cost, horizon)
     prop = check_proposition1(sys_bil, inputs=probe.inputs[:sys_bil.n])
@@ -258,7 +272,8 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
 @click.option("--config", "config_path", type=click.Path(dir_okay=False),
               required=True)
 @click.option("--horizon", type=int, default=DEFAULT_HORIZON, show_default=True)
-@click.option("--delta", type=float, default=1e-8, show_default=True,
+@click.option("--delta", type=click.FloatRange(min=0.0), default=1e-8,
+              show_default=True, callback=_finite,
               help="Positive-definiteness margin for the observability test.")
 def cmd_observability(config_path, horizon, delta):
     """Observability diagnostics along a simulated closed-loop input sequence."""
@@ -288,9 +303,9 @@ def cmd_observability(config_path, horizon, delta):
 @main.command("critical-points")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False),
               default=None, help="Scalar system config (default: built-in).")
-@click.option("--x0hat", type=float, default=None)
-@click.option("--c0", type=float, default=None)
-@click.option("--c1", type=float, default=None)
+@click.option("--x0hat", type=float, default=None, callback=_finite)
+@click.option("--c0", type=float, default=None, callback=_finite)
+@click.option("--c1", type=float, default=None, callback=_finite)
 def cmd_critical_points(config_path, x0hat, c0, c1):
     """Classify the critical points of the scalar stage objective."""
     if config_path is not None:
@@ -302,15 +317,9 @@ def cmd_critical_points(config_path, x0hat, c0, c1):
     params = scalar_gap_params(system, noise, cost,
                                prior_var=float(noise.sigma_0[0, 0]),
                                x_hat0=x0hat)
-    updates = {}
-    if c0 is not None:
-        updates["c0"] = c0
-    if c1 is not None:
-        updates["c1"] = c1
-    if updates:
-        params = replace(params, **updates)
+    params = replace(params, **{k: v for k, v in (("c0", c0), ("c1", c1)) if v is not None})
     if params.c1 == 0.0:
-        raise click.ClickException("use LQG closed form (c1 = 0)")
+        raise click.ClickException(LQG_CLOSED_FORM)
     points = scalar_critical_points(params)
     click.echo("u,kind,f_value,second_derivative")
     for pt in points:

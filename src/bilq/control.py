@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (BeliefState, chol_factor, chol_solve, is_symmetric, matvec,
                    min_eigenvalue, observation_matrix, quadratic, symmetrize)
-from .kalman import information_matrix
 
 LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
@@ -366,7 +365,8 @@ def _stage_terms(bp, u, runs):
     and the summed magnitudes of its three terms; with C(u), I(u) and
     I(u)^-1 cal_g, which its derivatives reuse."""
     c = observation_matrix(bp.sys, u)
-    info = information_matrix(bp.prior_cov_inv[runs], c, bp.sigma_z_factor)
+    info = symmetrize(bp.prior_cov_inv[runs]
+                      + c.swapaxes(-1, -2) @ chol_solve(bp.sigma_z_factor, c))
     m_g = chol_solve(info, bp.cal_g)
     quad = quadratic(u, bp.cal_a)
     linear = 2.0 * (u[:, None, :] @ bp.cal_b_x_hat[runs, :, None])[:, 0, 0]
@@ -377,7 +377,7 @@ def _stage_terms(bp, u, runs):
 
 def bellman_objective_Tm2(bp, u):
     """Quadratic control cost plus the estimation penalty tr(I(u)^-1 cal_g),
-    I(u) the filter's :func:`bilq.kalman.information_matrix` at input u.
+    I(u) = prior_cov^-1 + C(u)^T sigma_z^-1 C(u) the filter's information matrix.
 
     Inputs (..., p) broadcast against a stack of beliefs (R,).  One input
     and one belief give a float, else an array, each value bit for bit its

@@ -3,21 +3,17 @@
 The gain here carries a leading minus sign and the mean update subtracts
 gain times innovation; the covariance recursion is the matching
 ``A S A^T + L C S A^T + sigma_w`` form, symmetrized after evaluation.
-An information-form covariance update (valid for strictly PD covariances)
-is an independent route for cross-checks of that direct form, beside a
-grid Bayes oracle for scalar systems whose transition kernel is banded at
-8 sigma of process noise: O(points x band) per step, not O(points^2).  Its
-information matrix ``S^-1 + C^T sigma_z^-1 C`` is shared with the stage
-objective of :mod:`bilq.control`: through it the input sets the next covariance.
+Beside the filter sits a grid Bayes oracle for scalar systems whose
+transition kernel is banded at 8 sigma of process noise: O(points x band)
+per step, not O(points^2).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BeliefState, check_beliefs, chol_factor, chol_solve, matvec,
-                   min_eigenvalue, observation_matrix, raise_first_failure,
-                   symmetrize)
+from .core import (BeliefState, check_beliefs, chol_solve, matvec,
+                   observation_matrix, raise_first_failure, symmetrize)
 
 COND_LIMIT = 1e14
 
@@ -31,13 +27,14 @@ class KalmanStep:
     next_belief: BeliefState
 
 
-def _gains(covs, cs, sys, noise):
-    """Gains -A S C^T (C S C^T + sigma_z)^(-1) for a stack of covariances
-    (R, n, n) and observation matrices (R, m, n); returns (R, n, m).
+def _advance(means, covs, sys, noise, inputs, outputs):
+    """kf_step_batch's arithmetic without the next-belief checks: gains
+    -A S C^T (C S C^T + sigma_z)^(-1), innovations, next means and covs.
 
     Each innovation covariance must be PD with condition number at most
     COND_LIMIT, else BatchCheckError names the first one that is not.
     """
+    cs = observation_matrix(sys, inputs)
     innov_cov = symmetrize(cs @ covs @ cs.swapaxes(-1, -2) + noise.sigma_z)
     vals = np.linalg.eigvalsh(innov_cov)
     low, high = vals.min(axis=-1), vals.max(axis=-1)
@@ -46,20 +43,7 @@ def _gains(covs, cs, sys, noise):
                         lambda i: f"condition number {cond[i]:.3e}")
     # solve for (innov_cov)^(-1) C S A^T, then transpose; keeps the solve SPD
     sol = chol_solve(innov_cov, cs @ covs @ sys.a.T)
-    return -np.ascontiguousarray(sol.swapaxes(-1, -2))
-
-
-def kalman_gain(belief, sys, noise, u):
-    """Input-dependent gain -A S C(u)^T (C(u) S C(u)^T + sigma_z)^(-1)."""
-    c = observation_matrix(sys, u)
-    return _gains(belief.cov[None], c[None], sys, noise)[0]
-
-
-def _advance(means, covs, sys, noise, inputs, outputs):
-    """kf_step_batch's arithmetic and innovation check, without the
-    next-belief checks."""
-    cs = observation_matrix(sys, inputs)
-    gains = _gains(covs, cs, sys, noise)
+    gains = -np.ascontiguousarray(sol.swapaxes(-1, -2))
     innovations = outputs - matvec(cs, means)
     means_next = (matvec(sys.a, means) + matvec(sys.b, inputs)
                   - matvec(gains, innovations))
@@ -74,7 +58,7 @@ def kf_step_batch(means, covs, sys, noise, inputs, outputs):
     one input/output pair each, inputs (R, p) and outputs (R, m).
 
     Every check of kf_step runs on all R at once: innovation covariance
-    conditioning (see kalman_gain), then finite, symmetric and PSD next
+    conditioning (see _advance), then finite, symmetric and PSD next
     beliefs (see check_beliefs); a failure raises BatchCheckError naming
     the first failing entry.  Returns (gains, innovations, next means,
     next covs); entry i is bit for bit what kf_step gives on belief i.
@@ -95,29 +79,6 @@ def kf_step(belief, sys, noise, u, y):
         belief.mean[None], belief.cov[None], sys, noise, u, y)
     return KalmanStep(gain=gains[0], innovation=innovations[0],
                       next_belief=BeliefState(mean=means[0], cov=covs[0]))
-
-
-def information_matrix(cov_inv, c, sigma_z_factor):
-    """The symmetrized information matrix S^-1 + C^T sigma_z^-1 C from the inverse
-    chol_solve(S, I) of a PD covariance, an observation matrix C, or each of a
-    stack, and chol_factor(symmetrize(sigma_z))."""
-    return symmetrize(cov_inv + c.swapaxes(-1, -2) @ chol_solve(sigma_z_factor, c))
-
-
-def cov_update_information_form(cov, sys, noise, u):
-    """Covariance propagation via A (S^-1 + C^T sigma_z^-1 C)^-1 A^T + sigma_w.
-
-    Requires a strictly PD input covariance; an independent route used to
-    cross-check kf_step's direct form.
-    """
-    cov = symmetrize(np.asarray(cov, dtype=float))
-    if min_eigenvalue(cov) <= 0.0:
-        raise ValueError("information form requires PD covariance")
-    info = information_matrix(chol_solve(cov, np.eye(cov.shape[0])),
-                              observation_matrix(sys, u),
-                              chol_factor(symmetrize(noise.sigma_z)))
-    inner = chol_solve(info, np.eye(sys.n))
-    return symmetrize(sys.a @ inner @ sys.a.T + noise.sigma_w)
 
 
 def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):

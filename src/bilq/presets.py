@@ -46,16 +46,16 @@ def scalar_config(c0=None, c1=None, offset=0.0):
     return system, noise, cost
 
 
-def double_integrator_config(obs_model="bilinear", c1=1.0, h=0.3):
-    """Position/velocity integrator with a force input.
+def double_integrator_config(obs_model, c1=1.0):
+    """Position/velocity integrator with a force input, time step 0.3.
 
     obs_model selects the position sensor: "linear" reads position
     directly, "bilinear" scales the read-out with the applied force
     (static part zero), "perfect" keeps the linear sensor but is meant to
     be run with the perfect-observation policy.
     """
-    a = [[1.0, h], [0.0, 1.0]]
-    b = [[0.0], [h]]
+    a = [[1.0, 0.3], [0.0, 1.0]]
+    b = [[0.0], [0.3]]
     if obs_model in ("linear", "perfect"):
         c0 = [[1.0, 0.0]]
         ck = ([[0.0, 0.0]],)
@@ -75,14 +75,14 @@ def _draw_matrix(stream, rows, cols, scale):
     return scale * stream.standard_normal(rows * cols).reshape(rows, cols)
 
 
-def orthogonal_config(stream, variant="a", obs_model="bilinear", max_attempts=10):
+def orthogonal_config(stream, variant="a"):
     """Random six-state system satisfying the orthogonal-observation
     sufficient condition.
 
     The transition matrix is scaled to spectral radius 1.1 exactly; the
     static observation matrix is a fresh draw projected into the
     orthogonal complement of the input-dependent ones, unit Frobenius
-    norm, redrawn (up to max_attempts) until the sufficient condition
+    norm, redrawn (at most 10 draws) until the sufficient condition
     holds.  The transition/input/observation draws depend only on the
     stream seed, not the variant, so the two variants share everything
     except the static matrix.
@@ -98,25 +98,18 @@ def orthogonal_config(stream, variant="a", obs_model="bilinear", max_attempts=10
     ck = tuple(_draw_matrix(sys_stream, m, n, 1.0 / np.sqrt(m)) for _ in range(p))
 
     c0_stream = stream.substream(C0_SUBSTREAM[variant])
-    system = None
-    for _ in range(max_attempts):
+    for _ in range(10):
         candidate = _draw_matrix(c0_stream, m, n, 1.0 / np.sqrt(m))
-        trial = BilinearSystem(a=a, b=b, c0=candidate, ck=ck)
-        c0_perp = orthogonal_complement_c0(trial)
+        system = BilinearSystem(a=a, b=b, c0=candidate, ck=ck)
+        c0_perp = orthogonal_complement_c0(system)
         norm = float(np.linalg.norm(c0_perp))
         if norm < 1e-10:
             continue
-        trial = BilinearSystem(a=a, b=b, c0=c0_perp / norm, ck=ck)
-        if check_proposition1(trial).ok:
-            system = trial
+        system = BilinearSystem(a=a, b=b, c0=c0_perp / norm, ck=ck)
+        if check_proposition1(system).ok:
             break
-    if system is None:
+    else:
         raise ValueError("failed to draw an observable orthogonal static matrix")
-    if obs_model == "linear":
-        system = BilinearSystem(a=a, b=b, c0=system.c0,
-                                ck=tuple(np.zeros((m, n)) for _ in range(p)))
-    elif obs_model != "bilinear":
-        raise ValueError(f"unknown obs_model {obs_model!r}")
     noise = NoiseSpec(sigma_w=0.01 * np.eye(n), sigma_z=0.01 * np.eye(m),
                       x0_mean=np.zeros(n), sigma_0=np.eye(n))
     cost = CostSpec(q=np.eye(n), q_t=np.eye(n), r=np.eye(p))

@@ -21,7 +21,9 @@ controller and observation variants, which pairs the comparisons.
 Policies are a table of functions of (batch, t) returning one action per
 run.  The certainty-equivalent ones are one stacked matrix-vector product
 per step; ``numeric_bellman`` is one stacked minimizer call per step for
-all runs, and ``scalar_nonlinear_t2`` decides run by run.
+all runs, and ``scalar_nonlinear_t2`` decides run by run.  The last stage
+has no estimation penalty: there the engine takes the certainty-equivalent
+action for every filtered policy.
 ``numeric_bellman`` minimizes the stage objective of
 :func:`bilq.control.bellman_objective_Tm2` with the estimation penalty
 weighted by the LQR table ``p_seq[t+1]``: exact for T = 2, a one-step
@@ -51,19 +53,16 @@ INIT_ESTIMATE_SUBSTREAM = 0
 @dataclass
 class _Batch:
     """State of R runs of one config at the current step: true states x
-    (R, n), predicted means (R, n) and covs (R, n, n) (None for the
-    perfect-observation policy), and per-run decisions a policy keeps
-    between steps."""
+    (R, n), and predicted means (R, n) and covs (R, n, n) (None for the
+    perfect-observation policy)."""
 
     sys: object
     noise: object
     cost: object
     tables: object
-    horizon: int
     x: np.ndarray
     means: np.ndarray = None
     covs: np.ndarray = None
-    decisions: list = None
 
 
 def _perfect_state_lqr(batch, t):
@@ -75,32 +74,25 @@ def _separation_lqg(batch, t):
 
 
 def _scalar_nonlinear_t2(batch, t):
-    """Scalar two-stage optimum, per run: at t = 0 the tie-broken global
+    """Scalar two-stage optimum at t = 0, per run: the tie-broken global
     minimizer of the stage objective at the run's prior (regime warnings
-    silenced), at t = 1 that controller's linear final-stage rule."""
-    if t == 0:
-        controllers = []
-        for mean, cov in zip(batch.means, batch.covs):
-            params = scalar_gap_params(batch.sys, batch.noise, batch.cost,
-                                       prior_var=cov[0, 0], x_hat0=mean[0])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                controllers.append(scalar_optimal_controller_T2(params))
-        batch.decisions = controllers
-        return np.array([[select_rollout_action(c.u0_candidates)]
-                         for c in controllers])
-    return np.array([[c.u1_rule(mean[0])]
-                     for c, mean in zip(batch.decisions, batch.means)])
+    silenced)."""
+    actions = []
+    for mean, cov in zip(batch.means, batch.covs):
+        params = scalar_gap_params(batch.sys, batch.noise, batch.cost,
+                                   prior_var=cov[0, 0], x_hat0=mean[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            actions.append([select_rollout_action(
+                scalar_optimal_controller_T2(params).u0_candidates)])
+    return np.array(actions)
 
 
 def _numeric_bellman(batch, t):
     """Per run, the numeric minimizer of the stage objective whose
-    estimation penalty is weighted by p_seq[t+1], all runs in one call; the
-    certainty-equivalent action at the last stage, where it is exact.
+    estimation penalty is weighted by p_seq[t+1], all runs in one call.
     Optimal for T = 2; for T > 2 a one-step look-ahead, not the optimal
     policy."""
-    if t == batch.horizon - 1:
-        return lqg_policy(batch.tables, t, batch.means)
     return bellman_minimize_Tm2(bellman_params_at_stage(
         batch.sys, batch.noise, batch.cost, batch.tables, t, (batch.means, batch.covs)))[0]
 
@@ -146,7 +138,6 @@ class TrajectoryRecord:
     def metric(self, name):
         """Per-step series for t = 0..T; the t = T slot of stage_cost and
         cum_cost carries the terminal cost (u_norm is 0 there)."""
-        T = self.horizon
         if name == "stage_cost":
             return np.concatenate([self.stage_costs, [self.terminal_cost]])
         if name == "cum_cost":
@@ -192,7 +183,7 @@ def _simulate(sys, noise, cost, policy, horizon, streams):
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
     batch = _Batch(sys=sys, noise=noise, cost=cost,
-                   tables=riccati_recursion(cost, sys, T), horizon=T,
+                   tables=riccati_recursion(cost, sys, T),
                    x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
     filtered = policy.kind != "perfect_state_lqr"
     if filtered:
@@ -222,7 +213,8 @@ def _simulate(sys, noise, cost, policy, horizon, streams):
             covs[:, t] = batch.covs
         if t == T:
             break
-        u = np.asarray(act(batch, t), dtype=float).reshape(R, p)
+        decide = _separation_lqg if filtered and t == T - 1 else act
+        u = np.asarray(decide(batch, t), dtype=float).reshape(R, p)
         y = matvec(observation_matrix(sys, u), x) + z[:, t]
         inputs[:, t] = u
         outputs[:, t] = y

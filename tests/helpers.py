@@ -3,16 +3,18 @@
 Everything here is deliberately coded on a different route from the
 package (textbook predict/update filter with explicit inverses,
 update-then-predict ordering) so agreement is a real cross-check.  The
-exception is `per_step_lqg_rollout`, which repeats the package's own
+exceptions are `per_step_lqg_rollout`, which repeats the package's own
 arithmetic one run and one 2-d operation at a time, as a bit-for-bit
-reference for the stacked engine.
+reference for the stacked engine, and `kalman_gain`, which reads the gain
+off one package filter step.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from bilq.control import bellman_objective_Tm2
-from bilq.core import observation_matrix
+from bilq.core import chol_solve, min_eigenvalue, observation_matrix, symmetrize
+from bilq.kalman import kf_step
 
 
 def standard_riccati_gains(a, b, q, q_t, r, horizon):
@@ -38,6 +40,27 @@ def standard_kf_update_predict(mean, cov, a, b, c, sigma_w, sigma_z, u, y):
     mean_next = a @ mean_f + b @ u
     cov_next = a @ cov_f @ a.T + sigma_w
     return mean_next, cov_next
+
+
+def kalman_gain(belief, sys, noise, u):
+    """The filter's gain at input u, read off one kf_step."""
+    return kf_step(belief, sys, noise, u, np.zeros(sys.m)).gain
+
+
+def cov_update_information_form(cov, sys, noise, u):
+    """Covariance propagation via A (S^-1 + C^T sigma_z^-1 C)^-1 A^T + sigma_w.
+
+    Requires a strictly PD input covariance; an independent route used to
+    cross-check kf_step's direct form.
+    """
+    cov = symmetrize(np.asarray(cov, dtype=float))
+    if min_eigenvalue(cov) <= 0.0:
+        raise ValueError("information form requires PD covariance")
+    c = observation_matrix(sys, u)
+    info = symmetrize(chol_solve(cov, np.eye(sys.n))
+                      + c.T @ chol_solve(symmetrize(noise.sigma_z), c))
+    inner = chol_solve(info, np.eye(sys.n))
+    return symmetrize(sys.a @ inner @ sys.a.T + noise.sigma_w)
 
 
 def standard_lqg_rollout(a, b, c, q, q_t, r, sigma_w, sigma_z, x0_mean,

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from bilq.cli import main as cli_main
 from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, config_to_dict)
-from bilq.kalman import cov_update_information_form, grid_bayes_oracle, kf_step
+from bilq.kalman import grid_bayes_oracle, kf_step
 from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, ScalarGapParams,
                           affine_falsification_test, lqg_policy,
                           riccati_recursion, scalar_cost_to_go,
@@ -26,7 +26,8 @@ from bilq.presets import (double_integrator_config, orthogonal_config,
                           scalar_config)
 from bilq.sim import PolicyConfig, SimConfig, monte_carlo
 
-from helpers import grid_local_minima, random_spd, standard_lqg_rollout
+from helpers import (cov_update_information_form, grid_local_minima, random_spd,
+                     standard_lqg_rollout)
 
 U_LQG = -0.05257796257796257
 

@@ -6,8 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from bilq.cli import main
-from bilq.core import RngStream, config_to_dict
+from bilq.core import RngStream, config_from_dict, config_to_dict
 from bilq.presets import orthogonal_config, scalar_config
+from bilq.sim import PolicyConfig, SimConfig, monte_carlo, write_trajectory_csv
 
 
 @pytest.fixture
@@ -129,6 +130,20 @@ class TestOrthogonal:
         assert sys_a["system"]["b"] == sys_b["system"]["b"]
         assert sys_a["system"]["ck"] == sys_b["system"]["ck"]
         assert sys_a["system"]["c0"] != sys_b["system"]["c0"]
+
+    def test_linear_variant_is_bilinear_system_without_ck(self, runner, tmp_path):
+        out = tmp_path / "o"
+        result = invoke(runner, ["orthogonal", "--runs", "3", "--seed", "12",
+                                 "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        data = json.loads((out / "system_a.json").read_text())
+        data["system"]["ck"] = np.zeros_like(data["system"]["ck"]).tolist()
+        system, noise, cost, horizon, runs, seed = config_from_dict(data)
+        policy = PolicyConfig("separation_lqg", "sampled_from_prior")
+        res = monte_carlo(SimConfig(system, noise, cost, policy, horizon), runs, seed)
+        write_trajectory_csv(tmp_path / "linear.csv", res.records)
+        assert ((tmp_path / "linear.csv").read_bytes()
+                == (out / "trajectories_linear.csv").read_bytes())
 
     def test_single_run_percentiles_collapse(self, runner, tmp_path):
         out = tmp_path / "o1"
@@ -276,13 +291,38 @@ class TestInputRanges:
         ("orthogonal", "--seed", "-1"),
         ("orthogonal", "--seed", str(2 ** 64)),
         ("orthogonal", "--runs", "-3"),
+        ("double-integrator", "--c1", "nan"),
+        ("scalar-landscape", "--offset", "nan"),
+        ("scalar-landscape", "--c1", "nan"),
+        ("scalar-landscape", "--grid", "0 1 -1"),
+        ("scalar-landscape", "--grid", "0 1 0"),
+        ("scalar-landscape", "--grid", "1 0 5"),
+        ("scalar-landscape", "--grid", "0 inf 5"),
+        ("critical-points", "--c0", "nan"),
+        ("critical-points", "--c1", "inf"),
+        ("critical-points", "--x0hat", "nan"),
+        ("observability", "--delta", "nan"),
+        ("observability", "--delta", "-1"),
     ])
     def test_out_of_range_option_rejected_before_output(self, runner, tmp_path,
                                                         command, option, value):
+        # critical-points and observability print to stdout; the others write to --out
         out = tmp_path / "out"
-        result = runner.invoke(main, [command, option, value, "--out", str(out)])
+        rest = {"critical-points": [],
+                "observability": ["--config", str(scalar_config_file(tmp_path))]}
+        result = runner.invoke(main, [command, option, *value.split()]
+                               + rest.get(command, ["--out", str(out)]))
         assert result.exit_code == 2
         assert f"Invalid value for '{option}'" in result.output
+        assert not out.exists()
+        assert '"status"' not in result.output
+
+    def test_landscape_static_coefficient_rejected(self, runner, tmp_path):
+        out = tmp_path / "landscape.csv"
+        result = runner.invoke(main, ["scalar-landscape", "--c1", "0", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "use LQG closed form (c1 = 0)" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not out.exists()
 
     def test_simulate_runs_override_rejected(self, runner, tmp_path):

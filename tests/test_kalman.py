@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from bilq.core import (BatchCheckError, BeliefState, BilinearSystem, NoiseSpec,
                        RngStream, observation_matrix)
-from bilq.kalman import (cov_update_information_form, grid_bayes_oracle,
-                         kalman_gain, kf_step, kf_step_batch)
+from bilq.kalman import grid_bayes_oracle, kf_step, kf_step_batch
 
-from helpers import dense_grid_oracle, standard_kf_update_predict, random_spd
+from helpers import (cov_update_information_form, dense_grid_oracle, kalman_gain,
+                     standard_kf_update_predict, random_spd)
 
 
 def scalar_setup(a=0.9, b=1.0, c0=0.0, c1=1.0, sw=0.01, sz=0.09, x0=0.1, s0=2.0):

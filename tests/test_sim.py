@@ -7,7 +7,8 @@ from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, sample_gaussian)
 from bilq.kalman import kf_step
 from bilq.control import (bellman_minimize_Tm2, bellman_params_at_stage,
-                          lqg_policy, riccati_recursion)
+                          lqg_policy, riccati_recursion, scalar_gap_params,
+                          scalar_optimal_controller_T2)
 from bilq.presets import (double_integrator_config, orthogonal_config,
                           scalar_config)
 from bilq.sim import (INIT_ESTIMATES, PolicyConfig, SimConfig,
@@ -121,6 +122,13 @@ class TestRollout:
         assert rec.inputs[0, 0] == pytest.approx(0.14310033865891658, abs=1e-9)
         # stage-1 action is the linear terminal rule on the updated estimate
         assert rec.inputs[1, 0] == pytest.approx(-0.45 * rec.means[1, 0], abs=1e-12)
+        params = scalar_gap_params(sys_, noise, cost, prior_var=2.0)
+        assert rec.inputs[1, 0] == scalar_optimal_controller_T2(params).u1_rule(rec.means[1, 0])
+        # every filtered policy takes the certainty-equivalent action at the last stage
+        rec = rollout(sys_, noise, cost, PolicyConfig("numeric_bellman", "prior_mean"), 3,
+                      RngStream(5, 0))
+        tables = riccati_recursion(cost, sys_, 3)
+        assert rec.inputs[2].tobytes() == lqg_policy(tables, 2, rec.means[2]).tobytes()
 
     def test_numeric_bellman_matches_t2_policy_on_scalar(self):
         sys_, noise, cost = scalar_config()
@@ -238,7 +246,7 @@ class TestMonteCarlo:
 
     def test_lockstep_matches_per_step_reference(self):
         # stacking the runs changes no bit of the per-step 2-d arithmetic
-        ortho = orthogonal_config(RngStream(3), variant="a", obs_model="bilinear")
+        ortho = orthogonal_config(RngStream(3), variant="a")
         cases = [(kind, double_integrator_config(model), init)
                  for kind, model in (("perfect_state_lqr", "perfect"),
                                      ("separation_lqg", "linear"),
