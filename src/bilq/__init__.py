@@ -13,10 +13,10 @@ from .control import (AffineFalsificationReport, BellmanObjectiveParams,
                       scalar_cost_to_go, scalar_critical_points,
                       scalar_gap_params, scalar_optimal_controller_T2,
                       select_rollout_action)
-from .observability import (BoundednessReport, GramianReport, Prop1Report,
-                            check_proposition1, covariance_boundedness_probe,
-                            gramian, gramian_decomposition,
-                            orthogonal_complement_c0)
+from .observability import (PROBE_THRESHOLD, BoundednessReport, GramianReport,
+                            Prop1Report, check_proposition1,
+                            covariance_boundedness_probe, gramian,
+                            gramian_decomposition, orthogonal_complement_c0)
 from .sim import (LandscapeTable, MonteCarloResult, PercentileSeries,
                   PolicyConfig, SimConfig, TrajectoryRecord, landscape_sweep,
                   monte_carlo, rollout, write_landscape_csv, write_summary_csv,

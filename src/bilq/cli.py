@@ -7,6 +7,7 @@ line endings) and ends by printing one JSON status line; the exit code is
 
 import json
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import click
@@ -23,7 +24,6 @@ from .sim import (INIT_ESTIMATES, POLICY_KINDS, PolicyConfig, SimConfig,
                   write_summary_csv, write_trajectory_csv)
 
 DEFAULT_HORIZON = 100
-PROBE_THRESHOLD = 1e6
 RUNS = click.IntRange(min=1)
 SEED = click.IntRange(0, 2 ** 64 - 1)
 LQG_CLOSED_FORM = "use LQG closed form (c1 = 0)"
@@ -66,9 +66,8 @@ def _load_config_or_fail(path):
 def _lqg_probe(system, noise, cost, horizon):
     """The covariance boundedness probe under certainty-equivalent LQG."""
     tables = riccati_recursion(cost, system, horizon)
-    return covariance_boundedness_probe(
-        system, noise, lambda t, belief: lqg_policy(tables, t, belief.mean),
-        horizon, PROBE_THRESHOLD)
+    return covariance_boundedness_probe(system, noise, partial(lqg_policy, tables),
+                                        horizon)
 
 
 def _monte_carlo_variants(outdir, variants, runs, seed):
@@ -118,8 +117,7 @@ def cmd_scalar_landscape(offset, grid, c1, out):
         raise click.ClickException(LQG_CLOSED_FORM)
     if abs(offset) > 1.0:
         click.echo("warning: offset outside [-1, 1]", err=True)
-    system, noise, cost = scalar_config(c1=c1)
-    table = landscape_sweep(system, noise, cost, offset, grid)
+    table = landscape_sweep(*scalar_config(c1=c1, offset=offset), grid)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_landscape_csv(out, table)

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -215,6 +215,12 @@ class BatchCheckError(ValueError):
         self.index = int(index)
         self.detail = detail
         super().__init__(check if detail is None else f"{check} ({detail})")
+
+    def localized(self, where):
+        """The failure restated as a ValueError at `where` (e.g. "step 3"):
+        "<check>: <where>, <detail>"."""
+        detail = "" if self.detail is None else f", {self.detail}"
+        return ValueError(f"{self.check}: {where}{detail}")
 
 
 def raise_first_failure(bad, check, detail=None):
@@ -423,8 +429,8 @@ def gaussian_draws(mean, cov, normals):
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(symmetrize(cov))
-        if vals.min() < -1e-8:
-            raise ValueError("not PSD")
+        if vals.min() < -PSD_TOL:
+            raise ValueError(f"cov not PSD: min eigenvalue {vals.min():.3e}")
         factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     return mean + matvec(factor, normals)
 
@@ -435,17 +441,16 @@ def sample_gaussian(stream, mean, cov):
     return gaussian_draws(mean, cov, stream.standard_normal(np.size(mean)))
 
 
+# config sections: key, the type built from it; each type's fields are the keys
+CONFIG_SECTIONS = (("system", BilinearSystem), ("noise", NoiseSpec), ("cost", CostSpec))
+
+
 def config_from_dict(data):
     """Build (system, noise, cost, horizon, runs, seed) from a config mapping."""
     try:
-        sys_d = data["system"]
-        noise_d = data["noise"]
-        cost_d = data["cost"]
-        system = BilinearSystem(a=sys_d["a"], b=sys_d["b"], c0=sys_d["c0"],
-                                ck=tuple(sys_d["ck"]))
-        noise = NoiseSpec(sigma_w=noise_d["sigma_w"], sigma_z=noise_d["sigma_z"],
-                          x0_mean=noise_d["x0_mean"], sigma_0=noise_d["sigma_0"])
-        cost = CostSpec(q=cost_d["q"], q_t=cost_d["q_t"], r=cost_d["r"])
+        sections = [(data[key], kind) for key, kind in CONFIG_SECTIONS]
+        system, noise, cost = (kind(**{f.name: section[f.name] for f in fields(kind)})
+                               for section, kind in sections)
         horizon = int(data["horizon"])
         runs = int(data["runs"])
         seed = int(data["seed"])
@@ -475,22 +480,12 @@ def load_config(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _to_lists(value):
+    return [c.tolist() for c in value] if isinstance(value, tuple) else value.tolist()
+
+
 def config_to_dict(system, noise, cost, horizon, runs, seed):
-    return {
-        "system": {
-            "a": system.a.tolist(),
-            "b": system.b.tolist(),
-            "c0": system.c0.tolist(),
-            "ck": [c.tolist() for c in system.ck],
-        },
-        "noise": {
-            "sigma_w": noise.sigma_w.tolist(),
-            "sigma_z": noise.sigma_z.tolist(),
-            "x0_mean": noise.x0_mean.tolist(),
-            "sigma_0": noise.sigma_0.tolist(),
-        },
-        "cost": {"q": cost.q.tolist(), "q_t": cost.q_t.tolist(), "r": cost.r.tolist()},
-        "horizon": int(horizon),
-        "runs": int(runs),
-        "seed": int(seed),
-    }
+    data = {key: {f.name: _to_lists(getattr(obj, f.name)) for f in fields(obj)}
+            for (key, _), obj in zip(CONFIG_SECTIONS, (system, noise, cost))}
+    data.update(horizon=int(horizon), runs=int(runs), seed=int(seed))
+    return data

@@ -4,34 +4,36 @@ The observability test sums n terms (A^k)^T C(u_k)^T C(u_k) A^k along an
 input sequence; a time-invariant sufficient condition projects the static
 observation matrix away from the span of the input-dependent ones and
 checks observability of that projection.  A forward covariance probe gives
-the matching empirical boundedness check.
+the matching empirical boundedness check; it runs the filter's stacked step
+on a stack of one belief.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BeliefState, observation_matrix, symmetrize
-from .kalman import kf_step
+from .core import (BatchCheckError, check_beliefs, matvec, observation_matrix,
+                   symmetrize)
+from .kalman import kf_step_batch
 
 DEFAULT_DELTA = 1e-8
 GS_DROP_TOL = 1e-10
+PROBE_THRESHOLD = 1e6
 
 
 @dataclass(frozen=True)
 class GramianReport:
     gramian: np.ndarray
     min_eigenvalue: float
-    delta: float
     uniformly_observable: bool
 
 
 def _observations(sys, inputs):
-    """Observation matrices C(u_k) of the first n inputs."""
-    inputs = list(inputs)
+    """Observation matrices C(u_k) of the first n inputs, stacked (n, m, n)."""
+    inputs = np.asarray(list(inputs), dtype=float)
     if len(inputs) < sys.n:
         raise ValueError(f"need at least {sys.n} inputs, got {len(inputs)}")
-    return [observation_matrix(sys, u) for u in inputs[:sys.n]]
+    return observation_matrix(sys, inputs[:sys.n].reshape(sys.n, -1))
 
 
 def _blocks(sys, cs):
@@ -53,7 +55,7 @@ def gramian(sys, inputs, delta=DEFAULT_DELTA):
     """Observability test over the first n inputs of the supplied window."""
     total = _gram(_blocks(sys, _observations(sys, inputs)))
     low = float(np.linalg.eigvalsh(total).min())
-    return GramianReport(gramian=total, min_eigenvalue=low, delta=float(delta),
+    return GramianReport(gramian=total, min_eigenvalue=low,
                          uniformly_observable=low > float(delta))
 
 
@@ -94,7 +96,7 @@ def gramian_decomposition(sys, inputs):
     """
     c0_perp = orthogonal_complement_c0(sys)
     static = _blocks(sys, [c0_perp] * sys.n)
-    rest = _blocks(sys, [c - c0_perp for c in _observations(sys, inputs)])
+    rest = _blocks(sys, _observations(sys, inputs) - c0_perp)
     cross = sum(t1.T @ t3 + t3.T @ t1 for t1, t3 in zip(static, rest))
     return _gram(static), symmetrize(cross), _gram(rest)
 
@@ -103,7 +105,6 @@ def gramian_decomposition(sys, inputs):
 class Prop1Report:
     ok: bool
     min_eigenvalue: float
-    c0_perp: np.ndarray
     norm_o1: float = float("nan")
     norm_o2: float = float("nan")
     norm_o3: float = float("nan")
@@ -122,9 +123,9 @@ def check_proposition1(sys, inputs=None, delta=DEFAULT_DELTA):
     low = float(np.linalg.eigvalsh(o1).min())
     ok = low > delta
     if inputs is None:
-        return Prop1Report(ok=ok, min_eigenvalue=low, c0_perp=c0_perp)
+        return Prop1Report(ok=ok, min_eigenvalue=low)
     d1, d2, d3 = gramian_decomposition(sys, inputs)
-    return Prop1Report(ok=ok, min_eigenvalue=low, c0_perp=c0_perp,
+    return Prop1Report(ok=ok, min_eigenvalue=low,
                        norm_o1=float(np.linalg.norm(d1, 2)),
                        norm_o2=float(np.linalg.norm(d2, 2)),
                        norm_o3=float(np.linalg.norm(d3, 2)))
@@ -134,37 +135,42 @@ def check_proposition1(sys, inputs=None, delta=DEFAULT_DELTA):
 class BoundednessReport:
     max_norm: float
     exceeded: bool
-    threshold: float
     norms: np.ndarray
     traces: np.ndarray
     inputs: np.ndarray
 
 
-def covariance_boundedness_probe(sys, noise, input_policy, horizon, threshold):
+def covariance_boundedness_probe(sys, noise, input_policy, horizon):
     """Roll the covariance recursion forward and watch its spectral norm.
 
-    input_policy(t, belief) -> input vector; the probe feeds the filter
-    its own predicted outputs (zero innovation), so belief-feedback
-    policies close the loop deterministically.  Empirical only: a finite
-    horizon cannot prove boundedness.
+    input_policy(t, mean) -> input vector, mean the filter's estimate; the
+    probe feeds the filter its own predicted outputs (zero innovation), so
+    estimate-feedback policies close the loop deterministically.  The
+    report's `exceeded` says whether the norm passed PROBE_THRESHOLD; a
+    failed filter check raises ValueError naming its step.  Empirical
+    only: a finite horizon cannot prove boundedness.
     """
     horizon = int(horizon)
     if horizon < sys.n:
         raise ValueError("horizon must be at least n")
-    belief = BeliefState(mean=noise.x0_mean, cov=noise.sigma_0)
-    norms = np.empty(horizon + 1)
-    traces = np.empty(horizon + 1)
+    means = noise.x0_mean[None]
+    covs = np.empty((horizon + 1, sys.n, sys.n))
+    covs[0] = noise.sigma_0
     inputs = np.empty((horizon, sys.p))
-    norms[0] = np.linalg.norm(belief.cov, 2)
-    traces[0] = np.trace(belief.cov)
-    for t in range(horizon):
-        u = np.asarray(input_policy(t, belief), dtype=float).reshape(-1)
-        inputs[t] = u
-        y_predicted = observation_matrix(sys, u) @ belief.mean
-        belief = kf_step(belief, sys, noise, u, y_predicted).next_belief
-        norms[t + 1] = np.linalg.norm(belief.cov, 2)
-        traces[t + 1] = np.trace(belief.cov)
+    t = 0
+    try:
+        check_beliefs(means, covs[:1])
+        for t in range(horizon):
+            inputs[t] = np.asarray(input_policy(t, means[0]), dtype=float).reshape(-1)
+            u = inputs[t:t + 1]
+            y_predicted = matvec(observation_matrix(sys, u), means)
+            _, _, means, cov_next = kf_step_batch(means, covs[t:t + 1], sys, noise,
+                                                  u, y_predicted)
+            covs[t + 1] = cov_next[0]
+    except BatchCheckError as exc:
+        raise exc.localized(f"step {t}") from exc
+    norms = np.linalg.norm(covs, 2, axis=(1, 2))
     max_norm = float(norms.max())
-    return BoundednessReport(max_norm=max_norm, exceeded=max_norm > threshold,
-                             threshold=float(threshold), norms=norms,
-                             traces=traces, inputs=inputs)
+    return BoundednessReport(max_norm=max_norm, exceeded=max_norm > PROBE_THRESHOLD,
+                             norms=norms, traces=np.trace(covs, axis1=1, axis2=2),
+                             inputs=inputs)

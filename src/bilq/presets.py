@@ -23,12 +23,12 @@ SYSTEM_SUBSTREAM = 10
 C0_SUBSTREAM = {"a": 11, "b": 12}
 
 
-def scalar_config(c0=None, c1=None, offset=0.0):
+def scalar_config(c1=None, offset=0.0):
     """Scalar two-stage setup: a = 0.9, b = 1, unit costs, prior N(0.1, 2),
     process/measurement noise 0.01/0.09.
 
-    By default the input-dependent observation coefficient equals the
-    quadratic stage weight and the static one is placed so the
+    The input-dependent observation coefficient c1 defaults to the
+    quadratic stage weight; the static one is placed so the
     estimation-penalty peak sits `offset` away from the
     certainty-equivalent action.
     """
@@ -39,8 +39,7 @@ def scalar_config(c0=None, c1=None, offset=0.0):
     base = scalar_gap_params(probe, noise, cost, prior_var=2.0)
     if c1 is None:
         c1 = base.alpha
-    if c0 is None:
-        c0 = c1 * (base.beta * base.x_hat0 / base.alpha - float(offset))
+    c0 = c1 * (base.beta * base.x_hat0 / base.alpha - float(offset))
     system = BilinearSystem(a=[[0.9]], b=[[1.0]], c0=[[float(c0)]],
                             ck=([[float(c1)]],))
     return system, noise, cost

@@ -31,7 +31,7 @@ look-ahead for T > 2, not the optimal policy.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,13 +160,6 @@ def _validate_policy(policy, sys, horizon):
             raise ValueError("scalar_nonlinear_t2 requires horizon 2")
 
 
-def _localized(exc, streams, t):
-    """A failed stacked check, restated with the failing run and step."""
-    detail = "" if exc.detail is None else f", {exc.detail}"
-    return ValueError(f"{exc.check}: run {streams[exc.index].stream_id}, "
-                      f"step {t}{detail}")
-
-
 def _simulate(sys, noise, cost, policy, horizon, streams):
     """The lockstep engine: one closed-loop rollout per stream, all
     advanced together; returns a tuple of TrajectoryRecords."""
@@ -196,7 +189,7 @@ def _simulate(sys, noise, cost, policy, horizon, streams):
         try:
             check_beliefs(batch.means, batch.covs)
         except BatchCheckError as exc:
-            raise _localized(exc, streams, 0) from exc
+            raise exc.localized(f"run {streams[exc.index].stream_id}, step 0") from exc
 
     states = np.empty((R, T + 1, n))
     inputs = np.empty((R, T, p))
@@ -224,7 +217,8 @@ def _simulate(sys, noise, cost, policy, horizon, streams):
                 _, _, batch.means, batch.covs = kf_step_batch(
                     batch.means, batch.covs, sys, noise, u, y)
             except BatchCheckError as exc:
-                raise _localized(exc, streams, t) from exc
+                raise exc.localized(f"run {streams[exc.index].stream_id}, "
+                                    f"step {t}") from exc
         batch.x = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
 
     terminal_costs = quadratic(batch.x, cost.q_t)
@@ -297,17 +291,12 @@ class LandscapeTable:
     critical_points: tuple
 
 
-def landscape_sweep(sys, noise, cost, offset, grid=(-3.0, 3.0, 1201)):
-    """Sweep the scalar stage objective with the observation offset placed
-    `offset` away from the certainty-equivalent action.
-
-    The static coefficient is set so that the estimation penalty peaks at
-    u_lqg + offset; returns the decomposed objective on the grid plus the
-    critical points.
+def landscape_sweep(sys, noise, cost, grid=(-3.0, 3.0, 1201)):
+    """Sweep the scalar stage objective of the system as given (see
+    scalar_config's offset for placing its observation-blind point);
+    returns the decomposed objective on the grid plus the critical points.
     """
-    base = scalar_gap_params(sys, noise, cost, prior_var=float(noise.sigma_0[0, 0]))
-    c0 = base.c1 * (base.beta * base.x_hat0 / base.alpha - float(offset))
-    params = replace(base, c0=c0)
+    params = scalar_gap_params(sys, noise, cost, prior_var=float(noise.sigma_0[0, 0]))
     lo, hi, points = float(grid[0]), float(grid[1]), int(grid[2])
     us = np.linspace(lo, hi, points)
     f_lqg = params.alpha * us * us + 2.0 * params.beta * params.x_hat0 * us

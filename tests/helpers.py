@@ -5,15 +5,18 @@ package (textbook predict/update filter with explicit inverses,
 update-then-predict ordering) so agreement is a real cross-check.  The
 exceptions are `per_step_lqg_rollout`, which repeats the package's own
 arithmetic one run and one 2-d operation at a time, as a bit-for-bit
-reference for the stacked engine, and `kalman_gain`, which reads the gain
-off one package filter step.
+reference for the stacked engine, `reference_boundedness_probe`, the
+covariance probe one BeliefState and one kf_step at a time, as a
+bit-for-bit reference for the probe on the stacked step, and
+`kalman_gain`, which reads the gain off one package filter step.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from bilq.control import bellman_objective_Tm2
-from bilq.core import chol_solve, min_eigenvalue, observation_matrix, symmetrize
+from bilq.core import (BeliefState, chol_solve, min_eigenvalue, observation_matrix,
+                       symmetrize)
 from bilq.kalman import kf_step
 
 
@@ -156,6 +159,28 @@ def per_step_lqg_rollout(sys_, noise, cost, gains, perfect, init_mean, stream):
     out = {key: np.array(val) for key, val in rows.items()}
     out["terminal_cost"] = x @ cost.q_t @ x
     return out
+
+
+def reference_boundedness_probe(sys, noise, input_policy, horizon):
+    """The covariance boundedness probe before it ran on the stacked step:
+    one BeliefState advanced by kf_step per step, its spectral norm and
+    trace taken per step.  input_policy(t, mean) as in the package's probe;
+    returns (norms, traces, inputs).
+    """
+    belief = BeliefState(mean=noise.x0_mean, cov=noise.sigma_0)
+    norms = np.empty(horizon + 1)
+    traces = np.empty(horizon + 1)
+    inputs = np.empty((horizon, sys.p))
+    norms[0] = np.linalg.norm(belief.cov, 2)
+    traces[0] = np.trace(belief.cov)
+    for t in range(horizon):
+        u = np.asarray(input_policy(t, belief.mean), dtype=float).reshape(-1)
+        inputs[t] = u
+        y_predicted = observation_matrix(sys, u) @ belief.mean
+        belief = kf_step(belief, sys, noise, u, y_predicted).next_belief
+        norms[t + 1] = np.linalg.norm(belief.cov, 2)
+        traces[t + 1] = np.trace(belief.cov)
+    return norms, traces, inputs
 
 
 def random_spd(rng, n, scale=1.0):

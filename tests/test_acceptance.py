@@ -234,9 +234,7 @@ def test_criterion_6_orthogonal_boundedness():
                 assert check_proposition1(sys_).ok
                 tables = riccati_recursion(cost, sys_, 100)
                 probe = covariance_boundedness_probe(
-                    sys_, noise,
-                    lambda t, belief: lqg_policy(tables, t, belief.mean),
-                    100, 1e6)
+                    sys_, noise, lambda t, mean: lqg_policy(tables, t, mean), 100)
                 head = probe.norms[1:51].max()
                 tail = probe.norms[50:101].max()
                 assert tail <= 1.05 * head

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,7 +211,8 @@ class TestObservabilityCommand:
         assert "probe_exceeded_threshold,False" in result.output
 
     def test_degenerate_config_growth(self, runner, tmp_path):
-        sys_, noise, cost = scalar_config(c0=0.0)
+        sys_, noise, cost = scalar_config()
+        sys_ = replace(sys_, c0=[[0.0]])
         data = config_to_dict(sys_, noise, cost, 50, 1, 0)
         data["system"]["a"] = [[1.1]]
         data["noise"]["x0_mean"] = [0.0]

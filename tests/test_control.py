@@ -437,7 +437,8 @@ class TestBellmanMinimize:
         assert min(abs(u_star[0] - U_MINUS), abs(u_star[0] - U_PLUS)) < 1e-6
 
     def test_degenerate_symmetric_case(self):
-        sys_, noise, cost = scalar_config(c0=0.0)
+        sys_, noise, cost = scalar_config()
+        sys_ = replace(sys_, c0=[[0.0]])
         tables = riccati_recursion(cost, sys_, 2)
         belief = BeliefState(mean=[0.0], cov=[[2.0]])
         bp = bellman_params_at_stage(sys_, noise, cost, tables, 0, belief)
@@ -519,7 +520,8 @@ class TestBellmanMinimize:
 
     def test_ties_go_to_smallest_then_most_negative_input(self):
         # symmetric scalar case: the two minimizers +-u* tie exactly
-        sys_, noise, cost = scalar_config(c0=0.0)
+        sys_, noise, cost = scalar_config()
+        sys_ = replace(sys_, c0=[[0.0]])
         tables = riccati_recursion(cost, sys_, 2)
         bp = bellman_params_at_stage(sys_, noise, cost, tables, 0,
                                      BeliefState(mean=[0.0], cov=[[2.0]]))

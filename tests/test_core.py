@@ -160,6 +160,13 @@ class TestSampleGaussian:
         with pytest.raises(ValueError, match="not PSD"):
             sample_gaussian(RngStream(1), [0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]])
 
+    def test_psd_tolerance_is_the_package_one(self):
+        # the rule BeliefState and validate_system use: min eigenvalue >= -1e-10
+        with pytest.raises(ValueError, match=r"not PSD: min eigenvalue -1\.000e-09"):
+            sample_gaussian(RngStream(1), [0.0, 0.0], np.diag([1.0, -1e-9]))
+        out = sample_gaussian(RngStream(1), [0.0, 0.0], np.diag([1.0, -1e-11]))
+        assert np.isfinite(out).all()
+
     def test_covariance_of_batch(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         stream = RngStream(17)
@@ -191,6 +198,14 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="noise"):
             config_from_dict({"system": {"a": [[1.0]], "b": [[1.0]],
                                          "c0": [[1.0]], "ck": []}})
+
+    @pytest.mark.parametrize("section, name", [("system", "c0"), ("noise", "sigma_z"),
+                                               ("cost", "q_t")])
+    def test_missing_matrix_field_named(self, section, name):
+        data = config_to_dict(*scalar_config(), horizon=2, runs=1, seed=0)
+        del data[section][name]
+        with pytest.raises(ValueError, match=f"^config missing field '{name}'$"):
+            config_from_dict(data)
 
 
 def flags(x):

@@ -1,12 +1,17 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bilq.core import BilinearSystem, NoiseSpec, RngStream
+from bilq.core import BilinearSystem, CostSpec, NoiseSpec, RngStream
 from bilq.control import lqg_policy, riccati_recursion
 from bilq.observability import (check_proposition1, covariance_boundedness_probe,
                                 gramian, gramian_decomposition,
                                 orthogonal_complement_c0)
-from bilq.presets import double_integrator_config, orthogonal_config
+from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
+
+from helpers import random_spd, reference_boundedness_probe
 
 
 def random_bilinear(rng, n=3, m=2, p=2, spectral=0.9):
@@ -159,14 +164,14 @@ class TestBoundednessProbe:
         sys_, noise, cost = orthogonal_config(RngStream(12), "a")
         tables = riccati_recursion(cost, sys_, 100)
         report = covariance_boundedness_probe(
-            sys_, noise, lambda t, b: lqg_policy(tables, t, b.mean), 100, 1e6)
+            sys_, noise, lambda t, mean: lqg_policy(tables, t, mean), 100)
         assert not report.exceeded
         assert report.norms[50:].max() <= 1.05 * report.norms[1:51].max()
 
     def test_vanishing_inputs_divergence(self):
         sys_, noise, _ = double_integrator_config("bilinear", c1=1.0)
         report = covariance_boundedness_probe(
-            sys_, noise, lambda t, b: np.zeros(1), 100, 1e6)
+            sys_, noise, lambda t, mean: np.zeros(1), 100)
         assert report.traces[-1] > report.traces[2]
         assert report.traces[-1] > 2.0 * report.traces[20]
 
@@ -176,7 +181,7 @@ class TestBoundednessProbe:
         noise = NoiseSpec(sigma_w=0.01 * np.eye(2), sigma_z=0.01 * np.eye(2),
                           x0_mean=np.zeros(2), sigma_0=np.eye(2))
         report = covariance_boundedness_probe(
-            sys_, noise, lambda t, b: np.zeros(1), 200, 1e6)
+            sys_, noise, lambda t, mean: np.zeros(1), 200)
         assert not report.exceeded
         # settles to the stationary filter: tail is flat
         assert abs(report.norms[-1] - report.norms[-2]) < 1e-12
@@ -188,11 +193,62 @@ class TestBoundednessProbe:
         for start in range(0, 194, 30):
             assert gramian(sys_, inputs[start:start + sys_.n]).uniformly_observable
         report = covariance_boundedness_probe(
-            sys_, noise, lambda t, b: inputs[t], 200, 1e6)
+            sys_, noise, lambda t, mean: inputs[t], 200)
         assert not report.exceeded
 
     def test_horizon_checked(self):
         sys_, noise, _ = orthogonal_config(RngStream(12), "a")
         with pytest.raises(ValueError, match="at least"):
-            covariance_boundedness_probe(sys_, noise, lambda t, b: np.zeros(3),
-                                         3, 1e6)
+            covariance_boundedness_probe(sys_, noise, lambda t, mean: np.zeros(3),
+                                         3)
+
+    def test_failure_names_its_step(self):
+        # two identical noiseless sensors: the innovation covariance is
+        # singular at the first step
+        sys_ = BilinearSystem(a=[[0.9]], b=[[1.0]], c0=[[1.0], [1.0]],
+                              ck=([[0.0], [0.0]],))
+        noise = NoiseSpec(sigma_w=[[0.01]], sigma_z=1e-16 * np.eye(2),
+                          x0_mean=[0.0], sigma_0=[[1.0]])
+        with pytest.raises(ValueError, match=r"^innovation covariance singular: "
+                                             r"step 0, condition number inf$"):
+            covariance_boundedness_probe(sys_, noise, lambda t, mean: np.zeros(1), 5)
+
+
+def assert_matches_reference(sys_, noise, policy, horizon):
+    report = covariance_boundedness_probe(sys_, noise, policy, horizon)
+    norms, traces, inputs = reference_boundedness_probe(sys_, noise, policy, horizon)
+    assert np.array_equal(report.norms, norms)
+    assert np.array_equal(report.traces, traces)
+    assert np.array_equal(report.inputs, inputs)
+    assert report.max_norm == norms.max()
+
+
+class TestProbeMatchesReference:
+    """The probe on the stacked step is the per-step probe bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 3), p=st.integers(1, 3),
+           horizon_extra=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_systems(self, n, m, p, horizon_extra, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_bilinear(rng, n, m, p, spectral=rng.uniform(0.5, 1.2))
+        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.01),
+                          sigma_z=random_spd(rng, m, 0.05),
+                          x0_mean=rng.standard_normal(n), sigma_0=random_spd(rng, n))
+        cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n),
+                        r=random_spd(rng, p))
+        horizon = n + horizon_extra
+        tables = riccati_recursion(cost, sys_, horizon)
+        fixed = rng.standard_normal(p)
+        assert_matches_reference(sys_, noise, partial(lqg_policy, tables), horizon)
+        assert_matches_reference(sys_, noise, lambda t, mean: fixed, horizon)
+
+    @pytest.mark.parametrize("config", [
+        scalar_config(),
+        double_integrator_config("bilinear"),
+        orthogonal_config(RngStream(3), "b"),
+    ])
+    def test_presets(self, config):
+        sys_, noise, cost = config
+        tables = riccati_recursion(cost, sys_, 100)
+        assert_matches_reference(sys_, noise, partial(lqg_policy, tables), 100)

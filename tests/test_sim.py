@@ -330,10 +330,9 @@ class TestFailureLocalization:
 
 class TestLandscapeSweep:
     def test_zero_offset_local_max_at_lqg_action(self):
-        sys_, noise, cost = scalar_config()
         u_lqg = -0.05257796257796257
         step = 1e-3
-        table = landscape_sweep(sys_, noise, cost, 0.0,
+        table = landscape_sweep(*scalar_config(offset=0.0),
                                 grid=(u_lqg - 1.0, u_lqg + 1.0, 2001))
         center = 1000
         assert table.u[center] == pytest.approx(u_lqg, abs=1e-12)
@@ -344,18 +343,16 @@ class TestLandscapeSweep:
         assert kinds.count("local_min") == 2
 
     def test_unit_offset_minimizer_near_lqg_action(self):
-        sys_, noise, cost = scalar_config()
         u_lqg = -0.05257796257796257
         for offset in (1.0, -1.0):
-            table = landscape_sweep(sys_, noise, cost, offset,
+            table = landscape_sweep(*scalar_config(offset=offset),
                                     grid=(-3.0, 3.0, 600001))
             minimizer = table.u[np.argmin(table.f_total)]
             assert abs(minimizer - u_lqg) < 0.02
 
     def test_penalty_peaks_at_observation_blind_point(self):
-        sys_, noise, cost = scalar_config()
         for offset in (0.0, 0.5, -0.7):
-            table = landscape_sweep(sys_, noise, cost, offset,
+            table = landscape_sweep(*scalar_config(offset=offset),
                                     grid=(-3.0, 3.0, 60001))
             blind = -table.params.c0 / table.params.c1
             peak = table.u[np.argmax(table.g)]
@@ -390,8 +387,7 @@ class TestCsvWriters:
         assert lines[1].endswith("separation_lqg,linear")
 
     def test_rewrites_identical(self, tmp_path):
-        sys_, noise, cost = scalar_config()
-        table = landscape_sweep(sys_, noise, cost, 0.25, grid=(-2.0, 2.0, 501))
+        table = landscape_sweep(*scalar_config(offset=0.25), grid=(-2.0, 2.0, 501))
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         write_landscape_csv(p1, table)
