@@ -16,7 +16,8 @@ from .control import (AffineFalsificationReport, BellmanObjectiveParams,
 from .observability import (PROBE_THRESHOLD, BoundednessReport, GramianReport,
                             Prop1Report, check_proposition1,
                             covariance_boundedness_probe, gramian,
-                            gramian_decomposition, orthogonal_complement_c0)
+                            gramian_decomposition, orthogonal_complement_c0,
+                            window_gramians)
 from .sim import (LandscapeTable, MonteCarloResult, PercentileSeries,
                   PolicyConfig, SimConfig, TrajectoryRecord, landscape_sweep,
                   monte_carlo, rollout, write_landscape_csv, write_summary_csv,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BeliefState, chol_factor, chol_solve, is_symmetric, matvec,
+from .core import (BeliefState, chol_solve, is_symmetric, matvec,
                    min_eigenvalue, observation_matrix, quadratic, symmetrize)
 
 LOCAL_MIN = "local_min"
@@ -297,7 +297,7 @@ class BellmanObjectiveParams:
     """Quadratic weights and estimation-penalty data of the stage objective
     for one belief, x_hat (n,) and prior_cov (n, n), or a stack of R beliefs,
     (R, n) and (R, n, n).  prior_cov_inv (R, n, n) and cal_b_x_hat (R, p) are
-    stacked for one belief too (R = 1)."""
+    stacked for one belief too (R = 1); sigma_z_inv (m, m) is shared."""
 
     cal_a: np.ndarray
     cal_b: np.ndarray
@@ -327,7 +327,8 @@ class BellmanObjectiveParams:
         object.__setattr__(self, "cal_b_x_hat", matvec(self.cal_b, self.x_hat.reshape(-1, n)))
         object.__setattr__(self, "prior_cov_inv",
                            chol_solve(prior_cov.reshape(-1, n, n), np.eye(n)))
-        object.__setattr__(self, "sigma_z_factor", chol_factor(symmetrize(self.noise.sigma_z)))
+        object.__setattr__(self, "sigma_z_inv",
+                           chol_solve(symmetrize(self.noise.sigma_z), np.eye(self.sys.m)))
 
     @property
     def u_lqg(self):
@@ -366,7 +367,7 @@ def _stage_terms(bp, u, runs):
     I(u)^-1 cal_g, which its derivatives reuse."""
     c = observation_matrix(bp.sys, u)
     info = symmetrize(bp.prior_cov_inv[runs]
-                      + c.swapaxes(-1, -2) @ chol_solve(bp.sigma_z_factor, c))
+                      + c.swapaxes(-1, -2) @ (bp.sigma_z_inv @ c))
     m_g = chol_solve(info, bp.cal_g)
     quad = quadratic(u, bp.cal_a)
     linear = 2.0 * (u[:, None, :] @ bp.cal_b_x_hat[runs, :, None])[:, 0, 0]
@@ -402,8 +403,8 @@ def _taylor(bp, u, runs):
     f, scale, c, info, m_g = _stage_terms(bp, u, runs)
     ck = np.stack(bp.sys.ck)
     ck_t = ck.swapaxes(-1, -2)
-    i_k = ck_t @ chol_solve(bp.sigma_z_factor, c)[:, None]              # C_k' sz^-1 C
-    i_kl = ck_t[:, None] @ chol_solve(bp.sigma_z_factor, ck)            # C_k' sz^-1 C_l
+    i_k = ck_t @ (bp.sigma_z_inv @ c)[:, None]          # C_k' sz^-1 C
+    i_kl = ck_t[:, None] @ (bp.sigma_z_inv @ ck)        # C_k' sz^-1 C_l
     i_k, i_kl = i_k + i_k.swapaxes(-1, -2), i_kl + i_kl.swapaxes(-1, -2)
     m = chol_solve(info, np.eye(c.shape[-1]))
     w = m_g @ m

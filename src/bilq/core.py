@@ -4,18 +4,17 @@ Conventions used throughout the package:
 
 - all matrices are dense float64 numpy arrays, row-major;
 - systems are tiny (n <= 10), so every solve goes through direct dense
-  factorizations; :func:`chol_solve` is the package's one symmetric
+  factorizations, numpy.linalg's only (the package needs numpy and click
+  at run time, not scipy); :func:`chol_solve` is its one symmetric
   positive definite solve;
 - covariance-producing operations re-symmetrize their output, and a matrix
   is accepted as PSD when its minimum eigenvalue is >= -1e-10.
 """
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 PSD_TOL = 1e-10
 SYM_TOL = 1e-10
@@ -67,57 +66,43 @@ def quadratic(v, weight):
     return (v[..., None, :] @ weight @ v[..., :, None])[..., 0, 0]
 
 
-# the LAPACK routines behind scipy's cho_factor/cho_solve, called directly
-# (lower=1 passed by position) to skip their per-call argument handling
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
-
-
-def _potrf(a, index=None):
-    factor, info = _POTRF(a, 1)
-    if info > 0:
-        name = "the matrix" if index is None else f"matrix {index}"
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of {name} is not positive definite")
-    return factor
-
-
-# the lower potrf factor of one symmetric PD matrix, made by chol_factor
-Cholesky = namedtuple("Cholesky", "lower")
-
-
-def chol_factor(a):
-    """Factor a symmetric PD matrix once; chol_solve takes the result in
-    place of the matrix and solves against it without factoring again."""
-    return Cholesky(_potrf(np.asarray(a, dtype=float)))
+def _raise_not_pd(a):
+    """Raise LinAlgError naming the first non-PD matrix of a (one or a stack)
+    and, as LAPACK's potrf does, its first leading minor that is not PD."""
+    for i, item in enumerate(a.reshape(-1, *a.shape[-2:])):
+        for k in range(1, len(item) + 1):
+            try:
+                np.linalg.cholesky(item[:k, :k])
+            except np.linalg.LinAlgError:
+                name = "the matrix" if a.ndim == 2 else f"matrix {i}"
+                raise np.linalg.LinAlgError(
+                    f"{k}-th leading minor of {name} is not positive definite") from None
 
 
 def chol_solve(a, b):
-    """a^-1 b for symmetric PD a, by LAPACK potrf/potrs: scipy's
-    cho_solve(cho_factor(a, lower=True), b) bit for bit, its layout too.
+    """a^-1 b for symmetric PD a (only its lower triangle is read): the
+    lower Cholesky factor L, then L y = b and L' x = y by numpy's LU solve,
+    which on an upper triangular matrix swaps no rows and eliminates
+    nothing, so each is a back substitution (L y = b runs with its rows and
+    columns reversed, which makes L upper triangular).
 
-    A stack a (R, n, n) or b (R, n, k), the other stacked alike or shared
-    (a (n, n), or its chol_factor, is factored once), gives a C-contiguous
-    (R, n, k), each item bit for bit its own solve.  Non-finite input raises
+    A stack a (R, n, n) or b (R, n, k), the other stacked alike or shared,
+    gives a C-contiguous (R, n, k), each item bit for bit its own solve;
+    three numpy.linalg calls whatever R.  Non-finite input raises
     ValueError; a matrix that is not PD raises LinAlgError naming its index."""
-    factored = isinstance(a, Cholesky)
-    a = np.asarray(a.lower if factored else a, dtype=float)
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("chol_solve: array must not contain infs or NaNs")
-    if a.ndim == 2:
-        factor = a if factored else _potrf(a)
-        if b.ndim <= 2:
-            return _POTRS(factor, b, 1)[0]
-        # one potrs on the items' columns side by side: each column is its own solve
-        n, k = b.shape[1:]
-        wide = _POTRS(factor, b.transpose(1, 0, 2).reshape(n, -1), 1)[0]
-        return np.ascontiguousarray(wide.reshape(n, len(b), k).transpose(1, 0, 2))
-    if b.ndim == 2:
-        b = np.broadcast_to(b, a.shape[:1] + b.shape)
-    out = np.empty(b.shape)
-    for i, (item, rhs) in enumerate(zip(a, b)):
-        out[i] = _POTRS(_potrf(item, i), rhs, 1)[0]
-    return out
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        _raise_not_pd(a)
+        raise
+    rhs = b[:, None] if b.ndim == 1 else b
+    y = np.linalg.solve(lower[..., ::-1, ::-1], rhs[..., ::-1, :])[..., ::-1, :]
+    x = np.linalg.solve(lower.swapaxes(-1, -2), y)
+    return x[..., 0] if b.ndim == 1 else x
 
 
 def min_eigenvalue(s):

@@ -29,15 +29,16 @@ class GramianReport:
 
 
 def _observations(sys, inputs):
-    """Observation matrices C(u_k) of the first n inputs, stacked (n, m, n)."""
+    """Observation matrices C(u_k) of the inputs, stacked (T, m, n); T >= n."""
     inputs = np.asarray(list(inputs), dtype=float)
     if len(inputs) < sys.n:
         raise ValueError(f"need at least {sys.n} inputs, got {len(inputs)}")
-    return observation_matrix(sys, inputs[:sys.n].reshape(sys.n, -1))
+    return observation_matrix(sys, inputs.reshape(len(inputs), -1))
 
 
 def _blocks(sys, cs):
-    """The blocks C_k A^k of an observability sum, C_k the k-th of cs."""
+    """The blocks C_k A^k of an observability sum, C_k the k-th of cs (each
+    one matrix or a stack of them)."""
     a_pow = np.eye(sys.n)
     blocks = []
     for c in cs:
@@ -47,16 +48,27 @@ def _blocks(sys, cs):
 
 
 def _gram(blocks):
-    """The symmetrized sum of t^T t over the blocks t."""
-    return symmetrize(sum(t.T @ t for t in blocks))
+    """The symmetrized sum of t^T t over the blocks t (each one matrix or a
+    stack of them), summed in block order."""
+    return symmetrize(sum(t.swapaxes(-1, -2) @ t for t in blocks))
+
+
+def window_gramians(sys, inputs):
+    """The observability test matrix of every window of n consecutive inputs,
+    (T - n + 1, n, n) for T inputs, with their minimum eigenvalues: one
+    observation_matrix call and one eigvalsh call for all windows."""
+    cs = _observations(sys, inputs)
+    count = len(cs) - sys.n + 1
+    total = _gram(_blocks(sys, [cs[k:k + count] for k in range(sys.n)]))
+    return total, np.linalg.eigvalsh(total).min(axis=-1)
 
 
 def gramian(sys, inputs, delta=DEFAULT_DELTA):
-    """Observability test over the first n inputs of the supplied window."""
-    total = _gram(_blocks(sys, _observations(sys, inputs)))
-    low = float(np.linalg.eigvalsh(total).min())
-    return GramianReport(gramian=total, min_eigenvalue=low,
-                         uniformly_observable=low > float(delta))
+    """Observability test over the first n inputs of the supplied window:
+    window_gramians on a stack of one window."""
+    (total,), (low,) = window_gramians(sys, list(inputs)[:sys.n])
+    return GramianReport(gramian=total, min_eigenvalue=float(low),
+                         uniformly_observable=float(low) > float(delta))
 
 
 def _project_out(mat, basis):
@@ -96,7 +108,7 @@ def gramian_decomposition(sys, inputs):
     """
     c0_perp = orthogonal_complement_c0(sys)
     static = _blocks(sys, [c0_perp] * sys.n)
-    rest = _blocks(sys, _observations(sys, inputs) - c0_perp)
+    rest = _blocks(sys, _observations(sys, inputs)[:sys.n] - c0_perp)
     cross = sum(t1.T @ t3 + t3.T @ t1 for t1, t3 in zip(static, rest))
     return _gram(static), symmetrize(cross), _gram(rest)
 

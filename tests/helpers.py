@@ -8,7 +8,9 @@ arithmetic one run and one 2-d operation at a time, as a bit-for-bit
 reference for the stacked engine, `reference_boundedness_probe`, the
 covariance probe one BeliefState and one kf_step at a time, as a
 bit-for-bit reference for the probe on the stacked step, and
-`kalman_gain`, which reads the gain off one package filter step.
+`kalman_gain`, which reads the gain off one package filter step, and
+`reference_gramian`, the observability test matrix one window and one
+2-d block at a time, as a bit-for-bit reference for the stacked windows.
 """
 
 import numpy as np
@@ -53,16 +55,16 @@ def kalman_gain(belief, sys, noise, u):
 def cov_update_information_form(cov, sys, noise, u):
     """Covariance propagation via A (S^-1 + C^T sigma_z^-1 C)^-1 A^T + sigma_w.
 
-    Requires a strictly PD input covariance; an independent route used to
-    cross-check kf_step's direct form.
+    Requires a strictly PD input covariance; an independent route (scipy's
+    Cholesky solves) used to cross-check kf_step's direct form.
     """
     cov = symmetrize(np.asarray(cov, dtype=float))
     if min_eigenvalue(cov) <= 0.0:
         raise ValueError("information form requires PD covariance")
     c = observation_matrix(sys, u)
-    info = symmetrize(chol_solve(cov, np.eye(sys.n))
-                      + c.T @ chol_solve(symmetrize(noise.sigma_z), c))
-    inner = chol_solve(info, np.eye(sys.n))
+    info = symmetrize(cho_solve(cho_factor(cov), np.eye(sys.n))
+                      + c.T @ cho_solve(cho_factor(symmetrize(noise.sigma_z)), c))
+    inner = cho_solve(cho_factor(info), np.eye(sys.n))
     return symmetrize(sys.a @ inner @ sys.a.T + noise.sigma_w)
 
 
@@ -119,11 +121,11 @@ def per_step_lqg_rollout(sys_, noise, cost, gains, perfect, init_mean, stream):
     """Certainty-equivalent rollout, one 2-d operation at a time.
 
     The package's arithmetic in its order (Cholesky noise factors; gain
-    -(C S C' + Sz)^-1 C S A' solved by scipy's Cholesky; covariance
-    A S A' + L C S A' + Sw, symmetrized), with the draws x0, then w_t and
-    z_t per step.  A bit-for-bit reference for the lockstep engine, which
-    stacks these operations over runs; `init_mean` is the filter's initial
-    mean, `gains` the package's Riccati gains.
+    -(C S C' + Sz)^-1 C S A' by the package's 2-d chol_solve, in C order;
+    covariance A S A' + L C S A' + Sw, symmetrized), with the draws x0,
+    then w_t and z_t per step.  A bit-for-bit reference for the lockstep
+    engine, which stacks these operations over runs; `init_mean` is the
+    filter's initial mean, `gains` the package's Riccati gains.
     """
     def sym(s):
         return 0.5 * (s + s.T)
@@ -149,7 +151,7 @@ def per_step_lqg_rollout(sys_, noise, cost, gains, perfect, init_mean, stream):
         rows["stage_costs"].append(x @ cost.q @ x + u @ cost.r @ u)
         if not perfect:
             innov_cov = sym(c @ cov @ c.T + noise.sigma_z)
-            gain = -cho_solve(cho_factor(innov_cov, lower=True), c @ cov @ a.T).T
+            gain = -np.ascontiguousarray(chol_solve(innov_cov, c @ cov @ a.T).T)
             mean = a @ mean + b @ u - gain @ (y - c @ mean)
             cov = sym(a @ cov @ a.T + gain @ c @ cov @ a.T + noise.sigma_w).copy()
         x = a @ x + b @ u + w
@@ -181,6 +183,17 @@ def reference_boundedness_probe(sys, noise, input_policy, horizon):
         norms[t + 1] = np.linalg.norm(belief.cov, 2)
         traces[t + 1] = np.trace(belief.cov)
     return norms, traces, inputs
+
+
+def reference_gramian(sys, inputs):
+    """The observability test matrix of the first n inputs, one 2-d block
+    at a time: symmetrize(sum over k < n of (C(u_k) A^k)^T (C(u_k) A^k))."""
+    total, a_pow = 0, np.eye(sys.n)
+    for u in inputs[:sys.n]:
+        block = observation_matrix(sys, u) @ a_pow
+        total = total + block.T @ block
+        a_pow = sys.a @ a_pow
+    return symmetrize(total)
 
 
 def random_spd(rng, n, scale=1.0):

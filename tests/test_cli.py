@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bilq
 from bilq.cli import main
 from bilq.core import RngStream, config_from_dict, config_to_dict
 from bilq.presets import orthogonal_config, scalar_config
@@ -352,3 +357,16 @@ class TestInputRanges:
         assert "Traceback" not in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not out.exists()
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter that imports the
+    # package and its CLI must not load it
+    src = Path(bilq.__file__).resolve().parents[1]
+    code = ("import sys, bilq, bilq.cli; print(bilq.__file__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    imported_from, scipy_modules = out.stdout.splitlines()
+    assert Path(imported_from).resolve().is_relative_to(src)
+    assert scipy_modules == "[]"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
-                       RngStream, chol_factor, chol_solve, config_from_dict,
+                       RngStream, chol_solve, config_from_dict,
                        config_to_dict, load_config, observation_matrix,
                        sample_gaussian, validate_system)
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
@@ -208,24 +208,34 @@ class TestConfigIO:
             config_from_dict(data)
 
 
-def flags(x):
-    return x.shape, x.flags["C_CONTIGUOUS"], x.flags["F_CONTIGUOUS"]
+# backward-error constant of a Cholesky solve: ||a x - b|| <= C n eps ||a|| ||x||
+# (Frobenius norms); the largest ratio seen on these inputs, for bilq and for
+# scipy alike, is about 2
+BACKWARD_C = 8.0
+EPS = np.finfo(float).eps
 
 
 class TestCholSolve:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), k=st.integers(1, 6), runs=st.integers(1, 4),
            scale=st.sampled_from([1e-6, 1.0, 1e6]), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_scipy_bit_for_bit(self, n, k, runs, scale, seed):
+    def test_matches_scipy_within_backward_error(self, n, k, runs, scale, seed):
         rng = np.random.default_rng(seed)
         mats = np.stack([random_spd(rng, n, scale) for _ in range(runs)])
         rhs = rng.standard_normal((runs, n, k))
         for a, b2 in zip(mats, rhs):
+            bound = BACKWARD_C * n * EPS * np.linalg.norm(a)
             for b in (b2, b2[:, 0], np.asfortranarray(b2)):
                 got = chol_solve(a, b)
                 want = cho_solve(cho_factor(a, lower=True), b)
-                assert flags(got) == flags(want)
-                assert got.tobytes(order="A") == want.tobytes(order="A")
+                assert got.shape == want.shape and got.flags["C_CONTIGUOUS"]
+                # bilq's solution and scipy's are each within the backward-error
+                # bound, and so agree to the forward error that it implies
+                norms = [np.linalg.norm(x) for x in (got, want)]
+                for x, norm in zip((got, want), norms):
+                    assert np.linalg.norm(a @ x - b) <= bound * norm
+                assert (np.linalg.norm(got - want)
+                        <= np.linalg.norm(np.linalg.inv(a)) * bound * sum(norms))
         # a stack against a stack, and one matrix or one right-hand side shared
         for a, b in ((mats, rhs), (mats[0], rhs), (mats, rhs[0])):
             stacked = chol_solve(a, b)
@@ -233,16 +243,6 @@ class TestCholSolve:
             items = zip(a if a.ndim == 3 else [a] * runs, b if b.ndim == 3 else [b] * runs)
             for i, (item, item_rhs) in enumerate(items):
                 assert stacked[i].tobytes() == chol_solve(item, item_rhs).tobytes()
-
-    def test_factor_in_place_of_matrix(self):
-        # a matrix factored once solves with the bits of the matrix itself
-        rng = np.random.default_rng(5)
-        a, rhs = random_spd(rng, 4), rng.standard_normal((3, 4, 2))
-        factor = chol_factor(a)
-        for b in (rhs[0], rhs[0, :, 0], rhs):
-            assert chol_solve(factor, b).tobytes() == chol_solve(a, b).tobytes()
-        with pytest.raises(np.linalg.LinAlgError, match="of the matrix"):
-            chol_factor(np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
@@ -255,10 +255,27 @@ class TestCholSolve:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 chol_solve(np.stack([a, a_bad]), np.stack([b, b_bad]))
 
+    def test_three_linalg_calls_whatever_the_stack(self, monkeypatch):
+        calls = []
+        for name in ("cholesky", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        rng = np.random.default_rng(3)
+        for runs in (1, 50):
+            mats = np.stack([random_spd(rng, 3) for _ in range(runs)])
+            calls.clear()
+            chol_solve(mats, rng.standard_normal((runs, 3, 2)))
+            assert calls == ["cholesky", "solve", "solve"]
+
     def test_not_pd_names_its_index(self):
         mats = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])
         with pytest.raises(np.linalg.LinAlgError,
                            match="2-th leading minor of matrix 2 is not positive definite"):
             chol_solve(mats, np.ones((3, 2, 1)))
-        with pytest.raises(np.linalg.LinAlgError, match="of the matrix"):
+        with pytest.raises(np.linalg.LinAlgError, match="1-th leading minor of the matrix"):
             chol_solve(np.diag([0.0, 1.0]), np.ones(2))
+        # the first leading minor that is not PD, as LAPACK's potrf reports it
+        bad = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor of matrix 1 "):
+            chol_solve(np.stack([np.eye(3), bad]), np.ones((3, 1)))

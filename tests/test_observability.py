@@ -8,10 +8,10 @@ from bilq.core import BilinearSystem, CostSpec, NoiseSpec, RngStream
 from bilq.control import lqg_policy, riccati_recursion
 from bilq.observability import (check_proposition1, covariance_boundedness_probe,
                                 gramian, gramian_decomposition,
-                                orthogonal_complement_c0)
+                                orthogonal_complement_c0, window_gramians)
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
 
-from helpers import random_spd, reference_boundedness_probe
+from helpers import random_spd, reference_boundedness_probe, reference_gramian
 
 
 def random_bilinear(rng, n=3, m=2, p=2, spectral=0.9):
@@ -252,3 +252,42 @@ class TestProbeMatchesReference:
         sys_, noise, cost = config
         tables = riccati_recursion(cost, sys_, 100)
         assert_matches_reference(sys_, noise, partial(lqg_policy, tables), 100)
+
+
+def assert_windows_match_gramian(sys_, inputs):
+    totals, lows = window_gramians(sys_, inputs)
+    assert totals.shape == (len(inputs) - sys_.n + 1, sys_.n, sys_.n)
+    for start, (total, low) in enumerate(zip(totals, lows)):
+        window = inputs[start:start + sys_.n]
+        report = gramian(sys_, window)
+        assert total.tobytes() == report.gramian.tobytes()
+        assert total.tobytes() == reference_gramian(sys_, window).tobytes()
+        assert low == report.min_eigenvalue
+
+
+class TestWindowGramians:
+    """Every window of the stacked gramians is its own gramian call bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 3), p=st.integers(1, 3),
+           extra=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_systems(self, n, m, p, extra, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_bilinear(rng, n, m, p, spectral=rng.uniform(0.5, 1.2))
+        assert_windows_match_gramian(sys_, rng.standard_normal((n + extra, p)))
+
+    @pytest.mark.parametrize("config", [
+        scalar_config(),
+        double_integrator_config("bilinear"),
+        orthogonal_config(RngStream(3), "b"),
+    ])
+    def test_presets_along_lqg_probe(self, config):
+        sys_, noise, cost = config
+        tables = riccati_recursion(cost, sys_, 100)
+        probe = covariance_boundedness_probe(sys_, noise, partial(lqg_policy, tables), 100)
+        assert_windows_match_gramian(sys_, probe.inputs)
+
+    def test_too_few_inputs(self):
+        sys_ = orthogonal_config(RngStream(3), "b")[0]
+        with pytest.raises(ValueError, match="need at least 6 inputs, got 5"):
+            window_gramians(sys_, np.zeros((5, sys_.p)))
