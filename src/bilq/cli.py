@@ -72,11 +72,10 @@ def _lqg_probe(system, noise, cost, horizon):
 
 
 def _monte_carlo_variants(outdir, variants, runs, seed):
-    """Monte Carlo of each (name, SimConfig) on the same streams (paired
-    noise); writes the CSVs and returns the percentiles by name."""
+    """Monte Carlo of every (name, SimConfig) in one call, on the same streams
+    (paired noise); writes the CSVs and returns the percentiles by name."""
     percentiles = {}
-    for name, config in variants:
-        res = monte_carlo(config, runs, seed)
+    for (name, _), res in zip(variants, monte_carlo([c for _, c in variants], runs, seed)):
         write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.records)
         percentiles[name] = res.percentiles
     write_summary_csv(outdir / "summary.csv",

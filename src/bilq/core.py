@@ -310,8 +310,9 @@ def observation_matrix(sys, u):
     """Effective observation matrix c0 + sum_k u[k]*ck[k].
 
     A single input of length p gives an (m, n) matrix; a stack of inputs
-    (R, p) gives one matrix per input, (R, m, n).  Summation runs in
-    ascending k for bit-reproducibility.
+    (R, p) gives one matrix per input, (R, m, n), and when sys holds
+    stacks c0 and ck[k] of shape (R, m, n), input i takes the i-th of
+    each.  Summation runs in ascending k for bit-reproducibility.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:

@@ -27,14 +27,13 @@ class KalmanStep:
     next_belief: BeliefState
 
 
-def _advance(means, covs, sys, noise, inputs, outputs):
+def _advance(means, covs, sys, noise, inputs, outputs, cs):
     """kf_step_batch's arithmetic without the next-belief checks: gains
     -A S C^T (C S C^T + sigma_z)^(-1), innovations, next means and covs.
 
     Each innovation covariance must be PD with condition number at most
     COND_LIMIT, else BatchCheckError names the first one that is not.
     """
-    cs = observation_matrix(sys, inputs)
     innov_cov = symmetrize(cs @ covs @ cs.swapaxes(-1, -2) + noise.sigma_z)
     vals = np.linalg.eigvalsh(innov_cov)
     low, high = vals.min(axis=-1), vals.max(axis=-1)
@@ -53,9 +52,10 @@ def _advance(means, covs, sys, noise, inputs, outputs):
     return gains, innovations, means_next, covs_next
 
 
-def kf_step_batch(means, covs, sys, noise, inputs, outputs):
+def kf_step_batch(means, covs, sys, noise, inputs, outputs, cs):
     """Advance R predicted beliefs, means (R, n) and covs (R, n, n), through
-    one input/output pair each, inputs (R, p) and outputs (R, m).
+    one input/output pair each, inputs (R, p) and outputs (R, m), observed
+    through cs (R, m, n): C(u) of each input as the caller built it.
 
     Every check of kf_step runs on all R at once: innovation covariance
     conditioning (see _advance), then finite, symmetric and PSD next
@@ -64,7 +64,7 @@ def kf_step_batch(means, covs, sys, noise, inputs, outputs):
     next covs); entry i is bit for bit what kf_step gives on belief i.
     """
     gains, innovations, means_next, covs_next = _advance(
-        means, covs, sys, noise, inputs, outputs)
+        means, covs, sys, noise, inputs, outputs, cs)
     check_beliefs(means_next, covs_next)
     return gains, innovations, means_next, covs_next
 
@@ -76,7 +76,8 @@ def kf_step(belief, sys, noise, u, y):
     u = np.asarray(u, dtype=float).reshape(1, -1)
     y = np.asarray(y, dtype=float).reshape(1, -1)
     gains, innovations, means, covs = _advance(
-        belief.mean[None], belief.cov[None], sys, noise, u, y)
+        belief.mean[None], belief.cov[None], sys, noise, u, y,
+        observation_matrix(sys, u))
     return KalmanStep(gain=gains[0], innovation=innovations[0],
                       next_belief=BeliefState(mean=means[0], cov=covs[0]))
 

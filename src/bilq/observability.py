@@ -175,9 +175,9 @@ def covariance_boundedness_probe(sys, noise, input_policy, horizon):
         for t in range(horizon):
             inputs[t] = np.asarray(input_policy(t, means[0]), dtype=float).reshape(-1)
             u = inputs[t:t + 1]
-            y_predicted = matvec(observation_matrix(sys, u), means)
+            cs = observation_matrix(sys, u)
             _, _, means, cov_next = kf_step_batch(means, covs[t:t + 1], sys, noise,
-                                                  u, y_predicted)
+                                                  u, matvec(cs, means), cs)
             covs[t + 1] = cov_next[0]
     except BatchCheckError as exc:
         raise exc.localized(f"step {t}") from exc

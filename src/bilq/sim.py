@@ -6,24 +6,27 @@ except in the perfect-observation mode, x_t); then the process and
 measurement noises enter in a fixed order (w_t, then z_t), the output is
 emitted, the filter advances, and the state transitions.
 
-All rollouts of one config -- the R runs of a Monte Carlo batch, or the
-single run of :func:`rollout` -- go through one lockstep engine that
-advances every run together with stacked (R, n) and (R, n, n) numpy
-operations.  The Riccati tables and the noise covariance factors are
-computed once per config.  Each run owns a stream, (seed, run index) in
-Monte Carlo, and its draws are materialized up front as a noise tape: the
-x_0 draw first, then (w_t, z_t) for each step t, sliced from the stream's
-raw words exactly as successive ``standard_normal`` calls would slice them.
-A run's record is therefore bit for bit the same in any batch, and runs
-with the same (seed, run index) share noise realizations across
-controller and observation variants, which pairs the comparisons.
+All rollouts go through one lockstep engine that advances every run
+together with stacked (N, n) and (N, n, n) numpy operations: the run of
+:func:`rollout`, or in :func:`monte_carlo` the runs of every config of the
+call that is the same bits as another in all but c0/ck (an experiment's
+linear and bilinear variants).  Such a group shares one noise tape, one
+Riccati table and one filter step per time step, and each run is observed
+through its own config's C(u).  Each run owns a stream, (seed, run index)
+in Monte Carlo, and its draws are materialized up front as a noise tape:
+the x_0 draw first, then (w_t, z_t) for each step t, sliced from the
+stream's raw words as successive ``standard_normal`` calls would slice
+them.  So a run's record is bit for bit the same in any batch, runs with
+the same (seed, run index) share noise across controller and observation
+variants, which pairs the comparisons, and a failed check names the run,
+the step and, in a call of several configs, the config's index.
 
 Policies are a table of functions of (batch, t) returning one action per
 run.  The certainty-equivalent ones are one stacked matrix-vector product
 per step; ``numeric_bellman`` is one stacked minimizer call per step for
-all runs, and ``scalar_nonlinear_t2`` decides run by run.  The last stage
-has no estimation penalty: there the engine takes the certainty-equivalent
-action for every filtered policy.
+the runs of each config, on its system, and ``scalar_nonlinear_t2``
+decides run by run.  The last stage has no estimation penalty: there the
+engine takes the certainty-equivalent action for every filtered policy.
 ``numeric_bellman`` minimizes the stage objective of
 :func:`bilq.control.bellman_objective_Tm2` with the estimation penalty
 weighted by the LQR table ``p_seq[t+1]``: exact for T = 2, a one-step
@@ -32,6 +35,7 @@ look-ahead for T > 2, not the optimal policy.
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,11 +56,11 @@ INIT_ESTIMATE_SUBSTREAM = 0
 
 @dataclass
 class _Batch:
-    """State of R runs of one config at the current step: true states x
-    (R, n), and predicted means (R, n) and covs (R, n, n) (None for the
-    perfect-observation policy)."""
+    """State of N runs at the current step: (system, slice of its runs) per
+    config, true states x (N, n), and predicted means (N, n) and covs
+    (N, n, n) (None for the perfect-observation policy)."""
 
-    sys: object
+    configs: list
     noise: object
     cost: object
     tables: object
@@ -75,26 +79,27 @@ def _separation_lqg(batch, t):
 
 def _scalar_nonlinear_t2(batch, t):
     """Scalar two-stage optimum at t = 0, per run: the tie-broken global
-    minimizer of the stage objective at the run's prior (regime warnings
-    silenced)."""
+    minimizer of the stage objective of the run's system at its prior
+    (regime warnings silenced)."""
     actions = []
-    for mean, cov in zip(batch.means, batch.covs):
-        params = scalar_gap_params(batch.sys, batch.noise, batch.cost,
-                                   prior_var=cov[0, 0], x_hat0=mean[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            actions.append([select_rollout_action(
-                scalar_optimal_controller_T2(params).u0_candidates)])
+    for sys, runs in batch.configs:
+        for mean, cov in zip(batch.means[runs], batch.covs[runs]):
+            params = scalar_gap_params(sys, batch.noise, batch.cost,
+                                       prior_var=cov[0, 0], x_hat0=mean[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                actions.append([select_rollout_action(
+                    scalar_optimal_controller_T2(params).u0_candidates)])
     return np.array(actions)
 
 
 def _numeric_bellman(batch, t):
-    """Per run, the numeric minimizer of the stage objective whose
-    estimation penalty is weighted by p_seq[t+1], all runs in one call.
-    Optimal for T = 2; for T > 2 a one-step look-ahead, not the optimal
-    policy."""
-    return bellman_minimize_Tm2(bellman_params_at_stage(
-        batch.sys, batch.noise, batch.cost, batch.tables, t, (batch.means, batch.covs)))[0]
+    """Per run, the numeric minimizer of its system's stage objective whose
+    estimation penalty is weighted by p_seq[t+1], one call per config.
+    Optimal for T = 2; for T > 2 a one-step look-ahead, not the optimal policy."""
+    return np.concatenate([bellman_minimize_Tm2(bellman_params_at_stage(
+        sys, batch.noise, batch.cost, batch.tables, t,
+        (batch.means[runs], batch.covs[runs])))[0] for sys, runs in batch.configs])
 
 
 POLICIES = {
@@ -160,43 +165,62 @@ def _validate_policy(policy, sys, horizon):
             raise ValueError("scalar_nonlinear_t2 requires horizon 2")
 
 
-def _simulate(sys, noise, cost, policy, horizon, streams):
-    """The lockstep engine: one closed-loop rollout per stream, all
-    advanced together; returns a tuple of TrajectoryRecords."""
-    T = int(horizon)
+@dataclass(frozen=True)
+class SimConfig:
+    system: object
+    noise: object
+    cost: object
+    policy: PolicyConfig
+    horizon: int
+
+
+def _simulate(group, streams, labels):
+    """The lockstep engine: one closed-loop rollout per (config, stream) of
+    configs that differ at most in c0/ck, all advanced together; labels[v]
+    prefixes config v's runs in failure messages.  Returns the
+    TrajectoryRecords config-major."""
+    sys, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
+                                group[0].policy)
+    T = int(group[0].horizon)
     if T < 1:
         raise ValueError("horizon must be >= 1")
     _validate_policy(policy, sys, T)
     act = POLICIES[policy.kind]
     n, m, p = sys.n, sys.m, sys.p
     R = len(streams)
-
-    tape = normal_tape(streams, [n] + [n, m] * T)
-    step_normals = tape[:, n:].reshape(R, T, n + m)
+    N = R * len(group)
+    config_of, stream_of = np.divmod(np.arange(N), R)
+    names = [f"{labels[v]}run {streams[r].stream_id}" for v, r in zip(config_of, stream_of)]
+    tape = normal_tape(streams, [n] + [n, m] * T)[stream_of]
+    step_normals = tape[:, n:].reshape(N, T, n + m)
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
-    batch = _Batch(sys=sys, noise=noise, cost=cost,
-                   tables=riccati_recursion(cost, sys, T),
+    batch = _Batch(configs=[(c.system, slice(v * R, v * R + R)) for v, c in enumerate(group)],
+                   noise=noise, cost=cost, tables=riccati_recursion(cost, sys, T),
                    x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
+    # each run's own c0 and ck[k], from which observation_matrix builds its C(u)
+    observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
+                               ck=tuple(np.stack(ck)[config_of]
+                                        for ck in zip(*(c.system.ck for c in group), strict=True)))
     filtered = policy.kind != "perfect_state_lqr"
     if filtered:
         if policy.init_estimate == "sampled_from_prior":
             init = normal_tape([s.substream(INIT_ESTIMATE_SUBSTREAM) for s in streams], [n])
-            batch.means = gaussian_draws(noise.x0_mean, noise.sigma_0, init)
+            batch.means = gaussian_draws(noise.x0_mean, noise.sigma_0, init[stream_of])
         else:
-            batch.means = np.broadcast_to(noise.x0_mean, (R, n)).copy()
-        batch.covs = np.broadcast_to(noise.sigma_0, (R, n, n)).copy()
+            batch.means = np.broadcast_to(noise.x0_mean, (N, n)).copy()
+        batch.covs = np.broadcast_to(noise.sigma_0, (N, n, n)).copy()
         try:
             check_beliefs(batch.means, batch.covs)
         except BatchCheckError as exc:
-            raise exc.localized(f"run {streams[exc.index].stream_id}, step 0") from exc
+            raise exc.localized(f"{names[exc.index]}, step 0") from exc
 
-    states = np.empty((R, T + 1, n))
-    inputs = np.empty((R, T, p))
-    outputs = np.empty((R, T, m))
-    means = np.empty((R, T + 1, n))
-    covs = np.zeros((R, T + 1, n, n))
-    stage_costs = np.empty((R, T))
+    states = np.empty((N, T + 1, n))
+    inputs = np.empty((N, T, p))
+    outputs = np.empty((N, T, m))
+    means = np.empty((N, T + 1, n))
+    covs = np.zeros((N, T + 1, n, n))
+    stage_costs = np.empty((N, T))
 
     for t in range(T + 1):
         x = batch.x
@@ -207,18 +231,18 @@ def _simulate(sys, noise, cost, policy, horizon, streams):
         if t == T:
             break
         decide = _separation_lqg if filtered and t == T - 1 else act
-        u = np.asarray(decide(batch, t), dtype=float).reshape(R, p)
-        y = matvec(observation_matrix(sys, u), x) + z[:, t]
+        u = np.asarray(decide(batch, t), dtype=float).reshape(N, p)
+        cs = observation_matrix(observed, u)
+        y = matvec(cs, x) + z[:, t]
         inputs[:, t] = u
         outputs[:, t] = y
         stage_costs[:, t] = quadratic(x, cost.q) + quadratic(u, cost.r)
         if filtered:
             try:
                 _, _, batch.means, batch.covs = kf_step_batch(
-                    batch.means, batch.covs, sys, noise, u, y)
+                    batch.means, batch.covs, sys, noise, u, y, cs)
             except BatchCheckError as exc:
-                raise exc.localized(f"run {streams[exc.index].stream_id}, "
-                                    f"step {t}") from exc
+                raise exc.localized(f"{names[exc.index]}, step {t}") from exc
         batch.x = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
 
     terminal_costs = quadratic(batch.x, cost.q_t)
@@ -226,13 +250,13 @@ def _simulate(sys, noise, cost, policy, horizon, streams):
                                   outputs=outputs[r], means=means[r],
                                   covs=covs[r], stage_costs=stage_costs[r],
                                   terminal_cost=float(terminal_costs[r]))
-                 for r in range(R))
+                 for r in range(N))
 
 
 def rollout(sys, noise, cost, policy, horizon, stream):
     """Simulate one closed-loop trajectory; deterministic given the stream
     (the lockstep engine on a batch of one)."""
-    return _simulate(sys, noise, cost, policy, horizon, [stream])[0]
+    return _simulate([SimConfig(sys, noise, cost, policy, horizon)], [stream], [""])[0]
 
 
 @dataclass(frozen=True)
@@ -244,31 +268,36 @@ class PercentileSeries:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    system: object
-    noise: object
-    cost: object
-    policy: PolicyConfig
-    horizon: int
-
-
-@dataclass(frozen=True)
 class MonteCarloResult:
     records: tuple
     percentiles: dict
 
 
-def monte_carlo(config, runs, seed):
+def monte_carlo(configs, runs, seed):
     """Rollouts on streams (seed, 0..runs-1), advanced in lockstep, with
-    percentile aggregation; record k is bit for bit
-    ``rollout(..., RngStream(seed, k))``."""
+    percentile aggregation: one SimConfig gives one MonteCarloResult, a
+    sequence of them a tuple in config order.  Record k of each result is
+    bit for bit ``rollout(..., RngStream(seed, k))`` of its config."""
+    single = isinstance(configs, SimConfig)
+    configs = [configs] if single else list(configs)
     runs = int(runs)
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    records = _simulate(config.system, config.noise, config.cost, config.policy,
-                        config.horizon, [RngStream(seed, run) for run in range(runs)])
-    return MonteCarloResult(records=records,
-                            percentiles=aggregate_percentiles(records))
+    groups = {}
+    for i, c in enumerate(configs):
+        # configs that are the same bits in all but c0/ck advance as one batch
+        arrays = (c.system.a, c.system.b, *vars(c.noise).values(), *vars(c.cost).values())
+        key = (c.policy, int(c.horizon), *((x.shape, x.tobytes()) for x in arrays))
+        groups.setdefault(key, []).append(i)
+    results = [None] * len(configs)
+    for indices in groups.values():
+        records = _simulate([configs[i] for i in indices],
+                            [RngStream(seed, run) for run in range(runs)],
+                            [f"config {i}, " if len(configs) > 1 else "" for i in indices])
+        for v, i in enumerate(indices):
+            own = records[v * runs:(v + 1) * runs]
+            results[i] = MonteCarloResult(records=own, percentiles=aggregate_percentiles(own))
+    return results[0] if single else tuple(results)
 
 
 def aggregate_percentiles(records):

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import bilq
 from bilq.cli import main
 from bilq.core import RngStream, config_from_dict, config_to_dict
-from bilq.presets import orthogonal_config, scalar_config
+from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
 from bilq.sim import PolicyConfig, SimConfig, monte_carlo, write_trajectory_csv
 
 
@@ -105,6 +105,23 @@ class TestDoubleIntegrator:
         assert p50("bilinear", "cov_trace", 100) > 2 * p50("bilinear", "cov_trace", 20)
         assert abs(p50("linear", "cov_trace", 100)
                    - p50("linear", "cov_trace", 20)) <= 0.1 * p50("linear", "cov_trace", 20)
+
+    def test_each_variant_is_its_config_run_alone(self, runner, tmp_path):
+        # the command runs its variants in one call; each CSV is the bytes
+        # of its config's Monte Carlo alone
+        out = tmp_path / "di"
+        result = invoke(runner, ["double-integrator", "--runs", "3", "--seed", "12",
+                                 "--c1", "0.9", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        for name, kind in (("perfect", "perfect_state_lqr"), ("linear", "separation_lqg"),
+                           ("bilinear", "separation_lqg")):
+            system, noise, cost = double_integrator_config(name, c1=0.9)
+            config = SimConfig(system, noise, cost,
+                               PolicyConfig(kind, "sampled_from_prior"), 100)
+            write_trajectory_csv(tmp_path / f"{name}.csv",
+                                 monte_carlo(config, 3, 12).records)
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (out / f"trajectories_{name}.csv").read_bytes()), name
 
     def test_noise_paired_across_models(self, runner, tmp_path):
         out = tmp_path / "di"

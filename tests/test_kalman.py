@@ -168,7 +168,8 @@ class TestKfStepBatch:
             inputs = input_scale * rng.standard_normal((runs, p))
             outputs = rng.standard_normal((runs, m))
             gains, innovations, means, covs = kf_step_batch(
-                means, covs, sys_, noise, inputs, outputs)
+                means, covs, sys_, noise, inputs, outputs,
+                observation_matrix(sys_, inputs))
             for r, belief in enumerate(beliefs):
                 step = kf_step(belief, sys_, noise, inputs[r], outputs[r])
                 assert gains[r].tobytes() == step.gain.tobytes()
@@ -199,7 +200,8 @@ class TestKfStepBatch:
         with pytest.raises(BatchCheckError,
                            match=r"^innovation covariance singular "
                                  r"\(condition number 2\.000e\+15\)$") as info:
-            kf_step_batch(means, covs, sys_, noise, inputs, np.zeros((4, 2)))
+            kf_step_batch(means, covs, sys_, noise, inputs, np.zeros((4, 2)),
+                          observation_matrix(sys_, inputs))
         assert info.value.index == 2
 
 

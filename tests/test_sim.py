@@ -1,7 +1,9 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, sample_gaussian)
@@ -16,8 +18,20 @@ from bilq.sim import (INIT_ESTIMATES, PolicyConfig, SimConfig,
                       monte_carlo, rollout, write_landscape_csv,
                       write_summary_csv, write_trajectory_csv)
 
-from helpers import (per_step_lqg_rollout, standard_lqg_rollout,
+import bilq.sim
+from helpers import (per_step_lqg_rollout, random_spd, standard_lqg_rollout,
                      standard_riccati_gains)
+
+RECORD_ARRAYS = ("states", "inputs", "outputs", "means", "covs", "stage_costs")
+
+
+def assert_same_records(result, alone, label):
+    assert len(result.records) == len(alone.records), label
+    for run, (rec, ref) in enumerate(zip(result.records, alone.records)):
+        for field in RECORD_ARRAYS:
+            assert (getattr(rec, field).tobytes()
+                    == getattr(ref, field).tobytes()), (label, run, field)
+        assert rec.terminal_cost == ref.terminal_cost, (label, run)
 
 
 def lqg_testbed():
@@ -288,6 +302,76 @@ class TestMonteCarlo:
             monte_carlo(config, 0, 1)
 
 
+class TestStackedVariants:
+    """Configs that differ only in c0/ck advance as one batch, and each
+    result is the bits of its config run alone."""
+
+    @pytest.mark.parametrize("kind, init, p, horizons", [
+        ("perfect_state_lqr", "prior_mean", 2, (1, 8)),
+        ("separation_lqg", "prior_mean", 2, (1, 8)),
+        ("separation_lqg", "sampled_from_prior", 1, (1, 8)),
+        ("numeric_bellman", "sampled_from_prior", 1, (2, 3)),
+        ("numeric_bellman", "prior_mean", 2, (2, 3)),
+    ], ids=["perfect", "lqg-prior-mean", "lqg-sampled", "bellman-p1", "bellman-p2"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), variants=st.integers(1, 3),
+           runs=st.integers(1, 6), horizon_pick=st.integers(0, 7),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_result_is_its_config_alone(self, kind, init, p, horizons, n, m,
+                                             variants, runs, horizon_pick, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = horizons
+        horizon = lo + horizon_pick % (hi - lo + 1)
+        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05), sigma_z=random_spd(rng, m, 0.1),
+                          x0_mean=rng.standard_normal(n), sigma_0=random_spd(rng, n, 0.3))
+        cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n), r=random_spd(rng, p))
+        a, b = 0.5 * rng.standard_normal((n, n)), rng.standard_normal((n, p))
+        configs = [SimConfig(BilinearSystem(a=a, b=b, c0=rng.standard_normal((m, n)),
+                                            ck=tuple(rng.standard_normal((m, n))
+                                                     for _ in range(p))),
+                             noise, cost, PolicyConfig(kind, init), horizon)
+                   for _ in range(variants)]
+        results = monte_carlo(configs, runs, seed)
+        assert isinstance(results, tuple) and len(results) == variants
+        for v, (config, res) in enumerate(zip(configs, results)):
+            assert_same_records(res, monte_carlo(config, runs, seed), v)
+
+    def test_scalar_t2_decides_on_each_config_system(self):
+        sys_, noise, cost = scalar_config()
+        configs = [SimConfig(replace(sys_, c0=[[c0]], ck=([[c1]],)), noise, cost,
+                             PolicyConfig("scalar_nonlinear_t2"), 2)
+                   for c0, c1 in ((sys_.c0[0, 0], sys_.ck[0][0, 0]), (0.5, -1.0))]
+        results = monte_carlo(configs, 3, 4)
+        for v, (config, res) in enumerate(zip(configs, results)):
+            assert_same_records(res, monte_carlo(config, 3, 4), v)
+        assert results[0].records[0].inputs[0, 0] != results[1].records[0].inputs[0, 0]
+
+    def test_mixed_call_returns_results_in_config_order(self, monkeypatch):
+        # the double integrator's variants with the perfect one between the
+        # two that stack: two groups, one Riccati table each
+        calls = []
+        riccati = bilq.sim.riccati_recursion
+
+        def counted(*args):
+            calls.append(args)
+            return riccati(*args)
+
+        monkeypatch.setattr(bilq.sim, "riccati_recursion", counted)
+        configs = [SimConfig(*double_integrator_config(name),
+                             PolicyConfig(kind, "sampled_from_prior"), 30)
+                   for name, kind in (("linear", "separation_lqg"),
+                                      ("perfect", "perfect_state_lqr"),
+                                      ("bilinear", "separation_lqg"))]
+        results = monte_carlo(configs, 4, 9)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        for v, (config, res) in enumerate(zip(configs, results)):
+            assert_same_records(res, monte_carlo(config, 4, 9), v)
+        # the linear and bilinear results differ; the perfect one has no filter
+        assert results[0].records[0].covs.tobytes() != results[2].records[0].covs.tobytes()
+        assert not results[1].records[0].covs.any()
+
+
 class TestFailureLocalization:
     @staticmethod
     def blind_config(horizon):
@@ -314,6 +398,16 @@ class TestFailureLocalization:
         with pytest.raises(ValueError, match=r"run 7, step 0,"):
             rollout(config.system, config.noise, config.cost, config.policy,
                     config.horizon, RngStream(1, 7))
+
+    def test_stacked_batch_names_the_failing_config(self):
+        # a config that sees both states at u = 0 stacked before the blind
+        # one: the failure names the blind config, its run and its step
+        blind = self.blind_config(5)
+        healthy = replace(blind, system=replace(blind.system, c0=np.eye(2)))
+        with pytest.raises(ValueError, match=r"^innovation covariance singular: "
+                                             r"config 1, run 0, step 0, "
+                                             r"condition number 2\.000e\+15$"):
+            monte_carlo([healthy, blind], 3, 1)
 
     def test_belief_check_names_step(self):
         # an unstable, unobserved mode: the covariance overflows to inf
