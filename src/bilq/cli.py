@@ -246,11 +246,14 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
                "init_estimate": init_estimate})
     if not report.ok:
         _finish(*status, [f"config invalid: {v}" for v in report.violations])
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
     config = SimConfig(system, noise, cost, PolicyConfig(policy, init_estimate),
                        horizon)
-    res = monte_carlo(config, runs, seed)
+    try:
+        res = monte_carlo(config, runs, seed)
+    except ValueError as exc:
+        _finish(*status, [str(exc)])
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(outdir / "trajectories.csv", res.records)
     write_summary_csv(outdir / "summary.csv",
                       [(res.percentiles, policy, "config")])

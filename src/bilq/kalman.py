@@ -3,9 +3,9 @@
 The gain here carries a leading minus sign and the mean update subtracts
 gain times innovation; the covariance recursion is the matching
 ``A S A^T + L C S A^T + sigma_w`` form, symmetrized after evaluation.
-Beside the filter sits a grid Bayes oracle for scalar systems whose
-transition kernel is banded at 8 sigma of process noise: O(points x band)
-per step, not O(points^2).
+Beside the filter sits a grid Bayes oracle for scalar systems.  Its kernel, cut
+at 8 sigma, is K Hermite terms convolved by blocked FFTs (the fast Gauss transform
+of Greengard & Strain, 1991): O(points x K) per step plus FFTs, not O(points^2).
 """
 
 from dataclasses import dataclass
@@ -82,15 +82,31 @@ def kf_step(belief, sys, noise, u, y):
                       next_belief=BeliefState(mean=means[0], cov=covs[0]))
 
 
+def _hermite_kernel(step):
+    """exp(-(t - h)^2 / 2) at t = d step, |d| <= band = ceil(8 / step) + 1, as
+    rows k of exp(-t^2 / 2) He_k(t) / sqrt(k!), each weighted by h^k / sqrt(k!);
+    at |h| <= step / 2 term k is at most 1.09 (step / 2)^k / sqrt(k!) of the
+    peak (Cramer's inequality), and rows stop where that falls to 1e-17."""
+    band = int(np.ceil(8.0 / step)) + 1
+    t = np.arange(-band, band + 1) * step
+    rows, bound = [0.0 * t, np.exp(-0.5 * t * t)], 1.09 * (0.5 * step)
+    while bound > 1e-17:
+        k = len(rows) - 1
+        rows.append((t * rows[-1] - np.sqrt(k - 1) * rows[-2]) / np.sqrt(k))
+        bound *= 0.5 * step / np.sqrt(k + 1)
+    return band, np.array(rows[1:])  # without the zero row that seeds the recurrence
+
+
 def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):
     """Posterior moments of the latest predicted state from a uniform grid.
 
-    Scalar systems only.  Pushes a discretized density through the dynamics
-    (a transition kernel banded at 8 sigma of process noise: terms below
-    exp(-32) of its peak dropped) and the Gaussian output likelihoods, and
-    returns the mean/variance of the resulting predicted posterior.  With no
-    observations, returns the prior moments.  Raises "grid truncation" if
-    posterior mass touches the grid boundary.
+    Scalar systems only.  Pushes a discretized density through the Gaussian
+    output likelihoods and the dynamics (kernel cut at 8 sigma of process
+    noise, its Hermite terms below 1e-17 of its peak: see _hermite_kernel)
+    and returns the predicted posterior's mean/variance, at O(points x K)
+    per step for K terms plus FFTs.  With no observations, returns the prior
+    moments.  Raises "grid truncation" if posterior mass touches the grid
+    boundary; the grid step may be at most 8 sigma of process noise.
     """
     if not (sys.n == 1 and sys.m == 1 and sys.p == 1):
         raise ValueError("grid oracle requires a scalar system")
@@ -126,8 +142,10 @@ def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):
         lo, hi, points = float(grid[0]), float(grid[1]), int(grid[2])
         if not (np.isfinite([lo, hi]).all() and lo < hi and points >= 3):
             raise ValueError("grid oracle requires a finite grid lo < hi, points >= 3")
-    xs = np.linspace(lo, hi, points)
-    dx = xs[1] - xs[0]
+    xs, dx = np.linspace(lo, hi, points, retstep=True)  # xs[1] - xs[0] is off by ~1e-12
+    step = dx / np.sqrt(sw)
+    if step > 8.0:  # beyond, Hermite terms outgrow the kernel by over exp(4)
+        raise ValueError("grid oracle requires a grid step at most 8 sigma_w")
 
     def normalized(rho):
         rho = rho / (rho.sum() * dx)
@@ -135,22 +153,31 @@ def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):
             raise ValueError("grid truncation")
         return rho
 
-    # column j reaches the rows within 8 sigma_w of a x_j + b u: `width` rows
-    # from starts[j], moved inward at the grid edges; about 2^16 entries a block
-    half = 8.0 * np.sqrt(sw)
-    width = int(min(np.ceil(2.0 * half / dx) + 2.0, points))
-    windows = np.lib.stride_tricks.sliding_window_view(xs, width)
+    # cells -band .. points - 1 + band in blocks of `width`: a block and the kernel
+    # fill nfft >= 8 band, spilling into the next block only, so roundoff stays local
+    band, kernel = _hermite_kernel(step)
+    terms = len(kernel)
+    nfft = 1 << (8 * band - 1).bit_length()
+    width = nfft - 2 * band
+    blocks = -(-(points + 2 * band) // width)
+    spectrum = np.fft.rfft(kernel, nfft)[:, None]
+    root_k = np.sqrt(np.arange(1, terms))[:, None]
+    lanes = blocks * width * np.arange(terms)[:, None] + band
     density = normalized(np.exp(-0.5 * (xs - mu0) ** 2 / v0))
     for u, y in zip(inputs, outputs):
         c = float(observation_matrix(sys, [u])[0, 0])
         density = normalized(density * np.exp(-0.5 * (y - c * xs) ** 2 / sz))
-        starts = np.ceil((a * xs + b * u - half - lo) / dx).clip(0, points - width).astype(int)
-        pushed = np.zeros(points)
-        for cols in np.array_split(np.arange(points), max(1, points * width // 2 ** 16)):
-            kernel = np.exp(-0.5 * (windows[starts[cols]] - a * xs[cols, None] - b * u) ** 2 / sw)
-            pushed += np.bincount((starts[cols, None] + np.arange(width)).ravel(),
-                                  (kernel * density[cols, None]).ravel(), points)
-        density = normalized(pushed * dx / np.sqrt(2.0 * np.pi * sw))
+        # a x_j + b u = cell + h sigma_w with |h| <= step / 2; coefs: rho_j h^k / sqrt(k!)
+        offsets = (a * xs + b * u - lo) / dx
+        cells = np.rint(offsets)
+        keep = (cells >= -band) & (cells < points + band)
+        coefs = np.cumprod(np.vstack([density[keep], (offsets - cells)[keep] * step / root_k]), 0)
+        stack = np.bincount((cells[keep].astype(int) + lanes).ravel(), coefs.ravel(),
+                            terms * blocks * width)
+        spread = np.fft.irfft((np.fft.rfft(stack.reshape(terms, blocks, width), nfft)
+                               * spectrum).sum(axis=0), nfft)
+        spread[1:, :2 * band] += spread[:-1, width:]  # the last spill is past the grid
+        density = normalized(spread[:, :width].ravel()[2 * band:2 * band + points])
     mean = float((xs * density).sum() * dx)
     var = float(((xs - mean) ** 2 * density).sum() * dx)
     return mean, var

@@ -231,7 +231,11 @@ def _simulate(group, streams, labels):
         if t == T:
             break
         decide = _separation_lqg if filtered and t == T - 1 else act
-        u = np.asarray(decide(batch, t), dtype=float).reshape(N, p)
+        try:
+            u = np.asarray(decide(batch, t), dtype=float).reshape(N, p)
+        except ValueError as exc:  # LinAlgError too
+            raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
+                             f"{exc}") from exc
         cs = observation_matrix(observed, u)
         y = matvec(cs, x) + z[:, t]
         inputs[:, t] = u

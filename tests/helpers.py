@@ -211,8 +211,8 @@ def dense_grid_oracle(sys, noise, inputs, outputs, grid=None):
     """Posterior moments of the latest predicted state from a dense grid.
 
     The package's grid oracle before its transition kernel became banded:
-    the full points x points kernel on every step, a reference for the
-    banded one.
+    the full points x points kernel evaluated on every step, a reference
+    for the package's Hermite-expanded lattice convolution.
 
     Scalar systems only.  Pushes a discretized density through the
     dynamics (convolution against the process-noise kernel) and the

@@ -220,6 +220,21 @@ class TestSimulate:
         assert status["status"] == "fail"
         assert any("sigma_z not positive definite" in f for f in status["failures"])
 
+    def test_policy_failure_fails_with_status_line(self, runner, tmp_path):
+        # no process noise: numeric_bellman's stage objective meets a singular
+        # covariance (see tests/test_sim.py::TestFailureLocalization)
+        sys_, noise, cost = orthogonal_config(RngStream(0), "a")
+        noise = replace(noise, sigma_w=np.zeros((6, 6)))
+        config = tmp_path / "noiseless.json"
+        config.write_text(json.dumps(config_to_dict(sys_, noise, cost, 10, 3, 1)))
+        result = invoke(runner, ["simulate", "--config", str(config), "--policy",
+                                 "numeric_bellman", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 1
+        status = status_line(result)
+        assert status["status"] == "fail" and len(status["failures"]) == 1
+        assert status["failures"][0].startswith("numeric_bellman decision failed: step ")
+        assert not (tmp_path / "x").exists()
+
 
 class TestObservabilityCommand:
     def test_orthogonal_config_verdict(self, runner, tmp_path):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bilq.core import (BatchCheckError, BeliefState, BilinearSystem, NoiseSpec,
                        RngStream, observation_matrix)
-from bilq.kalman import grid_bayes_oracle, kf_step, kf_step_batch
+from bilq.kalman import _hermite_kernel, grid_bayes_oracle, kf_step, kf_step_batch
 
 from helpers import (cov_update_information_form, dense_grid_oracle, kalman_gain,
                      standard_kf_update_predict, random_spd)
@@ -300,6 +302,12 @@ class TestGridBayesOracle:
            s0=st.floats(0.5, 2.0), log_ratio=st.floats(-4.0, 0.0),
            steps=st.integers(1, 5), grid_points=st.sampled_from([None, 801, 1601, 2401]),
            pad=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    # narrow posteriors on which one whole-grid FFT, not blocked, spread its
+    # roundoff to relative variance errors of 1.4e-10 and 1.6e-10
+    @example(a=0.0, b=-1.0, c0=0.25, c1=0.25, s0=1.5, log_ratio=-4.0, steps=4,
+             grid_points=1601, pad=2.0, seed=0)
+    @example(a=-0.2, b=-0.8, c0=0.25, c1=0.25, s0=1.5, log_ratio=-4.0, steps=5,
+             grid_points=1601, pad=2.0, seed=4)
     def test_banded_kernel_matches_dense_reference(self, a, b, c0, c1, s0, log_ratio,
                                                    steps, grid_points, pad, seed):
         # sigma_w / sigma_0 from 1e-4 (a band of a few grid points) to 1;
@@ -323,6 +331,29 @@ class TestGridBayesOracle:
         ref_mean, ref_var = dense_grid_oracle(sys_, noise, inputs, outputs, grid=grid)
         assert abs(mean - ref_mean) <= 1e-10
         assert abs(var - ref_var) <= 1e-10 * ref_var
+
+    def test_hermite_terms_grow_as_process_noise_shrinks(self):
+        # on a grid step of 0.01 the kernel spans 2 band + 1 cells; the last
+        # two bands are 3 and 2 cells, at the coarsest step the oracle accepts
+        counts = []
+        for sigma_w in (1.0, 0.2, 0.05, 0.01, 0.0025, 0.00125):
+            step = 0.01 / sigma_w
+            band, rows = _hermite_kernel(step)
+            assert band == int(np.ceil(8.0 / step)) + 1 and rows.shape[1] == 2 * band + 1
+            # the terms rebuild exp(-(t - h)^2 / 2) at the largest offset |h| = step / 2
+            t = np.arange(-band, band + 1) * step
+            for h in (-0.5 * step, 0.5 * step):
+                weights = [h ** k / math.sqrt(math.factorial(k)) for k in range(len(rows))]
+                kernel = np.exp(-0.5 * (t - h) ** 2)
+                assert np.abs(np.array(weights) @ rows - kernel).max() <= 1e-13
+            counts.append(len(rows))
+        assert all(fewer < more for fewer, more in zip(counts, counts[1:])) and counts[-1] < 100
+
+    def test_grid_step_above_eight_sigma_rejected(self):
+        # 8 sigma_w = 0.08 against a grid step of 0.1
+        sys_, noise = scalar_setup(sw=1e-4)
+        with pytest.raises(ValueError, match="grid step at most 8 sigma_w"):
+            grid_bayes_oracle(sys_, noise, [0.5], [0.2], grid=(-5.0, 5.0, 101))
 
     @pytest.mark.parametrize("grid, truncated", [((-3.0, 3.0, 1201), False),
                                                  ((-0.8, 0.8, 401), True)])

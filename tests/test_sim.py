@@ -422,6 +422,29 @@ class TestFailureLocalization:
             monte_carlo(config, 2, 0)
 
 
+    @staticmethod
+    def noiseless_orthogonal(init, variant="a"):
+        # without process noise the filter's covariance turns singular within
+        # 10 steps, and numeric_bellman's stage objective needs its inverse
+        sys_, noise, cost = orthogonal_config(RngStream(0), variant)
+        return SimConfig(sys_, replace(noise, sigma_w=np.zeros((6, 6))), cost,
+                         PolicyConfig("numeric_bellman", init), 10)
+
+    @pytest.mark.parametrize("init", INIT_ESTIMATES)
+    def test_policy_decision_failure_names_policy_and_step(self, init):
+        with pytest.raises(ValueError, match=r"^numeric_bellman decision failed: step \d+, "
+                                             r".*positive definite$") as err:
+            monte_carlo(self.noiseless_orthogonal(init), 3, 1)
+        assert str(err.value).endswith(str(err.value.__cause__))
+
+    def test_stacked_policy_failure_names_the_configs(self):
+        # the variants differ only in c0, so they decide as one stack
+        configs = [self.noiseless_orthogonal("prior_mean", v) for v in ("a", "b")]
+        with pytest.raises(ValueError, match=r"^numeric_bellman decision failed: "
+                                             r"config 0, config 1, step \d+, "):
+            monte_carlo(configs, 3, 1)
+
+
 class TestLandscapeSweep:
     def test_zero_offset_local_max_at_lqg_action(self):
         u_lqg = -0.05257796257796257
