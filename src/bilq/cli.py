@@ -6,7 +6,7 @@ line endings) and ends by printing one JSON status line; the exit code is
 """
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -197,17 +197,8 @@ def cmd_orthogonal(runs, seed, variant, out):
                    sort_keys=True, indent=1),
         encoding="utf-8")
     (outdir / "prop1_report.json").write_text(
-        json.dumps({
-            "variant": variant,
-            "ok": prop.ok,
-            "min_eigenvalue": prop.min_eigenvalue,
-            "norm_o1": prop.norm_o1,
-            "norm_o2": prop.norm_o2,
-            "norm_o3": prop.norm_o3,
-            "probe_max_norm": probe.max_norm,
-            "probe_head_max": head,
-            "probe_tail_max": tail,
-        }, sort_keys=True, indent=1),
+        json.dumps({"variant": variant, **asdict(prop), "probe_max_norm": probe.max_norm,
+                    "probe_head_max": head, "probe_tail_max": tail}, sort_keys=True, indent=1),
         encoding="utf-8")
 
     policy = PolicyConfig("separation_lqg", "sampled_from_prior")

@@ -5,16 +5,15 @@ input sequence; a time-invariant sufficient condition projects the static
 observation matrix away from the span of the input-dependent ones and
 checks observability of that projection.  A forward covariance probe gives
 the matching empirical boundedness check; it runs the filter's stacked step
-on a stack of one belief.
+on a stack of one belief, its checks stacked over blocks of steps.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BatchCheckError, check_beliefs, matvec, observation_matrix,
-                   symmetrize)
-from .kalman import kf_step_batch
+from .core import matvec, observation_matrix, symmetrize
+from .kalman import FilterSteps
 
 DEFAULT_DELTA = 1e-8
 GS_DROP_TOL = 1e-10
@@ -169,18 +168,18 @@ def covariance_boundedness_probe(sys, noise, input_policy, horizon):
     covs = np.empty((horizon + 1, sys.n, sys.n))
     covs[0] = noise.sigma_0
     inputs = np.empty((horizon, sys.p))
-    t = 0
+    steps = FilterSteps(lambda t, _: f"step {t}")
+    steps.check_prior(means, covs[:1])
     try:
-        check_beliefs(means, covs[:1])
         for t in range(horizon):
             inputs[t] = np.asarray(input_policy(t, means[0]), dtype=float).reshape(-1)
             u = inputs[t:t + 1]
             cs = observation_matrix(sys, u)
-            _, _, means, cov_next = kf_step_batch(means, covs[t:t + 1], sys, noise,
-                                                  u, matvec(cs, means), cs)
+            _, _, means, cov_next = steps.step(means, covs[t:t + 1], sys, noise,
+                                               u, matvec(cs, means), cs)
             covs[t + 1] = cov_next[0]
-    except BatchCheckError as exc:
-        raise exc.localized(f"step {t}") from exc
+    finally:
+        steps.check()  # before any failure of the loop: an earlier step's comes first
     norms = np.linalg.norm(covs, 2, axis=(1, 2))
     max_norm = float(norms.max())
     return BoundednessReport(max_norm=max_norm, exceeded=max_norm > PROBE_THRESHOLD,

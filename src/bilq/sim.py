@@ -10,16 +10,17 @@ All rollouts go through one lockstep engine that advances every run
 together with stacked (N, n) and (N, n, n) numpy operations: the run of
 :func:`rollout`, or in :func:`monte_carlo` the runs of every config of the
 call that is the same bits as another in all but c0/ck (an experiment's
-linear and bilinear variants).  Such a group shares one noise tape, one
-Riccati table and one filter step per time step, and each run is observed
-through its own config's C(u).  Each run owns a stream, (seed, run index)
-in Monte Carlo, and its draws are materialized up front as a noise tape:
-the x_0 draw first, then (w_t, z_t) for each step t, sliced from the
-stream's raw words as successive ``standard_normal`` calls would slice
-them.  So a run's record is bit for bit the same in any batch, runs with
+linear and bilinear variants).  Such a group shares one noise tape and one
+filter step per time step, each run observed through its own config's C(u);
+groups on the same system and cost share one Riccati table.  Each run owns a
+stream, (seed, run index) in Monte Carlo, and its draws are materialized up
+front as a noise tape: the x_0 draw, then (w_t, z_t) for each step t, sliced
+from the stream's raw words as successive ``standard_normal`` calls would
+slice them.  So a run's record is the same bits in any batch, and runs with
 the same (seed, run index) share noise across controller and observation
-variants, which pairs the comparisons, and a failed check names the run,
-the step and, in a call of several configs, the config's index.
+variants, which pairs the comparisons.  Filter checks run stacked over blocks
+of steps (kalman.FilterSteps); a failure names the run, the step and, among
+several configs, the config's index, as checks made every step would.
 
 Policies are a table of functions of (batch, t) returning one action per
 run.  The certainty-equivalent ones are one stacked matrix-vector product
@@ -39,10 +40,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (BatchCheckError, RngStream, check_beliefs,
-                   gaussian_draws, matvec, normal_tape, observation_matrix,
+from .core import (RngStream, gaussian_draws, matvec, normal_tape, observation_matrix,
                    quadratic)
-from .kalman import kf_step_batch
+from .kalman import FilterSteps
 from .control import (bellman_minimize_Tm2, bellman_params_at_stage, lqg_policy,
                       riccati_recursion, scalar_critical_points,
                       scalar_gap_params, scalar_optimal_controller_T2,
@@ -174,11 +174,11 @@ class SimConfig:
     horizon: int
 
 
-def _simulate(group, streams, labels):
+def _simulate(group, streams, labels, tables):
     """The lockstep engine: one closed-loop rollout per (config, stream) of
     configs that differ at most in c0/ck, all advanced together; labels[v]
-    prefixes config v's runs in failure messages.  Returns the
-    TrajectoryRecords config-major."""
+    prefixes config v's runs in failure messages; tables holds the Riccati
+    tables by their inputs' bits.  Returns the TrajectoryRecords config-major."""
     sys, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
                                 group[0].policy)
     T = int(group[0].horizon)
@@ -195,13 +195,16 @@ def _simulate(group, streams, labels):
     step_normals = tape[:, n:].reshape(N, T, n + m)
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
+    key = (T, *((x.shape, x.tobytes()) for x in (sys.a, sys.b, *vars(cost).values())))
+    tables[key] = tables.get(key) or riccati_recursion(cost, sys, T)
     batch = _Batch(configs=[(c.system, slice(v * R, v * R + R)) for v, c in enumerate(group)],
-                   noise=noise, cost=cost, tables=riccati_recursion(cost, sys, T),
+                   noise=noise, cost=cost, tables=tables[key],
                    x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
     # each run's own c0 and ck[k], from which observation_matrix builds its C(u)
     observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
                                ck=tuple(np.stack(ck)[config_of]
                                         for ck in zip(*(c.system.ck for c in group), strict=True)))
+    steps = FilterSteps(lambda t, i: f"{names[i]}, step {t}")
     filtered = policy.kind != "perfect_state_lqr"
     if filtered:
         if policy.init_estimate == "sampled_from_prior":
@@ -210,10 +213,7 @@ def _simulate(group, streams, labels):
         else:
             batch.means = np.broadcast_to(noise.x0_mean, (N, n)).copy()
         batch.covs = np.broadcast_to(noise.sigma_0, (N, n, n)).copy()
-        try:
-            check_beliefs(batch.means, batch.covs)
-        except BatchCheckError as exc:
-            raise exc.localized(f"{names[exc.index]}, step 0") from exc
+        steps.check_prior(batch.means, batch.covs)
 
     states = np.empty((N, T + 1, n))
     inputs = np.empty((N, T, p))
@@ -222,32 +222,32 @@ def _simulate(group, streams, labels):
     covs = np.zeros((N, T + 1, n, n))
     stage_costs = np.empty((N, T))
 
-    for t in range(T + 1):
-        x = batch.x
-        states[:, t] = x
-        means[:, t] = batch.means if filtered else x
-        if filtered:
-            covs[:, t] = batch.covs
-        if t == T:
-            break
-        decide = _separation_lqg if filtered and t == T - 1 else act
-        try:
-            u = np.asarray(decide(batch, t), dtype=float).reshape(N, p)
-        except ValueError as exc:  # LinAlgError too
-            raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
-                             f"{exc}") from exc
-        cs = observation_matrix(observed, u)
-        y = matvec(cs, x) + z[:, t]
-        inputs[:, t] = u
-        outputs[:, t] = y
-        stage_costs[:, t] = quadratic(x, cost.q) + quadratic(u, cost.r)
-        if filtered:
+    try:
+        for t in range(T + 1):
+            x = batch.x
+            states[:, t] = x
+            means[:, t] = batch.means if filtered else x
+            if filtered:
+                covs[:, t] = batch.covs
+            if t == T:
+                break
+            decide = _separation_lqg if filtered and t == T - 1 else act
             try:
-                _, _, batch.means, batch.covs = kf_step_batch(
-                    batch.means, batch.covs, sys, noise, u, y, cs)
-            except BatchCheckError as exc:
-                raise exc.localized(f"{names[exc.index]}, step {t}") from exc
-        batch.x = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
+                u = np.asarray(decide(batch, t), dtype=float).reshape(N, p)
+            except ValueError as exc:  # LinAlgError too
+                raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
+                                 f"{exc}") from exc
+            cs = observation_matrix(observed, u)
+            y = matvec(cs, x) + z[:, t]
+            inputs[:, t] = u
+            outputs[:, t] = y
+            stage_costs[:, t] = quadratic(x, cost.q) + quadratic(u, cost.r)
+            if filtered:
+                _, _, batch.means, batch.covs = steps.step(batch.means, batch.covs, sys,
+                                                           noise, u, y, cs)
+            batch.x = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
+    finally:
+        steps.check()  # before any failure of the loop: an earlier step's comes first
 
     terminal_costs = quadratic(batch.x, cost.q_t)
     return tuple(TrajectoryRecord(states=states[r], inputs=inputs[r],
@@ -260,7 +260,7 @@ def _simulate(group, streams, labels):
 def rollout(sys, noise, cost, policy, horizon, stream):
     """Simulate one closed-loop trajectory; deterministic given the stream
     (the lockstep engine on a batch of one)."""
-    return _simulate([SimConfig(sys, noise, cost, policy, horizon)], [stream], [""])[0]
+    return _simulate([SimConfig(sys, noise, cost, policy, horizon)], [stream], [""], {})[0]
 
 
 @dataclass(frozen=True)
@@ -294,10 +294,12 @@ def monte_carlo(configs, runs, seed):
         key = (c.policy, int(c.horizon), *((x.shape, x.tobytes()) for x in arrays))
         groups.setdefault(key, []).append(i)
     results = [None] * len(configs)
+    tables = {}  # one Riccati table per distinct system and cost of this call
     for indices in groups.values():
         records = _simulate([configs[i] for i in indices],
                             [RngStream(seed, run) for run in range(runs)],
-                            [f"config {i}, " if len(configs) > 1 else "" for i in indices])
+                            [f"config {i}, " if len(configs) > 1 else "" for i in indices],
+                            tables)
         for v, i in enumerate(indices):
             own = records[v * runs:(v + 1) * runs]
             results[i] = MonteCarloResult(records=own, percentiles=aggregate_percentiles(own))

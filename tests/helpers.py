@@ -7,19 +7,30 @@ exceptions are `per_step_lqg_rollout`, which repeats the package's own
 arithmetic one run and one 2-d operation at a time, as a bit-for-bit
 reference for the stacked engine, `reference_boundedness_probe`, the
 covariance probe one BeliefState and one kf_step at a time, as a
-bit-for-bit reference for the probe on the stacked step, and
-`kalman_gain`, which reads the gain off one package filter step, and
-`reference_gramian`, the observability test matrix one window and one
-2-d block at a time, as a bit-for-bit reference for the stacked windows.
+bit-for-bit reference for the probe on the stacked step,
+`per_step_probe_covs` and `reference_simulate`, the probe's loop and the
+lockstep engine with the filter's checks made in each step, as references
+for their results and failure messages, `kalman_gain`, which reads the
+gain off one package filter step, and `reference_gramian`, the
+observability test matrix one window and one 2-d block at a time, as a
+bit-for-bit reference for the stacked windows.
 """
+
+import itertools
+import warnings
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from bilq.control import bellman_objective_Tm2
-from bilq.core import (BeliefState, chol_solve, min_eigenvalue, observation_matrix,
-                       symmetrize)
-from bilq.kalman import kf_step
+import bilq.kalman
+import bilq.sim as sim
+from bilq.control import bellman_objective_Tm2, riccati_recursion
+from bilq.core import (BatchCheckError, BeliefState, check_beliefs, chol_solve,
+                       gaussian_draws, matvec, min_eigenvalue, normal_tape,
+                       observation_matrix, quadratic, symmetrize)
+from bilq.kalman import kf_step, kf_step_batch
 
 
 def standard_riccati_gains(a, b, q, q_t, r, horizon):
@@ -183,6 +194,173 @@ def reference_boundedness_probe(sys, noise, input_policy, horizon):
         norms[t + 1] = np.linalg.norm(belief.cov, 2)
         traces[t + 1] = np.trace(belief.cov)
     return norms, traces, inputs
+
+
+def per_step_probe_covs(sys, noise, input_policy, horizon):
+    """The covariance probe's loop with every filter check made in its step:
+    one kf_step_batch per step on a stack of one, a failure localized as it
+    happens.  Returns (covs (horizon + 1, n, n), inputs); its messages are
+    the ones the probe must raise."""
+    means = noise.x0_mean[None]
+    covs = np.empty((horizon + 1, sys.n, sys.n))
+    covs[0] = noise.sigma_0
+    inputs = np.empty((horizon, sys.p))
+    t = 0
+    try:
+        check_beliefs(means, covs[:1])
+        for t in range(horizon):
+            inputs[t] = np.asarray(input_policy(t, means[0]), dtype=float).reshape(-1)
+            u = inputs[t:t + 1]
+            cs = observation_matrix(sys, u)
+            _, _, means, cov_next = kf_step_batch(means, covs[t:t + 1], sys, noise,
+                                                  u, matvec(cs, means), cs)
+            covs[t + 1] = cov_next[0]
+    except BatchCheckError as exc:
+        raise exc.localized(f"step {t}") from exc
+    return covs, inputs
+
+
+def reference_simulate(group, streams, labels):
+    """The lockstep engine with every filter check made in its step: one
+    kf_step_batch per step, a failure localized as it happens.  Arguments
+    and result as bilq.sim._simulate's, the Riccati table built afresh; a
+    bit-for-bit reference for the engine's checks made per block of steps,
+    its messages the ones the engine must raise.
+    """
+    sys, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
+                                group[0].policy)
+    T = int(group[0].horizon)
+    if T < 1:
+        raise ValueError("horizon must be >= 1")
+    sim._validate_policy(policy, sys, T)
+    act = sim.POLICIES[policy.kind]
+    n, m, p = sys.n, sys.m, sys.p
+    R = len(streams)
+    N = R * len(group)
+    config_of, stream_of = np.divmod(np.arange(N), R)
+    names = [f"{labels[v]}run {streams[r].stream_id}" for v, r in zip(config_of, stream_of)]
+    tape = normal_tape(streams, [n] + [n, m] * T)[stream_of]
+    step_normals = tape[:, n:].reshape(N, T, n + m)
+    w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
+    z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
+    batch = sim._Batch(configs=[(c.system, slice(v * R, v * R + R))
+                                for v, c in enumerate(group)],
+                       noise=noise, cost=cost, tables=riccati_recursion(cost, sys, T),
+                       x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
+    observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
+                               ck=tuple(np.stack(ck)[config_of]
+                                        for ck in zip(*(c.system.ck for c in group), strict=True)))
+    filtered = policy.kind != "perfect_state_lqr"
+    if filtered:
+        if policy.init_estimate == "sampled_from_prior":
+            init = normal_tape([s.substream(sim.INIT_ESTIMATE_SUBSTREAM) for s in streams], [n])
+            batch.means = gaussian_draws(noise.x0_mean, noise.sigma_0, init[stream_of])
+        else:
+            batch.means = np.broadcast_to(noise.x0_mean, (N, n)).copy()
+        batch.covs = np.broadcast_to(noise.sigma_0, (N, n, n)).copy()
+        try:
+            check_beliefs(batch.means, batch.covs)
+        except BatchCheckError as exc:
+            raise exc.localized(f"{names[exc.index]}, step 0") from exc
+
+    states = np.empty((N, T + 1, n))
+    inputs = np.empty((N, T, p))
+    outputs = np.empty((N, T, m))
+    means = np.empty((N, T + 1, n))
+    covs = np.zeros((N, T + 1, n, n))
+    stage_costs = np.empty((N, T))
+    for t in range(T + 1):
+        x = batch.x
+        states[:, t] = x
+        means[:, t] = batch.means if filtered else x
+        if filtered:
+            covs[:, t] = batch.covs
+        if t == T:
+            break
+        decide = sim._separation_lqg if filtered and t == T - 1 else act
+        try:
+            u = np.asarray(decide(batch, t), dtype=float).reshape(N, p)
+        except ValueError as exc:
+            raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
+                             f"{exc}") from exc
+        cs = observation_matrix(observed, u)
+        y = matvec(cs, x) + z[:, t]
+        inputs[:, t] = u
+        outputs[:, t] = y
+        stage_costs[:, t] = quadratic(x, cost.q) + quadratic(u, cost.r)
+        if filtered:
+            try:
+                _, _, batch.means, batch.covs = kf_step_batch(
+                    batch.means, batch.covs, sys, noise, u, y, cs)
+            except BatchCheckError as exc:
+                raise exc.localized(f"{names[exc.index]}, step {t}") from exc
+        batch.x = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
+
+    terminal_costs = quadratic(batch.x, cost.q_t)
+    return tuple(sim.TrajectoryRecord(states=states[r], inputs=inputs[r],
+                                      outputs=outputs[r], means=means[r],
+                                      covs=covs[r], stage_costs=stage_costs[r],
+                                      terminal_cost=float(terminal_costs[r]))
+                 for r in range(N))
+
+
+FAILURE_KINDS = ("cov_not_psd", "cov_not_symmetric", "cov_not_finite", "mean_not_finite",
+                 "innovation_singular", "innovation_ill_conditioned")
+
+
+@contextmanager
+def corrupted_filter(kind, step, index):
+    """Within the block, the filter's step `step` (counted over every filter
+    step taken, from 0) hands on entry `index` of its stack corrupted as
+    `kind` says (one of FAILURE_KINDS): its next covariance shifted to a
+    min eigenvalue of -1e-3, made asymmetric or NaN, its next mean +inf,
+    or its innovation covariance zero or of condition number 1e15 (for
+    m > 1).  Patches bilq.kalman's _advance or _innovation_cov, which both
+    the per-step and the deferred checks read."""
+    name = "_innovation_cov" if kind.startswith("innovation") else "_advance"
+    original = getattr(bilq.kalman, name)
+    calls = itertools.count()
+
+    def corrupted(*args):
+        result = original(*args)
+        if next(calls) != step:
+            return result
+        if name == "_innovation_cov":
+            result = result.copy()
+            m = result.shape[-1]
+            result[index] = 0.0 if kind == "innovation_singular" else np.diag(
+                np.r_[np.ones(m - 1), 1e-15])
+            return result
+        gains, innovations, means, covs = result
+        means, covs = means.copy(), covs.copy()
+        n = covs.shape[-1]
+        if kind == "cov_not_psd":
+            covs[index] -= (np.linalg.eigvalsh(covs[index]).min() + 1e-3) * np.eye(n)
+        elif kind == "cov_not_symmetric":
+            covs[index, 0, -1] += 1.0
+        elif kind == "cov_not_finite":
+            covs[index, -1, -1] = np.nan
+        else:
+            means[index, 0] = np.inf
+        return gains, innovations, means, covs
+
+    setattr(bilq.kalman, name, corrupted)
+    try:
+        yield
+    finally:
+        setattr(bilq.kalman, name, original)
+
+
+def outcome_corrupted(call, kind, step, index):
+    """call() within corrupted_filter(kind, step, index): its result, or its
+    ValueError's message, and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with corrupted_filter(kind, step, index):
+            try:
+                return call(), [str(w.message) for w in caught]
+            except ValueError as exc:
+                return str(exc), [str(w.message) for w in caught]
 
 
 def reference_gramian(sys, inputs):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
+from bilq.core import (PSD_TOL, BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, sample_gaussian)
 from bilq.kalman import kf_step
 from bilq.control import (bellman_minimize_Tm2, bellman_params_at_stage,
@@ -19,8 +19,8 @@ from bilq.sim import (INIT_ESTIMATES, PolicyConfig, SimConfig,
                       write_summary_csv, write_trajectory_csv)
 
 import bilq.sim
-from helpers import (per_step_lqg_rollout, random_spd, standard_lqg_rollout,
-                     standard_riccati_gains)
+from helpers import (FAILURE_KINDS, outcome_corrupted, per_step_lqg_rollout, random_spd,
+                     reference_simulate, standard_lqg_rollout, standard_riccati_gains)
 
 RECORD_ARRAYS = ("states", "inputs", "outputs", "means", "covs", "stage_costs")
 
@@ -348,7 +348,7 @@ class TestStackedVariants:
 
     def test_mixed_call_returns_results_in_config_order(self, monkeypatch):
         # the double integrator's variants with the perfect one between the
-        # two that stack: two groups, one Riccati table each
+        # two that stack: two groups on one system and cost, one Riccati table
         calls = []
         riccati = bilq.sim.riccati_recursion
 
@@ -363,7 +363,7 @@ class TestStackedVariants:
                                       ("perfect", "perfect_state_lqr"),
                                       ("bilinear", "separation_lqg"))]
         results = monte_carlo(configs, 4, 9)
-        assert len(calls) == 2
+        assert len(calls) == 1
         monkeypatch.undo()
         for v, (config, res) in enumerate(zip(configs, results)):
             assert_same_records(res, monte_carlo(config, 4, 9), v)
@@ -443,6 +443,69 @@ class TestFailureLocalization:
         with pytest.raises(ValueError, match=r"^numeric_bellman decision failed: "
                                              r"config 0, config 1, step \d+, "):
             monte_carlo(configs, 3, 1)
+
+
+def failing_lqg(fail_step):
+    """separation_lqg that fails at step fail_step and, like numeric_bellman,
+    on a covariance that is not PSD."""
+    def decide(batch, t):
+        if t == fail_step:
+            raise ValueError("told to fail")
+        if np.linalg.eigvalsh(batch.covs).min() < -PSD_TOL:
+            raise ValueError("covariance not PSD")
+        return bilq.sim._separation_lqg(batch, t)
+    return decide
+
+
+class TestChecksMatchPerStepReference:
+    """The engine's filter checks, made once per block of steps, raise what
+    checks made in every step raise, and a run that passes them is the
+    per-step engine's bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), p=st.integers(1, 2),
+           variants=st.integers(1, 2), runs=st.integers(1, 3), horizon=st.integers(1, 20),
+           kind=st.sampled_from(FAILURE_KINDS), step=st.integers(0, 20),
+           entry=st.integers(0, 5), fail_step=st.none() | st.integers(0, 20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_injected_failure(self, n, m, p, variants, runs, horizon, kind, step, entry,
+                              fail_step, seed):
+        # step == horizon corrupts nothing; fail_step None runs separation_lqg
+        rng = np.random.default_rng(seed)
+        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05), sigma_z=random_spd(rng, m, 0.1),
+                          x0_mean=rng.standard_normal(n), sigma_0=random_spd(rng, n, 0.3))
+        cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n), r=random_spd(rng, p))
+        a, b = 0.5 * rng.standard_normal((n, n)), rng.standard_normal((n, p))
+        policy = PolicyConfig("separation_lqg" if fail_step is None else "numeric_bellman",
+                              "sampled_from_prior")
+        configs = [SimConfig(BilinearSystem(a=a, b=b, c0=rng.standard_normal((m, n)),
+                                            ck=tuple(rng.standard_normal((m, n))
+                                                     for _ in range(p))),
+                             noise, cost, policy, horizon)
+                   for _ in range(variants)]
+        labels = [f"config {v}, " if variants > 1 else "" for v in range(variants)]
+        streams = [RngStream(seed, run) for run in range(runs)]
+        step, entry = step % (horizon + 1), entry % (variants * runs)
+        original = bilq.sim.POLICIES["numeric_bellman"]
+        bilq.sim.POLICIES["numeric_bellman"] = failing_lqg(fail_step)
+        try:
+            results, caught = outcome_corrupted(lambda: monte_carlo(configs, runs, seed),
+                                                kind, step, entry)
+            reference, ref_caught = outcome_corrupted(
+                lambda: reference_simulate(configs, streams, labels), kind, step, entry)
+        finally:
+            bilq.sim.POLICIES["numeric_bellman"] = original
+        assert set(caught) <= set(ref_caught)
+        if isinstance(reference, str):
+            assert results == reference
+            return
+        assert not isinstance(results, str), results
+        records = [rec for res in results for rec in res.records]
+        assert len(records) == len(reference)
+        for v, (rec, ref) in enumerate(zip(records, reference)):
+            for field in RECORD_ARRAYS:
+                assert getattr(rec, field).tobytes() == getattr(ref, field).tobytes(), (v, field)
+            assert rec.terminal_cost == ref.terminal_cost, v
 
 
 class TestLandscapeSweep:
