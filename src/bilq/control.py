@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BeliefState, chol_solve, is_symmetric, matvec,
-                   min_eigenvalue, observation_matrix, quadratic, symmetrize)
+from .core import (PSD_TOL, BeliefState, chol_solve, is_symmetric, matvec,
+                   min_eigenvalue, quadratic, symmetrize)
 
 LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
@@ -124,9 +124,7 @@ def scalar_gap_params(sys, noise, cost, prior_var, x_hat0=None):
     """
     if not (sys.n == 1 and sys.m == 1 and sys.p == 1):
         raise ValueError("gap parameters require a scalar system")
-    prior_var = float(prior_var)
-    if prior_var <= 0.0:
-        raise ValueError("prior variance must be positive")
+    kappa = gap_kappa(noise, prior_var)
     tables = riccati_recursion(cost, sys, 1)
     k_last = float(tables.k_seq[0][0, 0])
     p_last = float(tables.p_seq[0][0, 0])
@@ -140,12 +138,19 @@ def scalar_gap_params(sys, noise, cost, prior_var, x_hat0=None):
         alpha=b * b * k_last + r,
         beta=b * k_last * a,
         gamma=sz * a * a * p_last,
-        kappa=sz / prior_var,
+        kappa=kappa,
         c0=float(sys.c0[0, 0]),
         c1=float(sys.ck[0][0, 0]),
         x_hat0=float(x_hat0),
         u1_gain=float(tables.gain_seq[0][0, 0]),
     )
+
+
+def gap_kappa(noise, prior_var):
+    """kappa = sigma_z / prior_var of the scalar stage objective."""
+    if float(prior_var) <= 0.0:
+        raise ValueError("prior variance must be positive")
+    return float(noise.sigma_z[0, 0]) / float(prior_var)
 
 
 def scalar_cost_to_go(params, u):
@@ -295,9 +300,10 @@ def select_rollout_action(candidates):
 @dataclass(frozen=True)
 class BellmanObjectiveParams:
     """Quadratic weights and estimation-penalty data of the stage objective
-    for one belief, x_hat (n,) and prior_cov (n, n), or a stack of R beliefs,
-    (R, n) and (R, n, n).  prior_cov_inv (R, n, n) and cal_b_x_hat (R, p) are
-    stacked for one belief too (R = 1); sigma_z_inv (m, m) is shared."""
+    for one belief, x_hat (n,) and prior_cov Sigma (n, n) PSD, or a stack of
+    R beliefs, (R, n) and (R, n, n).  Stacked for one belief too (R = 1):
+    cal_b_x_hat (R, p), trace_g = tr(Sigma cal_g) (R,) and blocks (R, p+1, -1),
+    row l the m x m C_k Sigma C_l', C_k Sigma cal_g Sigma C_l' of C = (c0, *ck)."""
 
     cal_a: np.ndarray
     cal_b: np.ndarray
@@ -314,21 +320,27 @@ class BellmanObjectiveParams:
         cal_g = np.asarray(self.cal_g, dtype=float)
         if not is_symmetric(cal_g) or min_eigenvalue(cal_g) < -1e-10:
             raise ValueError("cal_g must be symmetric PSD")
+        cal_g = symmetrize(cal_g)
         prior_cov = symmetrize(np.asarray(self.prior_cov, dtype=float))
-        if min_eigenvalue(prior_cov) <= 0.0:
-            raise ValueError("prior_cov must be positive definite")
-        n = prior_cov.shape[-1]
+        if min_eigenvalue(prior_cov) < -PSD_TOL:
+            raise ValueError("prior_cov must be PSD")
+        if len(self.sys.ck) != self.sys.p:
+            raise ValueError("ck count mismatch")
+        n, m, k = prior_cov.shape[-1], self.sys.m, self.sys.p + 1
+        covs = prior_cov.reshape(-1, n, n)
+        c_all = np.concatenate([self.sys.c0, *self.sys.ck])
+        c_cov = c_all @ covs                    # rows C_k Sigma, k = 0..p
+        blocks = np.stack([c_cov @ c_all.T, c_cov @ cal_g @ c_cov.swapaxes(-1, -2)], 1)
+        blocks = blocks.reshape(len(covs), 2, k, m, k, m).transpose(0, 4, 2, 1, 3, 5)
         object.__setattr__(self, "cal_a", cal_a)
         object.__setattr__(self, "cal_b", np.asarray(self.cal_b, dtype=float))
-        object.__setattr__(self, "cal_g", symmetrize(cal_g))
+        object.__setattr__(self, "cal_g", cal_g)
         object.__setattr__(self, "prior_cov", prior_cov)
         object.__setattr__(self, "x_hat", np.reshape(np.asarray(self.x_hat, dtype=float),
                                                      prior_cov.shape[:-1]))
         object.__setattr__(self, "cal_b_x_hat", matvec(self.cal_b, self.x_hat.reshape(-1, n)))
-        object.__setattr__(self, "prior_cov_inv",
-                           chol_solve(prior_cov.reshape(-1, n, n), np.eye(n)))
-        object.__setattr__(self, "sigma_z_inv",
-                           chol_solve(symmetrize(self.noise.sigma_z), np.eye(self.sys.m)))
+        object.__setattr__(self, "trace_g", (covs @ cal_g).diagonal(0, -2, -1).sum(-1))
+        object.__setattr__(self, "blocks", blocks.reshape(len(covs), k, -1))
 
     @property
     def u_lqg(self):
@@ -361,61 +373,76 @@ def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
     )
 
 
-def _stage_terms(bp, u, runs):
-    """The stage objective at inputs u (P, p), input i under belief runs[i],
-    and the summed magnitudes of its three terms; with C(u), I(u) and
-    I(u)^-1 cal_g, which its derivatives reuse."""
-    c = observation_matrix(bp.sys, u)
-    info = symmetrize(bp.prior_cov_inv[runs]
-                      + c.swapaxes(-1, -2) @ (bp.sigma_z_inv @ c))
-    m_g = chol_solve(info, bp.cal_g)
+def _stage_terms(bp, u, runs, derivatives=False):
+    """The stage objective at inputs u (..., p) under the beliefs runs
+    (broadcast against u), the summed magnitudes of its terms, and the one
+    solve S^-1 N or, with derivatives (u (P, p)), S^-1 [N | I | dS/du_k | dN/du_k].
+    S and N are bp.blocks contracted with (1, u), by way of the rows
+    C_k Sigma C' and C_k Sigma cal_g Sigma C'."""
+    (*lead, p), m = u.shape, bp.sys.m
+    coef = np.concatenate([np.ones((*lead, 1)), u], -1)[..., None, :]
+    rows = (coef @ bp.blocks[runs]).reshape(*lead, p + 1, 2, m, m)
+    s_n = (coef @ rows.reshape(*lead, p + 1, -1)).reshape(*lead, 2, m, m)
+    rhs = n = s_n[..., 1, :, :]
+    if derivatives:                     # dS/du_k and dN/du_k, k = 1..p
+        d = rows[:, 1:] + rows[:, 1:].swapaxes(-1, -2)
+        rhs = np.empty((*lead, m, 2 * (p + 1) * m))
+        rhs[..., :m], rhs[..., m:2 * m] = n, np.eye(m)
+        rhs[..., 2 * m:] = d.transpose(0, 3, 2, 1, 4).reshape(*lead, m, -1)
+    sol = chol_solve(symmetrize(s_n[..., 0, :, :] + bp.noise.sigma_z), rhs)
     quad = quadratic(u, bp.cal_a)
-    linear = 2.0 * (u[:, None, :] @ bp.cal_b_x_hat[runs, :, None])[:, 0, 0]
-    penalty = m_g.diagonal(0, -2, -1).sum(-1)
-    return (quad + linear + penalty, np.abs(quad) + np.abs(linear) + np.abs(penalty),
-            c, info, m_g)
+    linear = 2.0 * (u[..., None, :] @ bp.cal_b_x_hat[runs][..., :, None])[..., 0, 0]
+    trace_g = bp.trace_g[runs]
+    gain = sol[..., :m].diagonal(0, -2, -1).sum(-1)
+    return (quad + linear + trace_g - gain,
+            np.abs(quad) + np.abs(linear) + np.abs(trace_g) + np.abs(gain), sol)
 
 
 def bellman_objective_Tm2(bp, u):
     """Quadratic control cost plus the estimation penalty tr(I(u)^-1 cal_g),
-    I(u) = prior_cov^-1 + C(u)^T sigma_z^-1 C(u) the filter's information matrix.
+    I(u) = Sigma^-1 + C(u)' sigma_z^-1 C(u) the filter's information matrix,
+    in innovation form by the matrix inversion lemma: tr(Sigma cal_g) -
+    tr(S^-1 N), S = C(u) Sigma C(u)' + sigma_z the innovation covariance and
+    N = C(u) Sigma cal_g Sigma C(u)'.  Sigma need only be PSD (a singular one
+    gives the limit of Sigma + eps I); the solves are m x m.
 
     Inputs (..., p) broadcast against a stack of beliefs (R,).  One input
     and one belief give a float, else an array, each value bit for bit its
     own single call."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    runs = np.arange(len(bp.prior_cov_inv)).reshape(bp.x_hat.shape[:-1])
-    runs = np.broadcast_to(runs, np.broadcast_shapes(u.shape[:-1], runs.shape))
-    u = np.broadcast_to(u, runs.shape + u.shape[-1:]).reshape(-1, u.shape[-1])
-    val = _stage_terms(bp, u, runs.ravel())[0].reshape(runs.shape)
+    runs = np.arange(len(bp.blocks)).reshape(bp.x_hat.shape[:-1])
+    u = np.ascontiguousarray(np.broadcast_to(
+        u, np.broadcast_shapes(u.shape[:-1], runs.shape) + u.shape[-1:]))
+    val = _stage_terms(bp, u, runs)[0]
     return float(val) if val.ndim == 0 else val
 
 
 def _taylor(bp, u, runs):
     """The stage objective with a bound on its roundoff, and its gradient
     (P, p) and Hessian (P, p, p), at inputs u (P, p), input i under belief
-    runs[i].  With M = I(u)^-1, W = M cal_g M, I_k = dI/du_k,
-    I_kl = d2I/du_k du_l and each trace a vec(X) . vec(Y):
-        g_k = 2 (cal_a u + cal_b x_hat)_k - tr(I_k W),
-        H_kl = 2 cal_a_kl + 2 tr(I_k M I_l W) - tr(I_kl W).
+    runs[i], from _stage_terms' one solve: X = S^-1 N, Y_k = S^-1 dS/du_k,
+    Z_k = S^-1 dN/du_k, W = X S^-1, B_kl = C_k Sigma C_l', D_kl alike with
+    Sigma cal_g Sigma, and each trace a vec(A) . vec(B'):
+        g_k = 2 (cal_a u + cal_b x_hat)_k - tr(Z_k - Y_k X),
+        H_kl = 2 cal_a_kl + 2 tr(Z_k Y_l) - 2 tr(Y_k X Y_l)
+               - 2 tr(S^-1 D_kl) + 2 tr(W B_kl), symmetrized.
     f is a difference of terms that can be much larger than f, so the
     roundoff bound is 1e-14 (1 + the sum of their magnitudes)."""
-    f, scale, c, info, m_g = _stage_terms(bp, u, runs)
-    ck = np.stack(bp.sys.ck)
-    ck_t = ck.swapaxes(-1, -2)
-    i_k = ck_t @ (bp.sigma_z_inv @ c)[:, None]          # C_k' sz^-1 C
-    i_kl = ck_t[:, None] @ (bp.sigma_z_inv @ ck)        # C_k' sz^-1 C_l
-    i_k, i_kl = i_k + i_k.swapaxes(-1, -2), i_kl + i_kl.swapaxes(-1, -2)
-    m = chol_solve(info, np.eye(c.shape[-1]))
-    w = m_g @ m
-    count, p = u.shape
-    vec_w = w.reshape(count, 1, -1, 1)
-    trace_k = (i_k.reshape(count, p, -1) @ vec_w[:, 0])[..., 0]
-    cross = ((i_k @ m[:, None]).reshape(count, p, -1)
-             @ (w[:, None] @ i_k).reshape(count, p, -1).swapaxes(-1, -2))
-    trace_kl = (i_kl.reshape(p, p, -1) @ vec_w)[..., 0]
-    grad = 2.0 * (matvec(bp.cal_a, u) + bp.cal_b_x_hat[runs]) - trace_k
-    return f, 1e-14 * (1.0 + scale), grad, symmetrize(2.0 * bp.cal_a + 2.0 * cross - trace_kl)
+    f, scale, sol = _stage_terms(bp, u, runs, derivatives=True)
+    (count, p), m = u.shape, bp.sys.m
+    x, s_inv = sol[..., :m], sol[..., m:2 * m]
+    y, z = sol[..., 2 * m:].reshape(count, m, 2, p, m).transpose(2, 0, 3, 1, 4)
+    z_yx = z - y @ x[:, None]
+    # tr((Z_k - Y_k X) Y_l), the second and third terms of H_kl halved
+    cross = (z_yx.reshape(count, p, -1)
+             @ y.swapaxes(-1, -2).reshape(count, p, -1).swapaxes(-1, -2))
+    weights = np.concatenate([-(x @ s_inv), s_inv], -2).reshape(count, -1, 1)
+    blocks = bp.blocks[runs].reshape(count, p + 1, p + 1, -1)[:, 1:, 1:]
+    curvature = (blocks.reshape(count, p * p, -1) @ weights).reshape(count, p, p)
+    grad = (2.0 * (matvec(bp.cal_a, u) + bp.cal_b_x_hat[runs])
+            - z_yx.diagonal(0, -2, -1).sum(-1))
+    hess = symmetrize(2.0 * (bp.cal_a + cross - curvature))
+    return f, 1e-14 * (1.0 + scale), grad, hess
 
 
 def _damped_newton(bp, u, runs, cap):

@@ -80,28 +80,24 @@ def _raise_not_pd(a):
 
 
 def chol_solve(a, b):
-    """a^-1 b for symmetric PD a (only its lower triangle is read): the
-    lower Cholesky factor L, then L y = b and L' x = y by numpy's LU solve,
-    which on an upper triangular matrix swaps no rows and eliminates
-    nothing, so each is a back substitution (L y = b runs with its rows and
-    columns reversed, which makes L upper triangular).
+    """a^-1 b for symmetric PD a: the Cholesky factorization tests that a is
+    PD, then numpy's LU solve of a itself, so both triangles are read and
+    callers pass symmetric matrices.
 
     A stack a (R, n, n) or b (R, n, k), the other stacked alike or shared,
     gives a C-contiguous (R, n, k), each item bit for bit its own solve;
-    three numpy.linalg calls whatever R.  Non-finite input raises
+    two numpy.linalg calls whatever R.  Non-finite input raises
     ValueError; a matrix that is not PD raises LinAlgError naming its index."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("chol_solve: array must not contain infs or NaNs")
     try:
-        lower = np.linalg.cholesky(a)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         _raise_not_pd(a)
         raise
-    rhs = b[:, None] if b.ndim == 1 else b
-    y = np.linalg.solve(lower[..., ::-1, ::-1], rhs[..., ::-1, :])[..., ::-1, :]
-    x = np.linalg.solve(lower.swapaxes(-1, -2), y)
+    x = np.linalg.solve(a, b[:, None] if b.ndim == 1 else b)
     return x[..., 0] if b.ndim == 1 else x
 
 

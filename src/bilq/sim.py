@@ -35,7 +35,7 @@ look-ahead for T > 2, not the optimal policy.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,8 +43,8 @@ import numpy as np
 from .core import (RngStream, gaussian_draws, matvec, normal_tape, observation_matrix,
                    quadratic)
 from .kalman import FilterSteps
-from .control import (bellman_minimize_Tm2, bellman_params_at_stage, lqg_policy,
-                      riccati_recursion, scalar_critical_points,
+from .control import (bellman_minimize_Tm2, bellman_params_at_stage, gap_kappa,
+                      lqg_policy, riccati_recursion, scalar_critical_points,
                       scalar_gap_params, scalar_optimal_controller_T2,
                       select_rollout_action)
 
@@ -80,12 +80,14 @@ def _separation_lqg(batch, t):
 def _scalar_nonlinear_t2(batch, t):
     """Scalar two-stage optimum at t = 0, per run: the tie-broken global
     minimizer of the stage objective of the run's system at its prior
-    (regime warnings silenced)."""
+    (regime warnings silenced).  The gap parameters are built once per
+    config; only kappa and x_hat0 follow the run's belief."""
     actions = []
     for sys, runs in batch.configs:
+        base = scalar_gap_params(sys, batch.noise, batch.cost, prior_var=1.0)
         for mean, cov in zip(batch.means[runs], batch.covs[runs]):
-            params = scalar_gap_params(sys, batch.noise, batch.cost,
-                                       prior_var=cov[0, 0], x_hat0=mean[0])
+            params = replace(base, kappa=gap_kappa(batch.noise, cov[0, 0]),
+                             x_hat0=float(mean[0]))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 actions.append([select_rollout_action(

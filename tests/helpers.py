@@ -27,7 +27,7 @@ from scipy.linalg import cho_factor, cho_solve
 import bilq.kalman
 import bilq.sim as sim
 from bilq.control import bellman_objective_Tm2, riccati_recursion
-from bilq.core import (BatchCheckError, BeliefState, check_beliefs, chol_solve,
+from bilq.core import (PSD_TOL, BatchCheckError, BeliefState, check_beliefs, chol_solve,
                        gaussian_draws, matvec, min_eigenvalue, normal_tape,
                        observation_matrix, quadratic, symmetrize)
 from bilq.kalman import kf_step, kf_step_batch
@@ -77,6 +77,36 @@ def cov_update_information_form(cov, sys, noise, u):
                       + c.T @ cho_solve(cho_factor(symmetrize(noise.sigma_z)), c))
     inner = cho_solve(cho_factor(info), np.eye(sys.n))
     return symmetrize(sys.a @ inner @ sys.a.T + noise.sigma_w)
+
+
+def information_form_taylor(bp, u, belief=0):
+    """The stage objective, its gradient and its Hessian at one input u (p,)
+    under belief `belief` of bp, in information form: with
+    I(u) = Sigma^-1 + C(u)' sigma_z^-1 C(u), M = I(u)^-1, W = M cal_g M,
+    I_k = dI/du_k and I_kl = d2I/du_k du_l (scipy's Cholesky solves),
+        f = u' cal_a u + 2 u' cal_b x_hat + tr(M cal_g),
+        g_k = 2 (cal_a u + cal_b x_hat)_k - tr(I_k W),
+        H_kl = 2 cal_a_kl + 2 tr(I_k M I_l W) - tr(I_kl W),
+    and the summed magnitudes of H's three terms, which can be far larger
+    than H.  Needs a PD Sigma; an independent route to the package's
+    innovation form."""
+    u = np.asarray(u, dtype=float)
+    cov = bp.prior_cov.reshape(-1, *bp.prior_cov.shape[-2:])[belief]
+    x_hat = bp.x_hat.reshape(-1, bp.x_hat.shape[-1])[belief]
+    n = cov.shape[0]
+    c = observation_matrix(bp.sys, u)
+    sz_inv = cho_solve(cho_factor(bp.noise.sigma_z), np.eye(bp.sys.m))
+    info = cho_solve(cho_factor(cov), np.eye(n)) + c.T @ sz_inv @ c
+    m = cho_solve(cho_factor(info), np.eye(n))
+    w = m @ bp.cal_g @ m
+    i_k = [ck.T @ sz_inv @ c + c.T @ sz_inv @ ck for ck in bp.sys.ck]
+    i_kl = [[ck.T @ sz_inv @ cl + cl.T @ sz_inv @ ck for cl in bp.sys.ck] for ck in bp.sys.ck]
+    grad = 2.0 * (bp.cal_a @ u + bp.cal_b @ x_hat) - np.array([np.trace(ik @ w) for ik in i_k])
+    cross = np.array([[2.0 * np.trace(ik @ m @ il @ w) for il in i_k] for ik in i_k])
+    second = np.array([[np.trace(ikl @ w) for ikl in row] for row in i_kl])
+    f = u @ bp.cal_a @ u + 2.0 * u @ bp.cal_b @ x_hat + np.trace(m @ bp.cal_g)
+    return (f, grad, 2.0 * bp.cal_a + cross - second,
+            2.0 * np.abs(bp.cal_a) + np.abs(cross) + np.abs(second))
 
 
 def standard_lqg_rollout(a, b, c, q, q_t, r, sigma_w, sigma_z, x0_mean,
@@ -349,6 +379,18 @@ def corrupted_filter(kind, step, index):
         yield
     finally:
         setattr(bilq.kalman, name, original)
+
+
+def failing_lqg(fail_step):
+    """separation_lqg that fails at step fail_step and, like numeric_bellman,
+    on a covariance that is not PSD."""
+    def decide(batch, t):
+        if t == fail_step:
+            raise ValueError("told to fail")
+        if np.linalg.eigvalsh(batch.covs).min() < -PSD_TOL:
+            raise ValueError("covariance not PSD")
+        return sim._separation_lqg(batch, t)
+    return decide
 
 
 def outcome_corrupted(call, kind, step, index):

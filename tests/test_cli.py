@@ -11,10 +11,13 @@ import pytest
 from click.testing import CliRunner
 
 import bilq
+import bilq.sim
 from bilq.cli import main
-from bilq.core import RngStream, config_from_dict, config_to_dict
+from bilq.core import PSD_TOL, RngStream, config_from_dict, config_to_dict
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
 from bilq.sim import PolicyConfig, SimConfig, monte_carlo, write_trajectory_csv
+
+from helpers import failing_lqg
 
 
 @pytest.fixture
@@ -220,19 +223,35 @@ class TestSimulate:
         assert status["status"] == "fail"
         assert any("sigma_z not positive definite" in f for f in status["failures"])
 
-    def test_policy_failure_fails_with_status_line(self, runner, tmp_path):
-        # no process noise: numeric_bellman's stage objective meets a singular
-        # covariance (see tests/test_sim.py::TestFailureLocalization)
+    @staticmethod
+    def noiseless_config(tmp_path):
+        # no process noise: the filter's covariance turns singular, which the
+        # stage objective's innovation form accepts (see tests/test_sim.py::
+        # TestFailureLocalization)
         sys_, noise, cost = orthogonal_config(RngStream(0), "a")
         noise = replace(noise, sigma_w=np.zeros((6, 6)))
         config = tmp_path / "noiseless.json"
         config.write_text(json.dumps(config_to_dict(sys_, noise, cost, 10, 3, 1)))
-        result = invoke(runner, ["simulate", "--config", str(config), "--policy",
-                                 "numeric_bellman", "--out", str(tmp_path / "x")])
+        return config
+
+    def test_noiseless_numeric_bellman_succeeds(self, runner, tmp_path):
+        result = invoke(runner, ["simulate", "--config", str(self.noiseless_config(tmp_path)),
+                                 "--policy", "numeric_bellman", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 0 and status_line(result)["status"] == "ok"
+        rows = read_rows(tmp_path / "x" / "trajectories.csv")
+        assert len(rows) == 3 * 11
+        values = np.array([[float(row[k]) for k in row] for row in rows])
+        assert np.isfinite(values).all()
+        assert min(float(row["cov_trace"]) for row in rows) >= -PSD_TOL
+
+    def test_policy_failure_fails_with_status_line(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setitem(bilq.sim.POLICIES, "numeric_bellman", failing_lqg(2))
+        result = invoke(runner, ["simulate", "--config", str(self.noiseless_config(tmp_path)),
+                                 "--policy", "numeric_bellman", "--out", str(tmp_path / "x")])
         assert result.exit_code == 1
         status = status_line(result)
-        assert status["status"] == "fail" and len(status["failures"]) == 1
-        assert status["failures"][0].startswith("numeric_bellman decision failed: step ")
+        assert status["status"] == "fail"
+        assert status["failures"] == ["numeric_bellman decision failed: step 2, told to fail"]
         assert not (tmp_path / "x").exists()
 
 

@@ -17,7 +17,7 @@ from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, ScalarGapParams,
 from bilq.kalman import kf_step
 from bilq.presets import double_integrator_config, scalar_config
 
-from helpers import random_spd, reference_minimize_Tm2
+from helpers import information_form_taylor, random_spd, reference_minimize_Tm2
 
 U_LQG = -0.05257796257796257
 U_MINUS = -0.24825626381484173
@@ -52,6 +52,13 @@ def central_differences(f, u, h):
     hess = np.array([[(f(u + e + d) - f(u + e - d) - f(u - e + d) + f(u - e - d))
                       / (4.0 * h * h) for d in eye] for e in eye])
     return grad, hess
+
+
+def richardson_differences(f, u, h):
+    """central_differences at steps h and h/2, combined to cancel their
+    O(h^2) error terms."""
+    coarse, fine = central_differences(f, u, h), central_differences(f, u, 0.5 * h)
+    return tuple((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
 
 
 @pytest.fixture
@@ -368,8 +375,12 @@ class TestBellmanObjective:
                                    sys=sys_, noise=noise)
         with pytest.raises(ValueError, match="prior_cov"):
             BellmanObjectiveParams(cal_a=[[1.0]], cal_b=[[1.0]], cal_g=[[1.0]],
-                                   prior_cov=[[0.0]], x_hat=[0.0],
+                                   prior_cov=[[-1.0]], x_hat=[0.0],
                                    sys=sys_, noise=noise)
+        # a singular prior is PSD: no measurement can reduce a zero variance
+        bp = BellmanObjectiveParams(cal_a=[[1.0]], cal_b=[[1.0]], cal_g=[[1.0]],
+                                    prior_cov=[[0.0]], x_hat=[0.0], sys=sys_, noise=noise)
+        assert bellman_objective_Tm2(bp, [0.5]) == 0.25
 
 
 class TestObjectiveMatchesFilter:
@@ -408,6 +419,51 @@ class TestObjectiveMatchesFilter:
         assert values.shape == (6,)
         assert np.array_equal(values, [bellman_objective_Tm2(bp, v) for v in stack])
         assert type(bellman_objective_Tm2(bp, u)) is float
+
+
+class TestInnovationForm:
+    """The stage objective in innovation form, tr(Sigma G) - tr(S^-1 N),
+    against the information form tr(I(u)^-1 G) of tests/helpers.py, central
+    differences, and the limit of a singular prior."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 3), p=st.integers(1, 3),
+           runs=st.integers(1, 3), t=st.integers(0, 1),
+           input_scale=st.sampled_from([0.0, 0.3, 1.0, 3.0]), rank=st.integers(0, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_information_form(self, n, m, p, runs, t, input_scale, rank, seed):
+        rng = np.random.default_rng(seed)
+        bp = random_stage(seed, n, m, p, t, runs)
+        u = input_scale * rng.standard_normal((runs, p))
+        values = bellman_objective_Tm2(bp, u)
+        _, roundoff, grad, hess = control._taylor(bp, u, np.arange(runs))
+        scale = roundoff / 1e-14            # 1 + the summed magnitudes of f's terms
+        for r in range(runs):
+            f_ref, g_ref, h_ref, h_terms = information_form_taylor(bp, u[r], r)
+            assert abs(values[r] - f_ref) <= 1e-12 * scale[r]
+            assert np.abs(grad[r] - g_ref).max() <= 1e-10 * (1.0 + np.abs(g_ref).max())
+            # the reference's rounding, about cond(I) eps times its terms,
+            # sets this bound (2e-9 relative to H seen, while the innovation
+            # form matched a 40-digit evaluation within 4e-16)
+            assert np.abs(hess[r] - h_ref).max() <= 1e-9 * (1.0 + h_terms.max())
+            alone = replace(bp, x_hat=bp.x_hat[r], prior_cov=bp.prior_cov[r])
+            g_fd, h_fd = richardson_differences(lambda v: bellman_objective_Tm2(alone, v),
+                                                u[r], 1e-3)
+            assert np.abs(grad[r] - g_fd).max() <= 1e-7 * scale[r]
+            assert np.abs(hess[r] - h_fd).max() <= 1e-5 * scale[r]
+        # a prior of rank < n: finite, and the limit of the reference at
+        # Sigma + eps I (Richardson's 2 f(eps) - f(2 eps), error O(eps^2))
+        factor = rng.standard_normal((runs, n, rank % n))
+        singular = replace(bp, prior_cov=factor @ factor.swapaxes(-1, -2))
+        values = bellman_objective_Tm2(singular, u)
+        _, roundoff, grad, hess = control._taylor(singular, u, np.arange(runs))
+        assert all(np.isfinite(x).all() for x in (values, grad, hess))
+        for r in range(runs):
+            eps = 1e-6 * max(1.0, np.abs(singular.prior_cov[r]).max())
+            near = [information_form_taylor(replace(singular, prior_cov=singular.prior_cov
+                                                    + e * np.eye(n)), u[r], r)[0]
+                    for e in (eps, 2.0 * eps)]
+            assert abs(values[r] - (2.0 * near[0] - near[1])) <= 1e-6 * roundoff[r] / 1e-14
 
 
 class TestBellmanMinimize:

@@ -255,7 +255,7 @@ class TestCholSolve:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 chol_solve(np.stack([a, a_bad]), np.stack([b, b_bad]))
 
-    def test_three_linalg_calls_whatever_the_stack(self, monkeypatch):
+    def test_two_linalg_calls_whatever_the_stack(self, monkeypatch):
         calls = []
         for name in ("cholesky", "solve"):
             fn = getattr(np.linalg, name)
@@ -266,7 +266,7 @@ class TestCholSolve:
             mats = np.stack([random_spd(rng, 3) for _ in range(runs)])
             calls.clear()
             chol_solve(mats, rng.standard_normal((runs, 3, 2)))
-            assert calls == ["cholesky", "solve", "solve"]
+            assert calls == ["cholesky", "solve"]
 
     def test_not_pd_names_its_index(self):
         mats = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])

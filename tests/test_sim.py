@@ -19,8 +19,9 @@ from bilq.sim import (INIT_ESTIMATES, PolicyConfig, SimConfig,
                       write_summary_csv, write_trajectory_csv)
 
 import bilq.sim
-from helpers import (FAILURE_KINDS, outcome_corrupted, per_step_lqg_rollout, random_spd,
-                     reference_simulate, standard_lqg_rollout, standard_riccati_gains)
+from helpers import (FAILURE_KINDS, failing_lqg, outcome_corrupted, per_step_lqg_rollout,
+                     random_spd, reference_simulate, standard_lqg_rollout,
+                     standard_riccati_gains)
 
 RECORD_ARRAYS = ("states", "inputs", "outputs", "means", "covs", "stage_costs")
 
@@ -425,36 +426,43 @@ class TestFailureLocalization:
     @staticmethod
     def noiseless_orthogonal(init, variant="a"):
         # without process noise the filter's covariance turns singular within
-        # 10 steps, and numeric_bellman's stage objective needs its inverse
+        # 10 steps; the stage objective's innovation form needs it PSD only
         sys_, noise, cost = orthogonal_config(RngStream(0), variant)
         return SimConfig(sys_, replace(noise, sigma_w=np.zeros((6, 6))), cost,
                          PolicyConfig("numeric_bellman", init), 10)
 
-    @pytest.mark.parametrize("init", INIT_ESTIMATES)
-    def test_policy_decision_failure_names_policy_and_step(self, init):
-        with pytest.raises(ValueError, match=r"^numeric_bellman decision failed: step \d+, "
-                                             r".*positive definite$") as err:
-            monte_carlo(self.noiseless_orthogonal(init), 3, 1)
-        assert str(err.value).endswith(str(err.value.__cause__))
+    @staticmethod
+    def assert_decided(records):
+        assert len(records) == 3
+        for rec in records:
+            assert all(np.isfinite(getattr(rec, name)).all() for name in RECORD_ARRAYS)
+        low = np.linalg.eigvalsh(np.stack([rec.covs for rec in records])).min(-1)
+        assert low.min() >= -PSD_TOL
+        assert low[:, -3].max() < 1e-15    # the last numeric decision met a singular prior
 
-    def test_stacked_policy_failure_names_the_configs(self):
+    @pytest.mark.parametrize("init", INIT_ESTIMATES)
+    def test_noiseless_numeric_bellman_decides(self, init):
+        self.assert_decided(monte_carlo(self.noiseless_orthogonal(init), 3, 1).records)
+
+    def test_stacked_noiseless_variants_decide(self):
         # the variants differ only in c0, so they decide as one stack
         configs = [self.noiseless_orthogonal("prior_mean", v) for v in ("a", "b")]
+        for result in monte_carlo(configs, 3, 1):
+            self.assert_decided(result.records)
+
+    def test_policy_decision_failure_names_policy_and_step(self, monkeypatch):
+        monkeypatch.setitem(bilq.sim.POLICIES, "numeric_bellman", failing_lqg(3))
+        with pytest.raises(ValueError, match=r"^numeric_bellman decision failed: step 3, "
+                                             r"told to fail$") as err:
+            monte_carlo(self.noiseless_orthogonal("prior_mean"), 3, 1)
+        assert str(err.value).endswith(str(err.value.__cause__))
+
+    def test_stacked_policy_failure_names_the_configs(self, monkeypatch):
+        monkeypatch.setitem(bilq.sim.POLICIES, "numeric_bellman", failing_lqg(3))
+        configs = [self.noiseless_orthogonal("prior_mean", v) for v in ("a", "b")]
         with pytest.raises(ValueError, match=r"^numeric_bellman decision failed: "
-                                             r"config 0, config 1, step \d+, "):
+                                             r"config 0, config 1, step 3, told to fail$"):
             monte_carlo(configs, 3, 1)
-
-
-def failing_lqg(fail_step):
-    """separation_lqg that fails at step fail_step and, like numeric_bellman,
-    on a covariance that is not PSD."""
-    def decide(batch, t):
-        if t == fail_step:
-            raise ValueError("told to fail")
-        if np.linalg.eigvalsh(batch.covs).min() < -PSD_TOL:
-            raise ValueError("covariance not PSD")
-        return bilq.sim._separation_lqg(batch, t)
-    return decide
 
 
 class TestChecksMatchPerStepReference:
