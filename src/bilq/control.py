@@ -1,6 +1,7 @@
 """Controller synthesis: finite-horizon Riccati tables, the stage objective
 that couples the input to the next-stage estimation covariance with its
-stacked damped-Newton minimizer, and the scalar two-stage nonlinear optimal
+stacked minimizer (the roots of a quintic at one input and one output,
+damped Newton elsewhere), and the scalar two-stage nonlinear optimal
 controller with full critical-point classification.
 
 The scalar stage cost-to-go is
@@ -498,26 +499,94 @@ def unit_design(p):
 DESIGN_BUDGET = 131_072
 
 
+def _quintic_candidates(bp, u_lqg):
+    """For m = p = 1: the real parts of the five roots of each belief's
+    stationarity quintic, (5, R, 1), from one stacked eigvals call.
+
+    With s(u) = s0 + 2 s1 u + s2 u^2 the innovation variance (B blocks plus
+    sigma_z) and n(u) = n0 + 2 n1 u + n2 u^2 alike from the D blocks,
+    f = a u^2 + 2 b u + tr(Sigma cal_g) - n/s, a = cal_a, b = cal_b x_hat,
+    and f'(u) s^2 / 2 is the quintic
+        (a u + b) s^2 - [(n1 s0 - n0 s1) + (n2 s0 - n0 s2) u + (n2 s1 - n1 s2) u^2].
+    s and n are divided by s0 + s2 first, so the coefficients stay in
+    range.  If s2 = 0, Sigma PSD forces s1 = n1 = n2 = 0 and f is
+    quadratic; that case, and a leading coefficient small enough to
+    overflow the companion matrix, give u_lqg for all five roots.
+    scalar_critical_points cannot serve: its ScalarGapParams form holds
+    only where n is affine in s (n = Sigma g (s - sigma_z) at n = 1), so
+    that n(u) has no linear term of its own."""
+    count = len(u_lqg)
+    blocks = bp.blocks.reshape(count, 2, 2, 2)      # [run, l, k, (B_kl, D_kl)]
+    s_n = np.stack([blocks[:, 0, 0], 0.5 * (blocks[:, 0, 1] + blocks[:, 1, 0]),
+                    blocks[:, 1, 1]])               # (3, R, 2): s and n, ascending
+    s_n[0, :, 0] += bp.noise.sigma_z[0, 0]
+    s_n /= (s_n[0, :, 0] + s_n[2, :, 0])[:, None]
+    (s0, n0), (s1, n1), (s2, n2) = s_n.transpose(0, 2, 1)
+    a, b = bp.cal_a[0, 0], bp.cal_b_x_hat[:, 0]
+    square = np.stack([s0 * s0, 4.0 * s0 * s1, 4.0 * s1 * s1 + 2.0 * s0 * s2,
+                       4.0 * s1 * s2, s2 * s2])     # s^2, ascending
+    coef = np.zeros((6, count))
+    coef[:5] += b * square
+    coef[1:] += a * square
+    coef[:3] -= [n1 * s0 - n0 * s1, n2 * s0 - n0 * s2, n2 * s1 - n1 * s2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = (coef[4::-1] / coef[5]).T
+    exact = np.isfinite(monic).all(1)
+    companion = np.zeros((count, 5, 5))
+    companion[:, 0] = -np.where(exact[:, None], monic, 0.0)
+    companion[:, 1:, :-1] = np.eye(4)
+    roots = np.where(exact[:, None], np.linalg.eigvals(companion).real, u_lqg)
+    return roots.T[..., None]
+
+
+def _pick(u, f, slack, norm_tol):
+    """Per belief, the candidate of u (K, R, p) with the lowest value f
+    (K, R): values within slack of the lowest tie, and ties go to the
+    smallest |u|, norms within norm_tol |u| of it counting as equal,
+    then to the lexicographically most negative u.  Returns u (R, p) and f (R,)."""
+    tied = f <= f.min(0) + slack
+    norm = np.linalg.norm(u, axis=-1)
+    small = np.where(tied, norm, np.inf).min(0)
+    shortest = tied & (norm <= small * (1.0 + norm_tol))
+    pick = np.lexsort((*u.transpose(2, 0, 1)[::-1], ~shortest), axis=0)[0]
+    runs = np.arange(u.shape[1])
+    return u[pick, runs], f[pick, runs]
+
+
 def bellman_minimize_Tm2(bp):
     """Minimize the stage objective for one belief, or for each of a stack
-    in one stacked search; the best of several local solutions, so a local
-    guarantee only.
+    in one stacked call: globally for m = p = 1 (one output, one input),
+    elsewhere as the best of several local solutions, a local guarantee only.
 
-    The objective is nonconvex.  unit_design, scaled to the box around the
-    certainty-equivalent action u_lqg (half width max(3 |u_lqg|, 1)), is
-    evaluated in one call; a basin narrower than its spacing can be missed.
-    Damped Newton (Hessian shifted to PD, steps capped at the half width,
-    Armijo backtracking; Nocedal & Wright, ch. 3) runs from u_lqg and the 4
-    best design points, every start of every belief in one array per
-    iteration.  Per belief the lowest value of bellman_objective_Tm2 wins;
-    ties within 1e-9 (1 + |f|) go to the smallest |u|, then to the
-    lexicographically most negative u.  A stack is searched DESIGN_BUDGET
-    design points at a time, which leaves every result's bits unchanged.
+    The objective is nonconvex.  At m = p = 1 it is coercive (cal_a > 0 and
+    n/s bounded), so a global minimizer is a real root of its stationarity
+    quintic: the real parts of every belief's five roots
+    (_quintic_candidates) are evaluated in one call.  Values within f's
+    roundoff, 1e-14 (1 + the summed magnitudes of its terms), tie, since
+    the real part of a complex root is no critical point and a wider window
+    could hand it the decision; |u| within 1e-9 |u| count as equal, so that
+    of a +-u pair whose roots differ in their last bits the negative wins.
+    Elsewhere, unit_design, scaled to the box around the certainty-
+    equivalent action u_lqg (half width max(3 |u_lqg|, 1)), is evaluated in
+    one call; a basin narrower than its spacing, or outside the box, can be
+    missed.  Damped Newton (Hessian shifted to PD, steps capped at the half
+    width, Armijo backtracking; Nocedal & Wright, ch. 3) runs from u_lqg
+    and the 4 best design points, every start of every belief in one array
+    per iteration; values within 1e-9 (1 + |f|) tie.  A stack is searched
+    DESIGN_BUDGET design points at a time, which leaves every result's bits
+    unchanged.
+    Per belief the lowest value of bellman_objective_Tm2 wins; ties go to
+    the smallest |u|, then to the lexicographically most negative u.
     Returns (u, f): (p,) and a float for one belief, (R, p) and (R,) for a
     stack.
     """
     u_lqg = bp.u_lqg.reshape(-1, bp.cal_a.shape[0])
     count, p = u_lqg.shape
+    if p == 1 and bp.sys.m == 1:
+        u = _quintic_candidates(bp, u_lqg)
+        f, scale, _ = _stage_terms(bp, u, np.arange(count))
+        u, f = _pick(u, f, 1e-14 * (1.0 + scale), 1e-9)
+        return (u[0], float(f[0])) if bp.x_hat.ndim == 1 else (u, f)
     design = unit_design(p)
     size = max(1, DESIGN_BUDGET // len(design))
     if count > size:
@@ -532,10 +601,7 @@ def bellman_minimize_Tm2(bp):
     runs = np.tile(np.arange(count), len(starts))
     u = _damped_newton(bp, starts.reshape(-1, p), runs, half[runs]).reshape(starts.shape)
     f = bellman_objective_Tm2(bp, u)
-    tied = f <= f.min(0) + 1e-9 * (1.0 + np.abs(f.min(0)))
-    keys = (*u.transpose(2, 0, 1)[::-1], np.linalg.norm(u, axis=-1), ~tied)
-    pick = np.lexsort(keys, axis=0)[0]
-    u, f = u[pick, np.arange(count)], f[pick, np.arange(count)]
+    u, f = _pick(u, f, 1e-9 * (1.0 + np.abs(f.min(0))), 0.0)
     return (u[0], float(f[0])) if bp.x_hat.ndim == 1 else (u, f)
 
 

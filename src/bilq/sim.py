@@ -30,8 +30,9 @@ decides run by run.  The last stage has no estimation penalty: there the
 engine takes the certainty-equivalent action for every filtered policy.
 ``numeric_bellman`` minimizes the stage objective of
 :func:`bilq.control.bellman_objective_Tm2` with the estimation penalty
-weighted by the LQR table ``p_seq[t+1]``: exact for T = 2, a one-step
-look-ahead for T > 2, not the optimal policy.
+weighted by the LQR table ``p_seq[t+1]``: a one-step look-ahead for T > 2,
+not the optimal policy.  For T = 2 it is exactly optimal at one input and
+one output, where the minimizer is global, and locally optimal elsewhere.
 """
 
 import warnings
@@ -98,7 +99,8 @@ def _scalar_nonlinear_t2(batch, t):
 def _numeric_bellman(batch, t):
     """Per run, the numeric minimizer of its system's stage objective whose
     estimation penalty is weighted by p_seq[t+1], one call per config.
-    Optimal for T = 2; for T > 2 a one-step look-ahead, not the optimal policy."""
+    For T > 2 a one-step look-ahead, not the optimal policy; for T = 2
+    exactly optimal at m = p = 1 (a global minimizer), locally elsewhere."""
     return np.concatenate([bellman_minimize_Tm2(bellman_params_at_stage(
         sys, batch.noise, batch.cost, batch.tables, t,
         (batch.means[runs], batch.covs[runs])))[0] for sys, runs in batch.configs])

@@ -25,16 +25,17 @@ U_PLUS = 0.14310033865891658
 F_AT_MINIMA = 0.19623742367854877
 
 
-def random_stage(seed, n, m, p, t=0, runs=None):
+def random_stage(seed, n, m, p, t=0, runs=None, noise_scale=0.1):
     """Stage objective data of a random bilinear system (the distribution of
-    TestObjectiveMatchesFilter) at one random belief, or at a stack of runs."""
+    TestObjectiveMatchesFilter) at one random belief, or at a stack of runs;
+    noise_scale scales the observation noise."""
     rng = np.random.default_rng(seed)
     sys_ = BilinearSystem(a=rng.standard_normal((n, n)) * 0.5,
                           b=rng.standard_normal((n, p)),
                           c0=rng.standard_normal((m, n)),
                           ck=tuple(rng.standard_normal((m, n)) for _ in range(p)))
     noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05),
-                      sigma_z=random_spd(rng, m, 0.1),
+                      sigma_z=random_spd(rng, m, noise_scale),
                       x0_mean=np.zeros(n), sigma_0=np.eye(n))
     cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n),
                     r=random_spd(rng, p))
@@ -42,6 +43,35 @@ def random_stage(seed, n, m, p, t=0, runs=None):
     means = rng.standard_normal((runs or 1, n))
     covs = np.stack([random_spd(rng, n) for _ in range(runs or 1)])
     belief = (means, covs) if runs else BeliefState(mean=means[0], cov=covs[0])
+    return bellman_params_at_stage(sys_, noise, cost, tables, t, belief)
+
+
+def scalar_io_stage(seed, n, runs, t, rank, ck_scale, noise_scale=0.1, spread=1.0):
+    """random_stage at one output and one input (m = p = 1), a stack of runs
+    beliefs whose priors have the given rank and scale spread, and ck
+    scaled by ck_scale."""
+    bp = random_stage(seed, n, 1, 1, t, runs, noise_scale)
+    factor = spread * np.random.default_rng([seed, 1]).standard_normal((runs, n, rank))
+    return replace(bp, sys=replace(bp.sys, ck=(ck_scale * bp.sys.ck[0],)),
+                   prior_cov=factor @ factor.swapaxes(-1, -2))
+
+
+def grid_minimum(bp):
+    """The least stage objective of one belief (p = 1) on 20,001 points of
+    a box 10 times as wide as the minimizer's design box."""
+    half = 10.0 * max(3.0 * abs(bp.u_lqg[0]), 1.0)
+    return bellman_objective_Tm2(bp, bp.u_lqg + np.linspace(-half, half, 20_001)[:, None]).min()
+
+
+def bilinear_integrator_stage(cov, mean=(0.0, 0.0), ck=1.0, horizon=16, t=0):
+    """The bilinear double integrator (c0 = 0) with input weight 1 instead
+    of 1000, which gives its stage objective a +-u pair of minimizers at
+    x_hat = 0 and a correlated prior."""
+    sys_, noise, cost = double_integrator_config("bilinear", c1=ck)
+    cost = replace(cost, r=[[1.0]])
+    tables = riccati_recursion(cost, sys_, horizon)
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    belief = (mean, cov) if mean.ndim == 2 else BeliefState(mean=mean, cov=cov)
     return bellman_params_at_stage(sys_, noise, cost, tables, t, belief)
 
 
@@ -533,15 +563,21 @@ class TestBellmanMinimize:
         assert np.linalg.eigvalsh(hess).min() >= -1e-5 * (1.0 + np.abs(hess).max())
 
     def test_stack_matches_single(self):
-        # every belief of a stack decides bit for bit as it would alone
-        bp = random_stage(11, n=3, m=2, p=2, t=1, runs=4)
-        u, f = bellman_minimize_Tm2(bp)
-        assert u.shape == (4, 2) and f.shape == (4,)
-        for r in range(4):
-            alone = replace(bp, x_hat=bp.x_hat[r], prior_cov=bp.prior_cov[r])
-            u_r, f_r = bellman_minimize_Tm2(alone)
-            assert u_r.tobytes() == u[r].tobytes() and f_r == f[r]
-            assert type(f_r) is float and u_r.shape == (2,)
+        # every belief of a stack decides bit for bit as it would alone; at
+        # m = p = 1 the stack mixes regular quintics with ones that fall back
+        # to u_lqg (a prior with C1 Sigma = 0, a zero prior)
+        covs = [np.eye(2), np.diag([0.0, 1.0]), np.zeros((2, 2)), [[1.0, 0.9], [0.9, 1.0]]]
+        means = [[0.3, -0.2], [0.1, 0.4], [-0.5, 0.2], [0.0, 0.0]]
+        for bp in (random_stage(11, n=3, m=2, p=2, t=1, runs=4),
+                   bilinear_integrator_stage(np.array(covs), np.array(means))):
+            p = bp.cal_a.shape[0]
+            u, f = bellman_minimize_Tm2(bp)
+            assert u.shape == (4, p) and f.shape == (4,)
+            for r in range(4):
+                alone = replace(bp, x_hat=bp.x_hat[r], prior_cov=bp.prior_cov[r])
+                u_r, f_r = bellman_minimize_Tm2(alone)
+                assert u_r.tobytes() == u[r].tobytes() and f_r == f[r]
+                assert type(f_r) is float and u_r.shape == (p,)
 
     def test_narrow_basin(self):
         # a stress draw (strong ck, low observation noise) whose minimum is a
@@ -575,15 +611,67 @@ class TestBellmanMinimize:
         assert u_parts.tobytes() == u.tobytes() and f_parts.tobytes() == f.tobytes()
 
     def test_ties_go_to_smallest_then_most_negative_input(self):
-        # symmetric scalar case: the two minimizers +-u* tie exactly
+        # symmetric cases: the two minimizers +-u* tie exactly; on the double
+        # integrator the quintic's two roots differ in their last bits, and
+        # those |u| count as equal
         sys_, noise, cost = scalar_config()
         sys_ = replace(sys_, c0=[[0.0]])
         tables = riccati_recursion(cost, sys_, 2)
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, 0,
-                                     BeliefState(mean=[0.0], cov=[[2.0]]))
+        scalar = bellman_params_at_stage(sys_, noise, cost, tables, 0,
+                                         BeliefState(mean=[0.0], cov=[[2.0]]))
+        for bp in (scalar, bilinear_integrator_stage(10.0 * np.eye(2)),
+                   bilinear_integrator_stage([[1.0, 0.9], [0.9, 1.0]], horizon=3)):
+            u, f = bellman_minimize_Tm2(bp)
+            assert u[0] < -0.1
+            assert f <= bellman_objective_Tm2(bp, -u) + 1e-9 * (1.0 + abs(f))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), runs=st.integers(1, 3), t=st.integers(0, 1),
+           rank=st.integers(0, 4), ck_scale=st.sampled_from([1.0, 1e-3, 1e-6]),
+           noise_scale=st.sampled_from([0.01, 0.1, 1.0]), spread=st.sampled_from([1.0, 3.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_global_at_one_input_one_output(self, n, runs, t, rank, ck_scale, noise_scale,
+                                            spread, seed):
+        # m = p = 1: no worse than the reference search or a dense grid on a
+        # box 10 times the design's, singular priors and tiny ck included
+        bp = scalar_io_stage(seed, n, runs, t, rank % (n + 1), ck_scale, noise_scale, spread)
+        _, f = bellman_minimize_Tm2(bp)
+        for r in range(runs):
+            alone = replace(bp, x_hat=bp.x_hat[r], prior_cov=bp.prior_cov[r])
+            bound = 1e-12 * (1.0 + abs(f[r]))
+            assert f[r] <= reference_minimize_Tm2(alone)[1] + bound
+            assert f[r] <= grid_minimum(alone) + bound
+
+    def test_global_where_the_design_search_is_local(self):
+        # a draw whose global minimizer, u = -2.03, lies outside the design
+        # box (half width 1 around u_lqg); the design-and-Newton search of
+        # the other shapes settles at u = 0.515, 12% higher
+        bp = scalar_io_stage(4282104764, n=4, runs=2, t=1, rank=3, ck_scale=1.0,
+                             noise_scale=0.01, spread=3.0)
         u, f = bellman_minimize_Tm2(bp)
-        assert u[0] < 0.0
-        assert f <= bellman_objective_Tm2(bp, -u) + 1e-9 * (1.0 + abs(f))
+        alone = replace(bp, x_hat=bp.x_hat[0], prior_cov=bp.prior_cov[0])
+        assert f[0] <= grid_minimum(alone) + 1e-12 * (1.0 + abs(f[0]))
+        assert u[0, 0] < -2.0
+
+    @pytest.mark.parametrize("ck, cov", [(0.0, np.eye(2)), (1.0, np.diag([0.0, 1.0]))],
+                             ids=["static", "unobserved"])
+    def test_flat_quintic_decides_lqg_action(self, ck, cov):
+        # C1 Sigma C1' = 0 leaves the objective quadratic: the decision is
+        # u_lqg, with a finite value
+        bp = bilinear_integrator_stage(cov, mean=[0.3, -0.2], ck=ck)
+        u, f = bellman_minimize_Tm2(bp)
+        assert u.tobytes() == bp.u_lqg.tobytes()
+        assert np.isfinite(f) and f == bellman_objective_Tm2(bp, bp.u_lqg)
+
+    @pytest.mark.parametrize("ck", [1e-160, 1e-80, 1e100])
+    def test_extreme_ck_decides(self, ck):
+        # a leading coefficient that would overflow the companion matrix
+        # (tiny ck), or an s2^2 that would overflow unscaled (huge ck)
+        for mean in ([0.0, 0.0], [0.3, -0.2]):
+            bp = bilinear_integrator_stage([[1.0, 0.5], [0.5, 1.0]], mean=mean, ck=ck, horizon=4)
+            _, f = bellman_minimize_Tm2(bp)
+            assert np.isfinite(f) and f <= bellman_objective_Tm2(bp, bp.u_lqg)
+            assert f <= grid_minimum(bp) + 1e-12 * (1.0 + abs(f))
 
 
 class TestStackedObjective:
