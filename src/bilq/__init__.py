@@ -11,8 +11,7 @@ from .control import (AffineFalsificationReport, BellmanObjectiveParams,
                       bellman_minimize_Tm2, bellman_objective_Tm2,
                       bellman_params_at_stage, lqg_policy, riccati_recursion,
                       scalar_cost_to_go, scalar_critical_points,
-                      scalar_gap_params, scalar_optimal_controller_T2,
-                      select_rollout_action)
+                      scalar_gap_params, scalar_optimal_controller_T2)
 from .observability import (PROBE_THRESHOLD, BoundednessReport, GramianReport,
                             Prop1Report, check_proposition1,
                             covariance_boundedness_probe, gramian,

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (PSD_TOL, BeliefState, chol_solve, is_symmetric, matvec,
-                   min_eigenvalue, quadratic, symmetrize)
+from .core import (PSD_TOL, chol_solve, is_symmetric, matvec, min_eigenvalue, quadratic,
+                   symmetrize)
 
 LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
@@ -125,7 +125,8 @@ def scalar_gap_params(sys, noise, cost, prior_var, x_hat0=None):
     """
     if not (sys.n == 1 and sys.m == 1 and sys.p == 1):
         raise ValueError("gap parameters require a scalar system")
-    kappa = gap_kappa(noise, prior_var)
+    if float(prior_var) <= 0.0:
+        raise ValueError("prior variance must be positive")
     tables = riccati_recursion(cost, sys, 1)
     k_last = float(tables.k_seq[0][0, 0])
     p_last = float(tables.p_seq[0][0, 0])
@@ -139,19 +140,12 @@ def scalar_gap_params(sys, noise, cost, prior_var, x_hat0=None):
         alpha=b * b * k_last + r,
         beta=b * k_last * a,
         gamma=sz * a * a * p_last,
-        kappa=kappa,
+        kappa=sz / float(prior_var),
         c0=float(sys.c0[0, 0]),
         c1=float(sys.ck[0][0, 0]),
         x_hat0=float(x_hat0),
         u1_gain=float(tables.gain_seq[0][0, 0]),
     )
-
-
-def gap_kappa(noise, prior_var):
-    """kappa = sigma_z / prior_var of the scalar stage objective."""
-    if float(prior_var) <= 0.0:
-        raise ValueError("prior variance must be positive")
-    return float(noise.sigma_z[0, 0]) / float(prior_var)
 
 
 def scalar_cost_to_go(params, u):
@@ -293,11 +287,6 @@ def scalar_optimal_controller_T2(params):
                               notes=tuple(notes), critical_points=tuple(points))
 
 
-def select_rollout_action(candidates):
-    """Deterministic pick among tied minimizers: smallest |u|, then most negative."""
-    return min(candidates, key=lambda u: (abs(u), u))
-
-
 @dataclass(frozen=True)
 class BellmanObjectiveParams:
     """Quadratic weights and estimation-penalty data of the stage objective
@@ -351,8 +340,9 @@ class BellmanObjectiveParams:
 
 
 def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
-    """Stage objective data at stage t for a BeliefState, or for a stack of
-    beliefs given as a pair (means (R, n), covs (R, n, n)).
+    """Stage objective data at stage t for a belief given as a pair
+    (mean (n,), cov (n, n)), or for a stack of them, (means (R, n), covs
+    (R, n, n)).
 
     Exact for the last-but-two stage (t = T - 2).  At earlier stages the
     estimation penalty is still weighted by the LQR table p_seq[t+1], so
@@ -360,7 +350,7 @@ def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
     """
     if not 0 <= t <= tables.horizon - 2:
         raise ValueError(f"stage {t} has no estimation-penalty objective")
-    mean, cov = (belief.mean, belief.cov) if isinstance(belief, BeliefState) else belief
+    mean, cov = belief
     k_next = tables.k_seq[t + 1]
     p_next = tables.p_seq[t + 1]
     return BellmanObjectiveParams(
@@ -500,8 +490,11 @@ DESIGN_BUDGET = 131_072
 
 
 def _quintic_candidates(bp, u_lqg):
-    """For m = p = 1: the real parts of the five roots of each belief's
-    stationarity quintic, (5, R, 1), from one stacked eigvals call.
+    """For m = p = 1: the five roots of each belief's stationarity quintic,
+    (5, R, 1), from one stacked eigvals call.  The real part of a complex
+    root (scalar_critical_points' rule: |imag| > REAL_ROOT_TOL (1 + |real|))
+    is no critical point, so such a root is replaced by a real root of its
+    belief; a real matrix of odd order has at least one.
 
     With s(u) = s0 + 2 s1 u + s2 u^2 the innovation variance (B blocks plus
     sigma_z) and n(u) = n0 + 2 n1 u + n2 u^2 alike from the D blocks,
@@ -535,8 +528,10 @@ def _quintic_candidates(bp, u_lqg):
     companion = np.zeros((count, 5, 5))
     companion[:, 0] = -np.where(exact[:, None], monic, 0.0)
     companion[:, 1:, :-1] = np.eye(4)
-    roots = np.where(exact[:, None], np.linalg.eigvals(companion).real, u_lqg)
-    return roots.T[..., None]
+    roots = np.linalg.eigvals(companion)
+    real = np.abs(roots.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(roots.real))
+    roots = np.where(real, roots.real, roots.real[np.arange(count), real.argmax(1), None])
+    return np.where(exact[:, None], roots, u_lqg).T[..., None]
 
 
 def _pick(u, f, slack, norm_tol):
@@ -560,12 +555,11 @@ def bellman_minimize_Tm2(bp):
 
     The objective is nonconvex.  At m = p = 1 it is coercive (cal_a > 0 and
     n/s bounded), so a global minimizer is a real root of its stationarity
-    quintic: the real parts of every belief's five roots
-    (_quintic_candidates) are evaluated in one call.  Values within f's
-    roundoff, 1e-14 (1 + the summed magnitudes of its terms), tie, since
-    the real part of a complex root is no critical point and a wider window
-    could hand it the decision; |u| within 1e-9 |u| count as equal, so that
-    of a +-u pair whose roots differ in their last bits the negative wins.
+    quintic: every belief's real roots (_quintic_candidates) are evaluated
+    in one call.  Values within f's roundoff, 1e-14 (1 + the summed
+    magnitudes of its terms), tie; |u| within 1e-9 |u| count as equal, so
+    that of a +-u pair whose roots differ in their last bits the negative
+    wins.
     Elsewhere, unit_design, scaled to the box around the certainty-
     equivalent action u_lqg (half width max(3 |u_lqg|, 1)), is evaluated in
     one call; a basin narrower than its spacing, or outside the box, can be

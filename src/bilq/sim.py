@@ -25,9 +25,10 @@ several configs, the config's index, as checks made every step would.
 Policies are a table of functions of (batch, t) returning one action per
 run.  The certainty-equivalent ones are one stacked matrix-vector product
 per step; ``numeric_bellman`` is one stacked minimizer call per step for
-the runs of each config, on its system, and ``scalar_nonlinear_t2``
-decides run by run.  The last stage has no estimation penalty: there the
-engine takes the certainty-equivalent action for every filtered policy.
+the runs of each config, on its system, and ``scalar_nonlinear_t2`` is
+``numeric_bellman`` restricted to the scalar system at T = 2.  The last
+stage has no estimation penalty: there the engine takes the
+certainty-equivalent action for every filtered policy.
 ``numeric_bellman`` minimizes the stage objective of
 :func:`bilq.control.bellman_objective_Tm2` with the estimation penalty
 weighted by the LQR table ``p_seq[t+1]``: a one-step look-ahead for T > 2,
@@ -35,8 +36,7 @@ not the optimal policy.  For T = 2 it is exactly optimal at one input and
 one output, where the minimizer is global, and locally optimal elsewhere.
 """
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,10 +44,8 @@ import numpy as np
 from .core import (RngStream, gaussian_draws, matvec, normal_tape, observation_matrix,
                    quadratic)
 from .kalman import FilterSteps
-from .control import (bellman_minimize_Tm2, bellman_params_at_stage, gap_kappa,
-                      lqg_policy, riccati_recursion, scalar_critical_points,
-                      scalar_gap_params, scalar_optimal_controller_T2,
-                      select_rollout_action)
+from .control import (bellman_minimize_Tm2, bellman_params_at_stage, lqg_policy,
+                      riccati_recursion, scalar_critical_points, scalar_gap_params)
 
 INIT_ESTIMATES = ("prior_mean", "sampled_from_prior")
 METRICS = ("stage_cost", "cum_cost", "u_norm", "est_err", "cov_trace")
@@ -78,24 +76,6 @@ def _separation_lqg(batch, t):
     return lqg_policy(batch.tables, t, batch.means)
 
 
-def _scalar_nonlinear_t2(batch, t):
-    """Scalar two-stage optimum at t = 0, per run: the tie-broken global
-    minimizer of the stage objective of the run's system at its prior
-    (regime warnings silenced).  The gap parameters are built once per
-    config; only kappa and x_hat0 follow the run's belief."""
-    actions = []
-    for sys, runs in batch.configs:
-        base = scalar_gap_params(sys, batch.noise, batch.cost, prior_var=1.0)
-        for mean, cov in zip(batch.means[runs], batch.covs[runs]):
-            params = replace(base, kappa=gap_kappa(batch.noise, cov[0, 0]),
-                             x_hat0=float(mean[0]))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                actions.append([select_rollout_action(
-                    scalar_optimal_controller_T2(params).u0_candidates)])
-    return np.array(actions)
-
-
 def _numeric_bellman(batch, t):
     """Per run, the numeric minimizer of its system's stage objective whose
     estimation penalty is weighted by p_seq[t+1], one call per config.
@@ -109,7 +89,7 @@ def _numeric_bellman(batch, t):
 POLICIES = {
     "perfect_state_lqr": _perfect_state_lqr,
     "separation_lqg": _separation_lqg,
-    "scalar_nonlinear_t2": _scalar_nonlinear_t2,
+    "scalar_nonlinear_t2": _numeric_bellman,
     "numeric_bellman": _numeric_bellman,
 }
 POLICY_KINDS = tuple(POLICIES)

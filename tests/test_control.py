@@ -12,8 +12,7 @@ from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, ScalarGapParams,
                           gradient_polynomial_coefficients, lqg_policy,
                           riccati_recursion, scalar_cost_to_go,
                           scalar_critical_points, scalar_gap_params,
-                          scalar_optimal_controller_T2, select_rollout_action,
-                          unit_design)
+                          scalar_optimal_controller_T2, unit_design)
 from bilq.kalman import kf_step
 from bilq.presets import double_integrator_config, scalar_config
 
@@ -42,7 +41,7 @@ def random_stage(seed, n, m, p, t=0, runs=None, noise_scale=0.1):
     tables = riccati_recursion(cost, sys_, 3)
     means = rng.standard_normal((runs or 1, n))
     covs = np.stack([random_spd(rng, n) for _ in range(runs or 1)])
-    belief = (means, covs) if runs else BeliefState(mean=means[0], cov=covs[0])
+    belief = (means, covs) if runs else (means[0], covs[0])
     return bellman_params_at_stage(sys_, noise, cost, tables, t, belief)
 
 
@@ -71,8 +70,7 @@ def bilinear_integrator_stage(cov, mean=(0.0, 0.0), ck=1.0, horizon=16, t=0):
     cost = replace(cost, r=[[1.0]])
     tables = riccati_recursion(cost, sys_, horizon)
     mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
-    belief = (mean, cov) if mean.ndim == 2 else BeliefState(mean=mean, cov=cov)
-    return bellman_params_at_stage(sys_, noise, cost, tables, t, belief)
+    return bellman_params_at_stage(sys_, noise, cost, tables, t, (mean, cov))
 
 
 def central_differences(f, u, h):
@@ -353,17 +351,13 @@ class TestT2Controller:
         bare = replace(fig_params, u1_gain=None)
         assert scalar_optimal_controller_T2(bare).u1_rule is None
 
-    def test_rollout_tie_break(self):
-        assert select_rollout_action((-0.2, 0.14)) == 0.14
-        assert select_rollout_action((0.2, -0.2)) == -0.2
-
 
 class TestBellmanObjective:
     def test_static_observation_constant_penalty(self):
         rng = np.random.default_rng(3)
         sys_, noise, cost = double_integrator_config("linear")
         tables = riccati_recursion(cost, sys_, 5)
-        belief = BeliefState(mean=[0.4, -0.2], cov=np.eye(2))
+        belief = ([0.4, -0.2], np.eye(2))
         bp = bellman_params_at_stage(sys_, noise, cost, tables, 3, belief)
         u0 = np.zeros(1)
         base = bellman_objective_Tm2(bp, u0)
@@ -375,7 +369,7 @@ class TestBellmanObjective:
     def test_scalar_consistency_with_gap_form(self):
         sys_, noise, cost = scalar_config()
         tables = riccati_recursion(cost, sys_, 2)
-        belief = BeliefState(mean=[0.1], cov=[[2.0]])
+        belief = ([0.1], [[2.0]])
         bp = bellman_params_at_stage(sys_, noise, cost, tables, 0, belief)
         params = scalar_gap_params(sys_, noise, cost, prior_var=2.0)
         for u in np.linspace(-1.5, 1.5, 31):
@@ -386,7 +380,7 @@ class TestBellmanObjective:
     def test_small_input_pays_estimation_penalty(self):
         sys_, noise, cost = double_integrator_config("bilinear")
         tables = riccati_recursion(cost, sys_, 4)
-        belief = BeliefState(mean=[1.0, 0.0], cov=np.eye(2))
+        belief = ([1.0, 0.0], np.eye(2))
         bp = bellman_params_at_stage(sys_, noise, cost, tables, 2, belief)
 
         def penalty(u):
@@ -433,7 +427,7 @@ class TestObjectiveMatchesFilter:
                         r=random_spd(rng, p))
         tables = riccati_recursion(cost, sys_, 3)
         belief = BeliefState(mean=rng.standard_normal(n), cov=random_spd(rng, n))
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, t, belief)
+        bp = bellman_params_at_stage(sys_, noise, cost, tables, t, (belief.mean, belief.cov))
         u = input_scale * rng.standard_normal(p)
         quad = u @ bp.cal_a @ u + 2.0 * (bp.cal_b @ bp.x_hat) @ u
         penalty = bellman_objective_Tm2(bp, u) - quad
@@ -508,7 +502,7 @@ class TestBellmanMinimize:
                           x0_mean=np.zeros(n), sigma_0=np.eye(n))
         cost = CostSpec(q=np.eye(n), q_t=np.eye(n), r=np.eye(p))
         tables = riccati_recursion(cost, sys_, 4)
-        belief = BeliefState(mean=rng.standard_normal(n) * 0.1, cov=np.eye(n))
+        belief = (rng.standard_normal(n) * 0.1, np.eye(n))
         bp = bellman_params_at_stage(sys_, noise, cost, tables, 2, belief)
         u_star, f_star = bellman_minimize_Tm2(bp)
         np.testing.assert_allclose(u_star, bp.u_lqg, atol=1e-7)
@@ -517,7 +511,7 @@ class TestBellmanMinimize:
     def test_scalar_regime_matches_closed_form(self):
         sys_, noise, cost = scalar_config()
         tables = riccati_recursion(cost, sys_, 2)
-        belief = BeliefState(mean=[0.1], cov=[[2.0]])
+        belief = ([0.1], [[2.0]])
         bp = bellman_params_at_stage(sys_, noise, cost, tables, 0, belief)
         u_star, _ = bellman_minimize_Tm2(bp)
         assert min(abs(u_star[0] - U_MINUS), abs(u_star[0] - U_PLUS)) < 1e-6
@@ -526,7 +520,7 @@ class TestBellmanMinimize:
         sys_, noise, cost = scalar_config()
         sys_ = replace(sys_, c0=[[0.0]])
         tables = riccati_recursion(cost, sys_, 2)
-        belief = BeliefState(mean=[0.0], cov=[[2.0]])
+        belief = ([0.0], [[2.0]])
         bp = bellman_params_at_stage(sys_, noise, cost, tables, 0, belief)
         u_star, f_star = bellman_minimize_Tm2(bp)
         assert f_star <= bellman_objective_Tm2(bp, [0.0]) + 1e-12
@@ -595,8 +589,8 @@ class TestBellmanMinimize:
         cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n),
                         r=random_spd(rng, p, rng.choice([0.1, 1, 10])))
         tables = riccati_recursion(cost, sys_, 3)
-        belief = BeliefState(mean=rng.standard_normal(n) * rng.choice([0.1, 1, 3]),
-                             cov=random_spd(rng, n, rng.choice([0.1, 1, 5])))
+        belief = (rng.standard_normal(n) * rng.choice([0.1, 1, 3]),
+                  random_spd(rng, n, rng.choice([0.1, 1, 5])))
         bp = bellman_params_at_stage(sys_, noise, cost, tables, int(rng.integers(0, 2)), belief)
         _, f = bellman_minimize_Tm2(bp)
         _, f_ref = reference_minimize_Tm2(bp)
@@ -618,12 +612,25 @@ class TestBellmanMinimize:
         sys_ = replace(sys_, c0=[[0.0]])
         tables = riccati_recursion(cost, sys_, 2)
         scalar = bellman_params_at_stage(sys_, noise, cost, tables, 0,
-                                         BeliefState(mean=[0.0], cov=[[2.0]]))
+                                         ([0.0], [[2.0]]))
         for bp in (scalar, bilinear_integrator_stage(10.0 * np.eye(2)),
                    bilinear_integrator_stage([[1.0, 0.9], [0.9, 1.0]], horizon=3)):
             u, f = bellman_minimize_Tm2(bp)
             assert u[0] < -0.1
             assert f <= bellman_objective_Tm2(bp, -u) + 1e-9 * (1.0 + abs(f))
+
+    def test_complex_roots_do_not_compete(self):
+        # c0 = 0 and x_hat = 1e-8: a complex pair's real part lies nearer 0
+        # than the minimizer and ties with it within f's roundoff
+        sys_, noise, cost = scalar_config()
+        sys_ = replace(sys_, c0=[[0.0]], ck=([[0.5]],))
+        bp = bellman_params_at_stage(sys_, noise, cost, riccati_recursion(cost, sys_, 2), 0,
+                                     ([1e-8], [[1.0]]))
+        params = scalar_gap_params(sys_, noise, cost, prior_var=1.0, x_hat0=1e-8)
+        points = scalar_critical_points(params)
+        assert [pt.kind for pt in points] == [LOCAL_MIN, COMPLEX_PAIR, COMPLEX_PAIR]
+        u, _ = bellman_minimize_Tm2(bp)
+        assert u[0] == pytest.approx(points[0].u, rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 4), runs=st.integers(1, 3), t=st.integers(0, 1),

@@ -9,8 +9,8 @@ from bilq.core import (PSD_TOL, BeliefState, BilinearSystem, CostSpec, NoiseSpec
                        RngStream, sample_gaussian)
 from bilq.kalman import kf_step
 from bilq.control import (bellman_minimize_Tm2, bellman_params_at_stage,
-                          lqg_policy, riccati_recursion, scalar_gap_params,
-                          scalar_optimal_controller_T2)
+                          lqg_policy, riccati_recursion, scalar_cost_to_go,
+                          scalar_gap_params, scalar_optimal_controller_T2)
 from bilq.presets import (double_integrator_config, orthogonal_config,
                           scalar_config)
 from bilq.sim import (INIT_ESTIMATES, PolicyConfig, SimConfig,
@@ -174,7 +174,7 @@ class TestRollout:
                       RngStream(1))
         assert rec.inputs.shape == (3, p) and np.isfinite(rec.inputs).all()
         bp = bellman_params_at_stage(sys_, noise, cost, riccati_recursion(cost, sys_, 3), 0,
-                                     BeliefState(mean=noise.x0_mean, cov=noise.sigma_0))
+                                     (noise.x0_mean, noise.sigma_0))
         assert rec.inputs[0].tobytes() == bellman_minimize_Tm2(bp)[0].tobytes()
 
     def test_numeric_bellman_three_input_decision_time(self):
@@ -209,6 +209,66 @@ class TestRollout:
         assert rec.terminal_cost >= 0.0
         cum = rec.metric("cum_cost")
         assert np.all(np.diff(cum) >= 0.0)
+
+
+class TestScalarNonlinearT2:
+    """scalar_nonlinear_t2 is numeric_bellman on the scalar system at T = 2,
+    checked against the closed-form controller's np.roots candidates."""
+
+    def test_is_numeric_bellman(self):
+        assert bilq.sim.POLICIES["scalar_nonlinear_t2"] is bilq.sim.POLICIES["numeric_bellman"]
+        sys_, noise, cost = scalar_config()
+        symmetric = (replace(sys_, c0=[[0.0]]), replace(noise, x0_mean=[0.0]), cost)
+        for config in (scalar_config(), scalar_config(offset=0.25),
+                       scalar_config(c1=2.0, offset=-0.6), symmetric):
+            for init in INIT_ESTIMATES:
+                t2, nb = (monte_carlo(SimConfig(*config, PolicyConfig(kind, init), 2), 5, 3)
+                          for kind in ("scalar_nonlinear_t2", "numeric_bellman"))
+                assert_same_records(t2, nb, init)
+
+    @pytest.mark.filterwarnings("ignore:outside closed-form regime")
+    @settings(max_examples=40, deadline=None)
+    @given(c0=st.floats(-1.0, 1.0), c1=st.floats(0.2, 3.0), negative=st.booleans(),
+           x0_mean=st.floats(-1.0, 1.0), sigma_0=st.floats(0.05, 5.0),
+           init=st.sampled_from(INIT_ESTIMATES), seed=st.integers(0, 2 ** 32 - 1))
+    def test_first_action_is_closed_form_minimizer(self, c0, c1, negative, x0_mean, sigma_0,
+                                                   init, seed):
+        sys_, noise, cost = scalar_config()
+        sys_ = replace(sys_, c0=[[c0]], ck=([[-c1 if negative else c1]],))
+        noise = replace(noise, x0_mean=[x0_mean], sigma_0=[[sigma_0]])
+        res = monte_carlo(SimConfig(sys_, noise, cost, PolicyConfig("scalar_nonlinear_t2", init),
+                                    2), 3, seed)
+        for rec in res.records:
+            params = scalar_gap_params(sys_, noise, cost, prior_var=rec.covs[0, 0, 0],
+                                       x_hat0=rec.means[0, 0])
+            candidates = scalar_optimal_controller_T2(params).u0_candidates
+            u0 = rec.inputs[0, 0]
+            assert min(abs(u0 - u) for u in candidates) <= 1e-9, (u0, candidates)
+            best = min(scalar_cost_to_go(params, u) for u in candidates)
+            assert scalar_cost_to_go(params, u0) <= best + 1e-12 * (1.0 + abs(best))
+
+    def test_symmetric_tie_goes_to_negative_minimizer(self):
+        # x_hat = c0 = 0: the objective is even in u, and +-u* tie exactly
+        sys_, noise, cost = scalar_config()
+        sys_, noise = replace(sys_, c0=[[0.0]]), replace(noise, x0_mean=[0.0])
+        params = scalar_gap_params(sys_, noise, cost, prior_var=2.0)
+        low, high = scalar_optimal_controller_T2(params).u0_candidates
+        assert low == pytest.approx(-high, rel=1e-12) and low < -0.19
+        res = monte_carlo(SimConfig(sys_, noise, cost,
+                                    PolicyConfig("scalar_nonlinear_t2", "prior_mean"), 2), 4, 1)
+        for rec in res.records:
+            assert rec.inputs[0, 0] == pytest.approx(low, abs=1e-12)
+
+    def test_zero_prior_variance_takes_lqg_action(self):
+        # no measurement reduces a zero variance: the penalty is 0 for every u
+        sys_, noise, cost = scalar_config()
+        noise = replace(noise, sigma_0=[[0.0]])
+        u_lqg = lqg_policy(riccati_recursion(cost, sys_, 2), 0, noise.x0_mean)[0]
+        for init in INIT_ESTIMATES:
+            res = monte_carlo(SimConfig(sys_, noise, cost,
+                                        PolicyConfig("scalar_nonlinear_t2", init), 2), 3, 2)
+            for rec in res.records:
+                assert rec.inputs[0, 0] == pytest.approx(u_lqg, rel=1e-12)
 
 
 class TestMonteCarlo:
