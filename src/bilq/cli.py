@@ -64,6 +64,14 @@ def _load_config_or_fail(path):
         raise click.ClickException(str(exc))
 
 
+def _fail_if_invalid(status, system, noise, cost):
+    """End the command with a fail status line listing validate_system's
+    violations, if any, each as "config invalid: <violation>"."""
+    report = validate_system(system, noise, cost)
+    if not report.ok:
+        _finish(*status, [f"config invalid: {v}" for v in report.violations])
+
+
 def _lqg_probe(system, noise, cost, horizon):
     """The covariance boundedness probe under certainty-equivalent LQG."""
     tables = riccati_recursion(cost, system, horizon)
@@ -229,14 +237,12 @@ def cmd_orthogonal(runs, seed, variant, out):
 def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
     """Monte Carlo rollouts of a JSON-configured system."""
     system, noise, cost, horizon, cfg_runs, cfg_seed = _load_config_or_fail(config_path)
-    report = validate_system(system, noise, cost)
     runs = cfg_runs if runs is None else runs
     seed = cfg_seed if seed is None else seed
     status = ("simulate", str(config_path), str(out),
               {"runs": runs, "seed": seed, "policy": policy,
                "init_estimate": init_estimate})
-    if not report.ok:
-        _finish(*status, [f"config invalid: {v}" for v in report.violations])
+    _fail_if_invalid(status, system, noise, cost)
     config = SimConfig(system, noise, cost, PolicyConfig(policy, init_estimate),
                        horizon)
     try:
@@ -272,9 +278,7 @@ def cmd_observability(config_path, horizon, delta):
     system, noise, cost, _, _, _ = _load_config_or_fail(config_path)
     status = ("observability", str(config_path), None,
               {"horizon": horizon, "delta": delta})
-    report = validate_system(system, noise, cost)
-    if not report.ok:
-        _finish(*status, [f"config invalid: {v}" for v in report.violations])
+    _fail_if_invalid(status, system, noise, cost)
     n = system.n
     if horizon < n:
         raise click.ClickException(f"horizon must be at least n = {n}")
@@ -306,9 +310,14 @@ def cmd_critical_points(config_path, x0hat, c0, c1):
             raise click.ClickException("critical-points requires a scalar system")
     else:
         system, noise, cost = scalar_config()
-    params = scalar_gap_params(system, noise, cost,
-                               prior_var=float(noise.sigma_0[0, 0]),
-                               x_hat0=x0hat)
+    status = ("critical-points", None if config_path is None else str(config_path), None,
+              {"x0hat": x0hat, "c0": c0, "c1": c1})
+    _fail_if_invalid(status, system, noise, cost)
+    try:
+        params = scalar_gap_params(system, noise, cost,
+                                   prior_var=float(noise.sigma_0[0, 0]), x_hat0=x0hat)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     params = replace(params, **{k: v for k, v in (("c0", c0), ("c1", c1)) if v is not None})
     if params.c1 == 0.0:
         raise click.ClickException(LQG_CLOSED_FORM)
@@ -317,9 +326,7 @@ def cmd_critical_points(config_path, x0hat, c0, c1):
     for pt in points:
         click.echo(f"{format_float(pt.u)},{pt.kind},{format_float(pt.f_value)},"
                    f"{format_float(pt.second_derivative)}")
-    _finish("critical-points",
-            None if config_path is None else str(config_path), None,
-            {"x0hat": x0hat, "c0": c0, "c1": c1}, _check_classifications(points))
+    _finish(*status, _check_classifications(points))
 
 
 if __name__ == "__main__":

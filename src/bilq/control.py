@@ -180,6 +180,11 @@ def gradient_polynomial_coefficients(params):
                      al * ka * ka - ga * params.c1 * params.c1, ka * ka * d])
 
 
+def _is_real_root(roots):
+    """The roots read as real: |imag| < REAL_ROOT_TOL (1 + |real|)."""
+    return np.abs(roots.imag) < REAL_ROOT_TOL * (1.0 + np.abs(roots.real))
+
+
 @dataclass(frozen=True)
 class CriticalPoint:
     u: float
@@ -195,9 +200,8 @@ def scalar_critical_points(params):
     vanishes (|.| <= 1e-10) the one-sided gradient signs decide.  Complex
     conjugate pairs are reported once each with kind "complex_pair".
     """
-    coeffs = gradient_polynomial_coefficients(params)
-    roots = np.roots(coeffs)
-    real_mask = np.abs(roots.imag) < REAL_ROOT_TOL * (1.0 + np.abs(roots.real))
+    roots = np.roots(gradient_polynomial_coefficients(params))
+    real_mask = _is_real_root(roots)
     points = []
     for ubar in sorted(roots[real_mask].real):
         u = (ubar - params.c0) / params.c1
@@ -235,8 +239,6 @@ class T2ControllerResult:
     u0_candidates: tuple
     u1_rule: object
     in_closed_form_regime: bool
-    notes: tuple
-    critical_points: tuple
 
 
 def _minima(points):
@@ -270,8 +272,7 @@ def scalar_optimal_controller_T2(params):
     in_regime = not notes
     if not in_regime:
         warnings.warn("outside closed-form regime: " + "; ".join(notes))
-    points = scalar_critical_points(params)
-    _, tied = _minima(points)
+    _, tied = _minima(scalar_critical_points(params))
     candidates = []
     for u in sorted(tied):
         # collapse repeated roots of the same point (degenerate multiplicities)
@@ -283,8 +284,7 @@ def scalar_optimal_controller_T2(params):
         gain = float(params.u1_gain)
         u1_rule = lambda x_hat: gain * float(x_hat)  # noqa: E731
     return T2ControllerResult(u0_candidates=candidates, u1_rule=u1_rule,
-                              in_closed_form_regime=in_regime,
-                              notes=tuple(notes), critical_points=tuple(points))
+                              in_closed_form_regime=in_regime)
 
 
 @dataclass(frozen=True)
@@ -314,8 +314,6 @@ class BellmanObjectiveParams:
         prior_cov = symmetrize(np.asarray(self.prior_cov, dtype=float))
         if min_eigenvalue(prior_cov) < -PSD_TOL:
             raise ValueError("prior_cov must be PSD")
-        if len(self.sys.ck) != self.sys.p:
-            raise ValueError("ck count mismatch")
         n, m, k = prior_cov.shape[-1], self.sys.m, self.sys.p + 1
         covs = prior_cov.reshape(-1, n, n)
         c_all = np.concatenate([self.sys.c0, *self.sys.ck])
@@ -492,9 +490,9 @@ DESIGN_BUDGET = 131_072
 def _quintic_candidates(bp, u_lqg):
     """For m = p = 1: the five roots of each belief's stationarity quintic,
     (5, R, 1), from one stacked eigvals call.  The real part of a complex
-    root (scalar_critical_points' rule: |imag| > REAL_ROOT_TOL (1 + |real|))
-    is no critical point, so such a root is replaced by a real root of its
-    belief; a real matrix of odd order has at least one.
+    root (not _is_real_root, scalar_critical_points' rule too) is no
+    critical point, so such a root is replaced by a real root of its belief;
+    a real matrix of odd order has at least one.
 
     With s(u) = s0 + 2 s1 u + s2 u^2 the innovation variance (B blocks plus
     sigma_z) and n(u) = n0 + 2 n1 u + n2 u^2 alike from the D blocks,
@@ -529,7 +527,7 @@ def _quintic_candidates(bp, u_lqg):
     companion[:, 0] = -np.where(exact[:, None], monic, 0.0)
     companion[:, 1:, :-1] = np.eye(4)
     roots = np.linalg.eigvals(companion)
-    real = np.abs(roots.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(roots.real))
+    real = _is_real_root(roots)
     roots = np.where(real, roots.real, roots.real[np.arange(count), real.argmax(1), None])
     return np.where(exact[:, None], roots, u_lqg).T[..., None]
 
@@ -603,10 +601,8 @@ def bellman_minimize_Tm2(bp):
 class AffineFalsificationReport:
     """Best affine fit to the first-stage policy over an estimate grid."""
 
-    x_hat_values: np.ndarray
     u_star: np.ndarray
     slope: float
-    intercept: float
     max_residual: float
     scale: float
     falsified: bool
@@ -639,12 +635,11 @@ def affine_falsification_test(params, x_hat_grid=None):
             u_star[i] = min((p.u for p in minima), key=lambda u: abs(u - previous))
         previous = u_star[i]
     design = np.stack([x_hat_grid, np.ones_like(x_hat_grid)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(design, u_star, rcond=None)
-    fit = design @ np.array([slope, intercept])
+    coef, *_ = np.linalg.lstsq(design, u_star, rcond=None)
+    fit = design @ coef
     max_residual = float(np.abs(u_star - fit).max())
     scale = float(np.abs(u_star).max())
     return AffineFalsificationReport(
-        x_hat_values=x_hat_grid, u_star=u_star, slope=float(slope),
-        intercept=float(intercept), max_residual=max_residual, scale=scale,
+        u_star=u_star, slope=float(coef[0]), max_residual=max_residual, scale=scale,
         falsified=max_residual > 1e-4 * scale,
     )

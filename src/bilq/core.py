@@ -110,8 +110,8 @@ class BilinearSystem:
     """State transition pair (a, b) and observation family c0, ck[0..p-1].
 
     The effective observation matrix for an input u is
-    ``c0 + sum_k u[k] * ck[k]``; ck must contain one matrix per input channel.
-    Shapes and finiteness are enforced at construction; count and numeric
+    ``c0 + sum_k u[k] * ck[k]``; ck holds one matrix per column of b.
+    Shapes, that count and finiteness are enforced at construction; numeric
     invariants are reported by :func:`validate_system`.
     """
 
@@ -132,6 +132,8 @@ class BilinearSystem:
         if c0.shape[1] != n:
             raise ValueError(f"c0 must have {n} columns, got {c0.shape}")
         ck = tuple(_as_matrix(c, f"ck[{i}]") for i, c in enumerate(self.ck))
+        if len(ck) != b.shape[1]:
+            raise ValueError(f"ck count {len(ck)} != {b.shape[1]} columns of b")
         for i, c in enumerate(ck):
             if c.shape != c0.shape:
                 raise ValueError(f"ck[{i}] shape {c.shape} != c0 shape {c0.shape}")
@@ -260,14 +262,15 @@ class ValidationReport:
         self.violations.append(message)
 
 
-def _check_sym_pd(report, mat, name, *, strict):
-    if not is_symmetric(mat, tol=1e-12):
+def _check_matrix(report, mat, name, dim, *, strict):
+    """Shape (dim, dim), then symmetry, then PD (strict) or PSD within PSD_TOL."""
+    if mat.shape != (dim, dim):
+        report.add(f"{name} shape {mat.shape} != ({dim}, {dim})")
+    elif not is_symmetric(mat, tol=1e-12):
         report.add(f"{name} not symmetric")
-        return
-    lo = min_eigenvalue(mat)
-    if strict and lo <= 0.0:
+    elif strict and min_eigenvalue(mat) <= 0.0:
         report.add(f"{name} not positive definite")
-    elif not strict and lo < -PSD_TOL:
+    elif not strict and min_eigenvalue(mat) < -PSD_TOL:
         report.add(f"{name} not positive semidefinite")
 
 
@@ -278,27 +281,13 @@ def validate_system(sys, noise, cost):
     """
     report = ValidationReport()
     n, m, p = sys.n, sys.m, sys.p
-    if len(sys.ck) != p:
-        report.add("ck count mismatch")
-    if noise.sigma_w.shape != (n, n):
-        report.add(f"sigma_w shape {noise.sigma_w.shape} != ({n}, {n})")
-    else:
-        _check_sym_pd(report, noise.sigma_w, "sigma_w", strict=False)
-    if noise.sigma_z.shape != (m, m):
-        report.add(f"sigma_z shape {noise.sigma_z.shape} != ({m}, {m})")
-    else:
-        _check_sym_pd(report, noise.sigma_z, "sigma_z", strict=True)
+    _check_matrix(report, noise.sigma_w, "sigma_w", n, strict=False)
+    _check_matrix(report, noise.sigma_z, "sigma_z", m, strict=True)
     if noise.x0_mean.shape != (n,):
         report.add(f"x0_mean length {noise.x0_mean.size} != {n}")
-    if noise.sigma_0.shape != (n, n):
-        report.add(f"sigma_0 shape {noise.sigma_0.shape} != ({n}, {n})")
-    else:
-        _check_sym_pd(report, noise.sigma_0, "sigma_0", strict=True)
+    _check_matrix(report, noise.sigma_0, "sigma_0", n, strict=False)
     for mat, name, dim in ((cost.q, "q", n), (cost.q_t, "q_t", n), (cost.r, "r", p)):
-        if mat.shape != (dim, dim):
-            report.add(f"{name} shape {mat.shape} != ({dim}, {dim})")
-        else:
-            _check_sym_pd(report, mat, name, strict=True)
+        _check_matrix(report, mat, name, dim, strict=True)
     return report
 
 
@@ -315,8 +304,6 @@ def observation_matrix(sys, u):
         u = u.reshape(-1)
     if u.shape[-1] != sys.p:
         raise ValueError(f"input length {u.shape[-1]} != p = {sys.p}")
-    if len(sys.ck) != sys.p:
-        raise ValueError("ck count mismatch")
     weights = u if u.ndim == 1 else u.T[..., None, None]
     c = sys.c0.copy()
     for k in range(sys.p):

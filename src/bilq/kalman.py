@@ -74,15 +74,12 @@ def kf_step_batch(means, covs, sys, noise, inputs, outputs, cs):
 
 
 def kf_step(belief, sys, noise, u, y):
-    """Advance the predicted belief through one input/output pair: the
-    stacked step on a batch of one, its next-belief checks made by
-    BeliefState."""
+    """Advance the predicted belief through one input/output pair:
+    kf_step_batch on a stack of one belief."""
     u = np.asarray(u, dtype=float).reshape(1, -1)
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    means, covs, cs = belief.mean[None], belief.cov[None], observation_matrix(sys, u)
-    innov_cov = _innovation_cov(covs, noise, cs)
-    _check_step(innov_cov)
-    gains, innovations, means, covs = _advance(means, covs, sys, noise, u, y, cs, innov_cov)
+    gains, innovations, means, covs = kf_step_batch(
+        belief.mean[None], belief.cov[None], sys, noise, u,
+        np.asarray(y, dtype=float).reshape(1, -1), observation_matrix(sys, u))
     return KalmanStep(gain=gains[0], innovation=innovations[0],
                       next_belief=BeliefState(mean=means[0], cov=covs[0]))
 

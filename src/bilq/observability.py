@@ -129,17 +129,14 @@ def check_proposition1(sys, inputs=None, delta=DEFAULT_DELTA):
     an input sequence is supplied, the report carries the spectral norms
     of the three-part decomposition along it.
     """
-    c0_perp = orthogonal_complement_c0(sys)
-    o1 = _gram(_blocks(sys, [c0_perp] * sys.n))
-    low = float(np.linalg.eigvalsh(o1).min())
-    ok = low > delta
     if inputs is None:
-        return Prop1Report(ok=ok, min_eigenvalue=low)
-    d1, d2, d3 = gramian_decomposition(sys, inputs)
-    return Prop1Report(ok=ok, min_eigenvalue=low,
-                       norm_o1=float(np.linalg.norm(d1, 2)),
-                       norm_o2=float(np.linalg.norm(d2, 2)),
-                       norm_o3=float(np.linalg.norm(d3, 2)))
+        o1, norms = _gram(_blocks(sys, [orthogonal_complement_c0(sys)] * sys.n)), {}
+    else:
+        parts = gramian_decomposition(sys, inputs)
+        o1, norms = parts[0], {f"norm_o{k}": float(np.linalg.norm(o, 2))
+                               for k, o in enumerate(parts, 1)}
+    low = float(np.linalg.eigvalsh(o1).min())
+    return Prop1Report(ok=low > delta, min_eigenvalue=low, **norms)
 
 
 @dataclass(frozen=True)

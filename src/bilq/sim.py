@@ -120,10 +120,6 @@ class TrajectoryRecord:
     stage_costs: np.ndarray
     terminal_cost: float
 
-    @property
-    def horizon(self):
-        return self.inputs.shape[0]
-
     def metric(self, name):
         """Per-step series for t = 0..T; the t = T slot of stage_cost and
         cum_cost carries the terminal cost (u_norm is 0 there)."""

@@ -223,6 +223,33 @@ class TestSimulate:
         assert status["status"] == "fail"
         assert any("sigma_z not positive definite" in f for f in status["failures"])
 
+    def test_ck_count_mismatch_named(self, runner, tmp_path):
+        config = scalar_config_file(tmp_path)
+        data = json.loads(config.read_text())
+        data["system"]["ck"] = []
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert "config field invalid: ck count 0 != 1 columns of b" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_known_initial_state_runs(self, runner, tmp_path):
+        # sigma_0 = 0 is PSD: every run starts at the prior mean
+        config = scalar_config_file(tmp_path, horizon=2, runs=4, seed=1)
+        data = json.loads(config.read_text())
+        data["noise"]["sigma_0"] = [[0.0]]
+        config.write_text(json.dumps(data))
+        result = invoke(runner, ["simulate", "--config", str(config),
+                                 "--policy", "scalar_nonlinear_t2",
+                                 "--out", str(tmp_path / "x")])
+        assert result.exit_code == 0, result.output
+        assert status_line(result)["status"] == "ok"
+        rows = read_rows(tmp_path / "x" / "trajectories.csv")
+        assert {float(row["cov_trace"]) for row in rows if row["t"] == "0"} == {0.0}
+
     @staticmethod
     def noiseless_config(tmp_path):
         # no process noise: the filter's covariance turns singular, which the
@@ -297,6 +324,17 @@ class TestObservabilityCommand:
         assert all(row.endswith("False") for row in gram_rows)
 
 
+    def test_known_initial_state(self, runner, tmp_path):
+        sys_, noise, cost = double_integrator_config("bilinear")
+        noise = replace(noise, sigma_0=np.zeros((2, 2)))
+        config = tmp_path / "di.json"
+        config.write_text(json.dumps(config_to_dict(sys_, noise, cost, 20, 1, 0)))
+        result = invoke(runner, ["observability", "--config", str(config),
+                                 "--horizon", "20"])
+        assert result.exit_code == 0, result.output
+        assert status_line(result)["status"] == "ok"
+
+
 class TestCriticalPointsCommand:
     def test_default_config(self, runner):
         result = invoke(runner, ["critical-points", "--x0hat", "0.1"])
@@ -311,6 +349,30 @@ class TestCriticalPointsCommand:
         result = runner.invoke(main, ["critical-points", "--c1", "0"])
         assert result.exit_code != 0
         assert "LQG closed form" in result.output
+
+    @staticmethod
+    def config_file(tmp_path, **noise):
+        sys_, base, cost = scalar_config()
+        config = tmp_path / "scalar.json"
+        config.write_text(json.dumps(config_to_dict(sys_, replace(base, **noise), cost,
+                                                     2, 1, 0)))
+        return config
+
+    def test_invalid_config_fails_with_summary(self, runner, tmp_path):
+        config = self.config_file(tmp_path, sigma_z=[[0.0]])
+        result = runner.invoke(main, ["critical-points", "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1  # the status line alone
+        status = status_line(result)
+        assert status["status"] == "fail" and status["config"] == str(config)
+        assert status["failures"] == ["config invalid: sigma_z not positive definite"]
+
+    def test_zero_prior_variance_is_a_usage_error(self, runner, tmp_path):
+        config = self.config_file(tmp_path, sigma_0=[[0.0]])
+        result = runner.invoke(main, ["critical-points", "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.output == "Error: prior variance must be positive\n"
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestDeterminism:

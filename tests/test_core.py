@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,12 +35,22 @@ class TestValidation:
         report = validate_system(sys_, noise, cost)
         assert "sigma_z not positive definite" in report.violations
 
-    def test_ck_count_mismatch_flagged(self):
-        sys_ = BilinearSystem(a=np.eye(2), b=np.ones((2, 2)), c0=np.eye(2), ck=())
-        _, noise, _ = identity_setup(n=2, m=2, p=2)
-        cost = CostSpec(q=np.eye(2), q_t=np.eye(2), r=np.eye(2))
-        report = validate_system(sys_, noise, cost)
-        assert "ck count mismatch" in report.violations
+    def test_psd_sigma_0_accepted(self):
+        # a known initial state: sigma_0 = 0 is PSD, as sigma_w may be
+        sys_, noise, cost = identity_setup()
+        assert validate_system(sys_, replace(noise, sigma_0=np.zeros((2, 2))), cost).ok
+        report = validate_system(sys_, replace(noise, sigma_0=-np.eye(2)), cost)
+        assert report.violations == ["sigma_0 not positive semidefinite"]
+
+    def test_violations_in_field_order(self):
+        sys_, _, _ = identity_setup(n=2, m=1, p=1)
+        noise = NoiseSpec(sigma_w=[[1.0, 2.0], [0.0, 1.0]], sigma_z=[[-1.0]],
+                          x0_mean=[0.0], sigma_0=np.eye(3))
+        cost = CostSpec(q=np.eye(2), q_t=-np.eye(2), r=np.eye(2))
+        assert validate_system(sys_, noise, cost).violations == [
+            "sigma_w not symmetric", "sigma_z not positive definite",
+            "x0_mean length 1 != 2", "sigma_0 shape (3, 3) != (2, 2)",
+            "q_t not positive definite", "r shape (2, 2) != (1, 1)"]
 
     def test_asymmetric_cost_flagged(self):
         sys_, noise, _ = identity_setup()
@@ -58,6 +69,11 @@ class TestConstruction:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             BilinearSystem(a=[[np.nan]], b=[[1.0]], c0=[[1.0]], ck=([[1.0]],))
+
+    def test_ck_count_mismatch_rejected(self):
+        # one ck per column of b, checked once, at construction
+        with pytest.raises(ValueError, match=r"^ck count 0 != 2 columns of b$"):
+            BilinearSystem(a=np.eye(2), b=np.ones((2, 2)), c0=np.eye(2), ck=())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

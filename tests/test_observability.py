@@ -146,6 +146,12 @@ class TestProposition1:
         assert np.isfinite(report.norm_o1)
         assert np.isfinite(report.norm_o2)
         assert np.isfinite(report.norm_o3)
+        # the static test matrix is the decomposition's first part, bit for bit
+        parts = gramian_decomposition(sys_, inputs)
+        assert [report.norm_o1, report.norm_o2, report.norm_o3] == [
+            float(np.linalg.norm(o, 2)) for o in parts]
+        assert report.min_eigenvalue == check_proposition1(sys_).min_eigenvalue
+        assert report.min_eigenvalue == float(np.linalg.eigvalsh(parts[0]).min())
 
     def test_full_test_dominates_static_part(self):
         # for systems passing the sufficient condition, adding inputs never
