@@ -14,13 +14,13 @@ import click
 import numpy as np
 
 from .core import RngStream, config_to_dict, load_config, validate_system
-from .control import (lqg_policy, riccati_recursion, scalar_critical_points,
-                      scalar_gap_params, LOCAL_MAX, LOCAL_MIN)
+from .control import (lqg_policy, scalar_critical_points, scalar_gap_params, LOCAL_MAX,
+                      LOCAL_MIN)
 from .observability import (check_proposition1, covariance_boundedness_probe,
                             window_gramians)
 from .presets import double_integrator_config, orthogonal_config, scalar_config
 from .sim import (INIT_ESTIMATES, POLICY_KINDS, PolicyConfig, SimConfig,
-                  format_float, landscape_sweep, monte_carlo,
+                  cached_riccati, format_float, landscape_sweep, monte_carlo,
                   write_critical_points_csv, write_landscape_csv,
                   write_summary_csv, write_trajectory_csv)
 
@@ -72,18 +72,17 @@ def _fail_if_invalid(status, system, noise, cost):
         _finish(*status, [f"config invalid: {v}" for v in report.violations])
 
 
-def _lqg_probe(system, noise, cost, horizon):
-    """The covariance boundedness probe under certainty-equivalent LQG."""
-    tables = riccati_recursion(cost, system, horizon)
-    return covariance_boundedness_probe(system, noise, partial(lqg_policy, tables),
-                                        horizon)
+def _lqg_probe(system, noise, cost, horizon, tables):
+    """The covariance boundedness probe under certainty-equivalent LQG (see cached_riccati)."""
+    policy = partial(lqg_policy, cached_riccati(tables, system, cost, horizon))
+    return covariance_boundedness_probe(system, noise, policy, horizon)
 
 
-def _monte_carlo_variants(outdir, variants, runs, seed):
+def _monte_carlo_variants(outdir, variants, runs, seed, tables):
     """Monte Carlo of every (name, SimConfig) in one call, on the same streams
     (paired noise); writes the CSVs and returns the percentiles by name."""
     percentiles = {}
-    for (name, _), res in zip(variants, monte_carlo([c for _, c in variants], runs, seed)):
+    for (name, _), res in zip(variants, monte_carlo([c for _, c in variants], runs, seed, tables)):
         write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.records)
         percentiles[name] = res.percentiles
     write_summary_csv(outdir / "summary.csv",
@@ -161,7 +160,7 @@ def cmd_double_integrator(runs, seed, c1, out):
         variants.append((name, SimConfig(system, noise, cost,
                                          PolicyConfig(kind, "sampled_from_prior"),
                                          horizon)))
-    percentiles = _monte_carlo_variants(outdir, variants, runs, seed)
+    percentiles = _monte_carlo_variants(outdir, variants, runs, seed, {})
 
     failures = []
     if runs >= 10:
@@ -195,7 +194,8 @@ def cmd_orthogonal(runs, seed, variant, out):
     sys_bil, noise, cost = orthogonal_config(base_stream, variant=variant)
     sys_lin = replace(sys_bil, ck=tuple(np.zeros_like(c) for c in sys_bil.ck))
 
-    probe = _lqg_probe(sys_bil, noise, cost, horizon)
+    tables = {}
+    probe = _lqg_probe(sys_bil, noise, cost, horizon, tables)
     prop = check_proposition1(sys_bil, inputs=probe.inputs[:sys_bil.n])
     tail = float(probe.norms[50:horizon + 1].max())
     head = float(probe.norms[1:51].max())
@@ -213,7 +213,7 @@ def cmd_orthogonal(runs, seed, variant, out):
     _monte_carlo_variants(outdir, [(name, SimConfig(system, noise, cost, policy, horizon))
                                    for name, system in (("linear", sys_lin),
                                                         ("bilinear", sys_bil))],
-                          runs, seed)
+                          runs, seed, tables)
 
     failures = []
     if not prop.ok:
@@ -282,7 +282,7 @@ def cmd_observability(config_path, horizon, delta):
     n = system.n
     if horizon < n:
         raise click.ClickException(f"horizon must be at least n = {n}")
-    probe = _lqg_probe(system, noise, cost, horizon)
+    probe = _lqg_probe(system, noise, cost, horizon, {})
     click.echo("window_start,gramian_min_eigenvalue,uniformly_observable")
     _, lows = window_gramians(system, probe.inputs)
     for start, low in enumerate(lows):

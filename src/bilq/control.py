@@ -64,8 +64,9 @@ def riccati_recursion(cost, sys, horizon):
     k_seq[horizon] = cost.q_t
     for t in reversed(range(horizon)):
         k_next = k_seq[t + 1]
-        g = symmetrize(b.T @ k_next @ b + cost.r)
-        m = b.T @ k_next @ a
+        bk = b.T @ k_next
+        g = symmetrize(bk @ b + cost.r)
+        m = bk @ a
         sol = chol_solve(g, m)
         p_seq[t] = symmetrize(m.T @ sol)
         gain_seq[t] = -sol

@@ -369,18 +369,16 @@ def normal_tape(streams, sizes):
     return on each stream, concatenated: shape (len(streams), sum(sizes)).
 
     Philox is counter-based, so each stream's raw words are fetched in one
-    call and sliced exactly as the successive draws slice them; the
-    streams advance as if the draws had been made.
+    call and sliced as the successive draws slice them, by closed-form indices
+    for all draws at once; the streams advance as if the draws had been made.
     """
-    sizes = [int(k) for k in sizes]
-    pairs = np.array([(k + 1) // 2 for k in sizes], dtype=np.intp)
-    starts = np.cumsum(2 * pairs) - 2 * pairs
-    u1_index = np.concatenate([s + np.arange(p) for s, p in zip(starts, pairs)])
-    u2_index = u1_index + np.repeat(pairs, pairs)
-    keep = np.concatenate([s + np.arange(k) for s, k in zip(starts, sizes)])
-    raw = np.stack([stream._bits.random_raw(int(2 * pairs.sum()))
-                    for stream in streams])
-    return _box_muller(raw[:, u1_index], raw[:, u2_index])[:, keep]
+    sizes = np.asarray(sizes, dtype=np.intp).reshape(-1)
+    pairs = (sizes + 1) // 2
+    before = np.cumsum(pairs) - pairs
+    u1_index = np.repeat(before, pairs) + np.arange(pairs.sum())
+    keep = np.repeat(2 * before - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    raw = np.stack([stream._bits.random_raw(int(2 * pairs.sum())) for stream in streams])
+    return _box_muller(raw[:, u1_index], raw[:, u1_index + np.repeat(pairs, pairs)])[:, keep]
 
 
 def gaussian_draws(mean, cov, normals):

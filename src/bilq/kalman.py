@@ -17,7 +17,7 @@ from .core import (BatchCheckError, BeliefState, check_beliefs, chol_solve,
                    matvec, observation_matrix, raise_first_failure, symmetrize)
 
 COND_LIMIT = 1e14
-CHECK_BLOCK = 4  # steps per stacked check in FilterSteps; 8 cost 1% more peak memory, no time
+CHECK_BLOCK = 25  # steps per FilterSteps check; vs 4, 2 vCPUs: monte_carlo wall_s -4%, RSS +0.7%
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class KalmanStep:
     next_belief: BeliefState
 
 
-def _innovation_cov(covs, noise, cs):
-    return symmetrize(cs @ covs @ cs.swapaxes(-1, -2) + noise.sigma_z)
+def _innovation_cov(cs_covs, noise, cs):  # cs_covs: C S
+    return symmetrize(cs_covs @ cs.swapaxes(-1, -2) + noise.sigma_z)
 
 
 def _check_step(innov_cov, means=None, covs=None):
@@ -44,11 +44,11 @@ def _check_step(innov_cov, means=None, covs=None):
         check_beliefs(means, covs)
 
 
-def _advance(means, covs, sys, noise, inputs, outputs, cs, innov_cov):
-    """kf_step_batch's arithmetic without its checks: gains
+def _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov):
+    """kf_step_batch's arithmetic without its checks, cs_covs = C S: gains
     -A S C^T (C S C^T + sigma_z)^(-1), innovations, next means and covs."""
     # solve for (innov_cov)^(-1) C S A^T, then transpose; keeps the solve SPD
-    sol = chol_solve(innov_cov, cs @ covs @ sys.a.T)
+    sol = chol_solve(innov_cov, cs_covs @ sys.a.T)
     gains = -np.ascontiguousarray(sol.swapaxes(-1, -2))
     innovations = outputs - matvec(cs, means)
     means_next = (matvec(sys.a, means) + matvec(sys.b, inputs)
@@ -66,9 +66,10 @@ def kf_step_batch(means, covs, sys, noise, inputs, outputs, cs):
     all R at once, a failure raising BatchCheckError naming the first
     failing entry.  Returns (gains, innovations, next means, next covs),
     entry i bit for bit what kf_step gives on belief i."""
-    innov_cov = _innovation_cov(covs, noise, cs)
+    cs_covs = cs @ covs
+    innov_cov = _innovation_cov(cs_covs, noise, cs)
     _check_step(innov_cov)
-    result = _advance(means, covs, sys, noise, inputs, outputs, cs, innov_cov)
+    result = _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov)
     check_beliefs(*result[2:])
     return result
 
@@ -106,9 +107,10 @@ class FilterSteps:
 
     def step(self, means, covs, sys, noise, inputs, outputs, cs):
         """kf_step_batch's arguments and results, bit for bit."""
-        innov_cov = _innovation_cov(covs, noise, cs)
+        cs_covs = cs @ covs
+        innov_cov = _innovation_cov(cs_covs, noise, cs)
         self.pending.append((innov_cov,))  # checked even if the solve raises
-        result = _advance(means, covs, sys, noise, inputs, outputs, cs, innov_cov)
+        result = _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov)
         self.pending[-1] += result[2:]
         if len(self.pending) == CHECK_BLOCK or not all(np.isfinite(x).all() for x in result[2:]):
             self.check()

@@ -121,20 +121,11 @@ class TrajectoryRecord:
     terminal_cost: float
 
     def metric(self, name):
-        """Per-step series for t = 0..T; the t = T slot of stage_cost and
-        cum_cost carries the terminal cost (u_norm is 0 there)."""
-        if name == "stage_cost":
-            return np.concatenate([self.stage_costs, [self.terminal_cost]])
-        if name == "cum_cost":
-            running = np.cumsum(self.stage_costs)
-            return np.concatenate([running, [running[-1] + self.terminal_cost]])
-        if name == "u_norm":
-            return np.concatenate([np.linalg.norm(self.inputs, axis=1), [0.0]])
-        if name == "est_err":
-            return np.linalg.norm(self.states - self.means, axis=1)
-        if name == "cov_trace":
-            return np.trace(self.covs, axis1=1, axis2=2)
-        raise ValueError(f"unknown metric {name!r}")
+        """Per-step series for t = 0..T, a column of metric_table; the t = T slot
+        of stage_cost and cum_cost carries the terminal cost (u_norm is 0 there)."""
+        if name not in METRICS:
+            raise ValueError(f"unknown metric {name!r}")
+        return metric_table([self])[0, :, METRICS.index(name)]
 
 
 def _validate_policy(policy, sys, horizon):
@@ -155,10 +146,9 @@ class SimConfig:
 
 
 def _simulate(group, streams, labels, tables):
-    """The lockstep engine: one closed-loop rollout per (config, stream) of
-    configs that differ at most in c0/ck, all advanced together; labels[v]
-    prefixes config v's runs in failure messages; tables holds the Riccati
-    tables by their inputs' bits.  Returns the TrajectoryRecords config-major."""
+    """The lockstep engine: one closed-loop rollout per (config, stream) of configs
+    differing at most in c0/ck, advanced together, TrajectoryRecords config-major;
+    labels[v] prefixes config v's runs in failure messages; tables: cached_riccati's."""
     sys, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
                                 group[0].policy)
     T = int(group[0].horizon)
@@ -175,10 +165,8 @@ def _simulate(group, streams, labels, tables):
     step_normals = tape[:, n:].reshape(N, T, n + m)
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
-    key = (T, *((x.shape, x.tobytes()) for x in (sys.a, sys.b, *vars(cost).values())))
-    tables[key] = tables.get(key) or riccati_recursion(cost, sys, T)
     batch = _Batch(configs=[(c.system, slice(v * R, v * R + R)) for v, c in enumerate(group)],
-                   noise=noise, cost=cost, tables=tables[key],
+                   noise=noise, cost=cost, tables=cached_riccati(tables, sys, cost, T),
                    x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
     # each run's own c0 and ck[k], from which observation_matrix builds its C(u)
     observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
@@ -237,6 +225,13 @@ def _simulate(group, streams, labels, tables):
                  for r in range(N))
 
 
+def cached_riccati(tables, sys, cost, horizon):
+    """riccati_recursion(cost, sys, horizon), kept in the dict tables by its inputs' bits."""
+    key = (horizon, *((x.shape, x.tobytes()) for x in (sys.a, sys.b, *vars(cost).values())))
+    tables[key] = tables.get(key) or riccati_recursion(cost, sys, horizon)
+    return tables[key]
+
+
 def rollout(sys, noise, cost, policy, horizon, stream):
     """Simulate one closed-loop trajectory; deterministic given the stream
     (the lockstep engine on a batch of one)."""
@@ -257,11 +252,11 @@ class MonteCarloResult:
     percentiles: dict
 
 
-def monte_carlo(configs, runs, seed):
-    """Rollouts on streams (seed, 0..runs-1), advanced in lockstep, with
-    percentile aggregation: one SimConfig gives one MonteCarloResult, a
-    sequence of them a tuple in config order.  Record k of each result is
-    bit for bit ``rollout(..., RngStream(seed, k))`` of its config."""
+def monte_carlo(configs, runs, seed, tables=None):
+    """Rollouts on streams (seed, 0..runs-1), advanced in lockstep, with percentile
+    aggregation: one SimConfig gives one MonteCarloResult, a sequence of them a tuple in
+    config order, record k bit for bit ``rollout(..., RngStream(seed, k))`` of its config.
+    tables, a dict of Riccati tables (see cached_riccati), may be shared across calls."""
     single = isinstance(configs, SimConfig)
     configs = [configs] if single else list(configs)
     runs = int(runs)
@@ -274,7 +269,7 @@ def monte_carlo(configs, runs, seed):
         key = (c.policy, int(c.horizon), *((x.shape, x.tobytes()) for x in arrays))
         groups.setdefault(key, []).append(i)
     results = [None] * len(configs)
-    tables = {}  # one Riccati table per distinct system and cost of this call
+    tables = {} if tables is None else tables
     for indices in groups.values():
         records = _simulate([configs[i] for i in indices],
                             [RngStream(seed, run) for run in range(runs)],
@@ -286,14 +281,23 @@ def monte_carlo(configs, runs, seed):
     return results[0] if single else tuple(results)
 
 
+def metric_table(records):
+    """Every record's METRICS at t = 0..T, stacked (runs, T + 1, len(METRICS)): stage
+    costs (terminal at T), their cumsum, |u_t| (0 at T), |x_t - x_hat_t|, tr(Sigma_t)."""
+    def stacked(field):
+        return np.stack([getattr(rec, field) for rec in records])
+    costs = np.concatenate([stacked("stage_costs"), stacked("terminal_cost")[:, None]], axis=1)
+    return np.stack([costs, np.cumsum(costs, axis=1),  # u_norm is the norm of a zero u_T
+                     np.linalg.norm(np.pad(stacked("inputs"), ((0, 0), (0, 1), (0, 0))), axis=-1),
+                     np.linalg.norm(stacked("states") - stacked("means"), axis=-1),
+                     np.trace(stacked("covs"), axis1=-2, axis2=-1)], axis=-1)
+
+
 def aggregate_percentiles(records):
-    """Linear-interpolation order-statistic percentiles per metric and step."""
-    percentiles = {}
-    for name in METRICS:
-        data = np.stack([rec.metric(name) for rec in records])
-        q = np.percentile(data, [25.0, 50.0, 75.0], axis=0, method="linear")
-        percentiles[name] = PercentileSeries(metric=name, p25=q[0], p50=q[1], p75=q[2])
-    return percentiles
+    """Linear percentiles per metric and step: one np.percentile call over metric_table."""
+    q = np.percentile(metric_table(records), [25.0, 50.0, 75.0], axis=0, method="linear")
+    return {name: PercentileSeries(metric=name, p25=q[0, :, j], p50=q[1, :, j], p75=q[2, :, j])
+            for j, name in enumerate(METRICS)}
 
 
 @dataclass(frozen=True)
@@ -336,23 +340,18 @@ def _write_rows(path, header, row_format, rows):
 
 
 def write_trajectory_csv(path, records):
-    """One row per (run, t); the t = T row carries the terminal cost."""
-    rows = []
-    for run, rec in enumerate(records):
-        series = np.column_stack([rec.metric(name) for name in METRICS]).tolist()
-        rows += [(run, t, *values) for t, values in enumerate(series)]
+    """One row per (run, t) of metric_table(records); the t = T row carries the terminal cost."""
+    rows = [(run, t, *values) for run, series in enumerate(metric_table(records).tolist())
+            for t, values in enumerate(series)]
     _write_rows(path, "run,t," + ",".join(METRICS),
                 "%d,%d" + ",%.17g" * len(METRICS), rows)
 
 
 def write_summary_csv(path, blocks):
     """blocks: iterable of (percentiles dict, policy label, obs_model label)."""
-    rows = []
-    for percentiles, policy, obs_model in blocks:
-        for name in METRICS:
-            s = percentiles[name]
-            quartiles = np.column_stack([s.p25, s.p50, s.p75]).tolist()
-            rows += [(t, name, *q, policy, obs_model) for t, q in enumerate(quartiles)]
+    rows = [(t, name, *q, policy, obs_model) for percentiles, policy, obs_model in blocks
+            for name, s in zip(METRICS, map(percentiles.__getitem__, METRICS))
+            for t, q in enumerate(zip(s.p25.tolist(), s.p50.tolist(), s.p75.tolist()))]
     _write_rows(path, "t,metric,p25,p50,p75,policy,obs_model",
                 "%d,%s,%.17g,%.17g,%.17g,%s,%s", rows)
 

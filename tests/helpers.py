@@ -11,9 +11,11 @@ bit-for-bit reference for the probe on the stacked step,
 `per_step_probe_covs` and `reference_simulate`, the probe's loop and the
 lockstep engine with the filter's checks made in each step, as references
 for their results and failure messages, `kalman_gain`, which reads the
-gain off one package filter step, and `reference_gramian`, the
+gain off one package filter step, `reference_gramian`, the
 observability test matrix one window and one 2-d block at a time, as a
-bit-for-bit reference for the stacked windows.
+bit-for-bit reference for the stacked windows, and `reference_metric` and
+`reference_trajectory_csv`, the metric series and trajectory CSV one
+record at a time, as bit-for-bit references for the stacked metric table.
 """
 
 import itertools
@@ -334,6 +336,12 @@ def reference_simulate(group, streams, labels):
                  for r in range(N))
 
 
+# (horizon, corrupted step) at the edges of the shipped filter check block:
+# the last step of a block, the first of the next, and the last of a horizon
+# that is not a multiple of the block
+SHIPPED_BLOCK = bilq.kalman.CHECK_BLOCK
+BLOCK_EDGES = ((2 * SHIPPED_BLOCK, SHIPPED_BLOCK - 1), (2 * SHIPPED_BLOCK, SHIPPED_BLOCK),
+               (2 * SHIPPED_BLOCK + 3, 2 * SHIPPED_BLOCK + 2))
 FAILURE_KINDS = ("cov_not_psd", "cov_not_symmetric", "cov_not_finite", "mean_not_finite",
                  "innovation_singular", "innovation_ill_conditioned")
 
@@ -403,6 +411,35 @@ def outcome_corrupted(call, kind, step, index):
                 return call(), [str(w.message) for w in caught]
             except ValueError as exc:
                 return str(exc), [str(w.message) for w in caught]
+
+
+def reference_metric(rec, name):
+    """One record's series of metric `name`, t = 0..T, computed for one
+    metric of one record at a time, as a bit-for-bit reference for the
+    stacked metric table."""
+    if name == "stage_cost":
+        return np.concatenate([rec.stage_costs, [rec.terminal_cost]])
+    if name == "cum_cost":
+        running = np.cumsum(rec.stage_costs)
+        return np.concatenate([running, [running[-1] + rec.terminal_cost]])
+    if name == "u_norm":
+        return np.concatenate([np.linalg.norm(rec.inputs, axis=1), [0.0]])
+    if name == "est_err":
+        return np.linalg.norm(rec.states - rec.means, axis=1)
+    if name == "cov_trace":
+        return np.trace(rec.covs, axis1=1, axis2=2)
+    raise ValueError(f"unknown metric {name!r}")
+
+
+def reference_trajectory_csv(path, records):
+    """The trajectory CSV built one record and one metric at a time from
+    reference_metric, each value at 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("run,t," + ",".join(sim.METRICS) + "\n")
+        for run, rec in enumerate(records):
+            series = np.column_stack([reference_metric(rec, name) for name in sim.METRICS])
+            for t, values in enumerate(series.tolist()):
+                fh.write(f"{run},{t}," + ",".join(f"{v:.17g}" for v in values) + "\n")
 
 
 def reference_gramian(sys, inputs):

@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, chol_solve, config_from_dict,
-                       config_to_dict, load_config, observation_matrix,
+                       config_to_dict, load_config, normal_tape, observation_matrix,
                        sample_gaussian, validate_system)
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
 
@@ -151,6 +151,28 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(2 ** 64)
+
+
+class TestNormalTape:
+    """normal_tape is what its docstring says: the successive
+    standard_normal(k) draws of each stream, concatenated, and each stream
+    left where those draws would leave it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 9), max_size=12),
+           stream_ids=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 64 - 1), after=st.integers(1, 7))
+    @example(sizes=[], stream_ids=[0], seed=0, after=1)
+    @example(sizes=[0, 1, 0, 3, 2, 0], stream_ids=[5, 6, 7], seed=3, after=5)
+    def test_matches_successive_draws(self, sizes, stream_ids, seed, after):
+        streams = [RngStream(seed, i) for i in stream_ids]
+        tape = normal_tape(streams, sizes)
+        assert tape.shape == (len(streams), sum(sizes))
+        for row, stream, i in zip(tape, streams, stream_ids):
+            twin = RngStream(seed, i)
+            draws = np.concatenate([np.empty(0)] + [twin.standard_normal(k) for k in sizes])
+            assert row.tobytes() == draws.tobytes()
+            assert stream.standard_normal(after).tobytes() == twin.standard_normal(after).tobytes()
 
 
 class TestSampleGaussian:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bilq.kalman
 from bilq.core import BilinearSystem, CostSpec, NoiseSpec, RngStream
 from bilq.control import lqg_policy, riccati_recursion
 from bilq.observability import (check_proposition1, covariance_boundedness_probe,
@@ -11,8 +12,8 @@ from bilq.observability import (check_proposition1, covariance_boundedness_probe
                                 orthogonal_complement_c0, window_gramians)
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
 
-from helpers import (FAILURE_KINDS, outcome_corrupted, per_step_probe_covs, random_spd,
-                     reference_boundedness_probe, reference_gramian)
+from helpers import (BLOCK_EDGES, FAILURE_KINDS, outcome_corrupted, per_step_probe_covs,
+                     random_spd, reference_boundedness_probe, reference_gramian)
 
 
 def random_bilinear(rng, n=3, m=2, p=2, spectral=0.9):
@@ -261,6 +262,38 @@ class TestProbeMatchesReference:
         assert_matches_reference(sys_, noise, partial(lqg_policy, tables), 100)
 
 
+def assert_probe_checks_match(n, m, p, horizon, kind, step, fail_step, seed):
+    """The probe with the filter's step `step` corrupted as `kind` says, under
+    an input policy that fails at fail_step, raises what per_step_probe_covs
+    raises, or reports its covariances and inputs bit for bit."""
+    rng = np.random.default_rng(seed)
+    sys_ = random_bilinear(rng, n, m, p, spectral=rng.uniform(0.5, 1.2))
+    noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.01), sigma_z=random_spd(rng, m, 0.05),
+                      x0_mean=rng.standard_normal(n), sigma_0=random_spd(rng, n))
+    cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n), r=random_spd(rng, p))
+    tables = riccati_recursion(cost, sys_, horizon)
+
+    def policy(t, mean):  # an input policy that fails at fail_step
+        if t == fail_step:
+            raise ValueError("told to fail")
+        return lqg_policy(tables, t, mean)
+
+    step = step % (horizon + 1)  # horizon: nothing corrupted
+    report, caught = outcome_corrupted(
+        lambda: covariance_boundedness_probe(sys_, noise, policy, horizon), kind, step, 0)
+    reference, ref_caught = outcome_corrupted(
+        lambda: per_step_probe_covs(sys_, noise, policy, horizon), kind, step, 0)
+    assert set(caught) <= set(ref_caught)
+    if isinstance(reference, str):
+        assert report == reference
+        return
+    assert not isinstance(report, str), report
+    covs, inputs = reference
+    assert report.norms.tobytes() == np.linalg.norm(covs, 2, axis=(1, 2)).tobytes()
+    assert report.traces.tobytes() == np.trace(covs, axis1=1, axis2=2).tobytes()
+    assert report.inputs.tobytes() == inputs.tobytes()
+
+
 class TestProbeChecksMatchPerStepReference:
     """The probe's filter checks, made once per block of steps, raise what
     checks made in every step raise."""
@@ -269,35 +302,20 @@ class TestProbeChecksMatchPerStepReference:
     @given(n=st.integers(1, 4), m=st.integers(1, 3), p=st.integers(1, 2),
            horizon_extra=st.integers(0, 25), kind=st.sampled_from(FAILURE_KINDS),
            step=st.integers(0, 30), fail_step=st.none() | st.integers(0, 30),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_injected_failure(self, n, m, p, horizon_extra, kind, step, fail_step, seed):
-        rng = np.random.default_rng(seed)
-        sys_ = random_bilinear(rng, n, m, p, spectral=rng.uniform(0.5, 1.2))
-        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.01), sigma_z=random_spd(rng, m, 0.05),
-                          x0_mean=rng.standard_normal(n), sigma_0=random_spd(rng, n))
-        cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n), r=random_spd(rng, p))
-        horizon = n + horizon_extra
-        tables = riccati_recursion(cost, sys_, horizon)
+           seed=st.integers(0, 2 ** 32 - 1), block=st.integers(1, 5))
+    def test_injected_failure(self, n, m, p, horizon_extra, kind, step, fail_step, seed,
+                              block):
+        # blocks of 1-5 steps put block ends inside horizons of 1-29
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bilq.kalman, "CHECK_BLOCK", block)
+            assert_probe_checks_match(n, m, p, n + horizon_extra, kind, step, fail_step, seed)
 
-        def policy(t, mean):  # an input policy that fails at fail_step
-            if t == fail_step:
-                raise ValueError("told to fail")
-            return lqg_policy(tables, t, mean)
-
-        step = step % (horizon + 1)  # horizon: nothing corrupted
-        report, caught = outcome_corrupted(
-            lambda: covariance_boundedness_probe(sys_, noise, policy, horizon), kind, step, 0)
-        reference, ref_caught = outcome_corrupted(
-            lambda: per_step_probe_covs(sys_, noise, policy, horizon), kind, step, 0)
-        assert set(caught) <= set(ref_caught)
-        if isinstance(reference, str):
-            assert report == reference
-            return
-        assert not isinstance(report, str), report
-        covs, inputs = reference
-        assert report.norms.tobytes() == np.linalg.norm(covs, 2, axis=(1, 2)).tobytes()
-        assert report.traces.tobytes() == np.trace(covs, axis1=1, axis2=2).tobytes()
-        assert report.inputs.tobytes() == inputs.tobytes()
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    @pytest.mark.parametrize("horizon, step", BLOCK_EDGES)
+    @pytest.mark.parametrize("fails_next", [False, True])
+    def test_block_edges(self, kind, horizon, step, fails_next):
+        assert_probe_checks_match(2, 2, 1, horizon, kind, step,
+                                  step + 1 if fails_next else None, 5)
 
 
 def assert_windows_match_gramian(sys_, inputs):

@@ -1,9 +1,10 @@
+import tempfile
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bilq.core import (PSD_TOL, BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, sample_gaussian)
@@ -13,14 +14,16 @@ from bilq.control import (bellman_minimize_Tm2, bellman_params_at_stage,
                           scalar_gap_params, scalar_optimal_controller_T2)
 from bilq.presets import (double_integrator_config, orthogonal_config,
                           scalar_config)
-from bilq.sim import (INIT_ESTIMATES, PolicyConfig, SimConfig,
+from bilq.sim import (INIT_ESTIMATES, METRICS, PolicyConfig, SimConfig,
                       TrajectoryRecord, aggregate_percentiles, landscape_sweep,
                       monte_carlo, rollout, write_landscape_csv,
                       write_summary_csv, write_trajectory_csv)
 
+import bilq.kalman
 import bilq.sim
-from helpers import (FAILURE_KINDS, failing_lqg, outcome_corrupted, per_step_lqg_rollout,
-                     random_spd, reference_simulate, standard_lqg_rollout,
+from helpers import (BLOCK_EDGES, FAILURE_KINDS, failing_lqg, outcome_corrupted,
+                     per_step_lqg_rollout, random_spd, reference_metric, reference_simulate,
+                     reference_trajectory_csv, standard_lqg_rollout,
                      standard_riccati_gains)
 
 RECORD_ARRAYS = ("states", "inputs", "outputs", "means", "covs", "stage_costs")
@@ -297,6 +300,21 @@ class TestMonteCarlo:
         assert series.p75[0] - series.p50[0] == pytest.approx(
             series.p50[0] - series.p25[0], abs=1e-12)
 
+    def test_shared_riccati_tables(self, monkeypatch):
+        # a tables dict passed in is filled, and a later call reads its table
+        # instead of recomputing it, with the same records as a fresh call
+        config = SimConfig(*lqg_testbed(), PolicyConfig("separation_lqg", "sampled_from_prior"),
+                           6)
+        alone = monte_carlo(config, 2, 1)
+        tables = {}
+        assert_same_records(monte_carlo(config, 2, 1, tables), alone, "filled")
+        assert len(tables) == 1
+
+        def recomputed(*args):
+            raise AssertionError("Riccati table recomputed")
+        monkeypatch.setattr(bilq.sim, "riccati_recursion", recomputed)
+        assert_same_records(monte_carlo(config, 2, 1, tables), alone, "shared")
+
     def test_output_independent_of_batch_size(self):
         # every record of a lockstep batch equals the same stream's rollout
         # alone, bit for bit, for every policy kind
@@ -525,6 +543,50 @@ class TestFailureLocalization:
             monte_carlo(configs, 3, 1)
 
 
+def assert_engine_checks_match(n, m, p, variants, runs, horizon, kind, step, entry,
+                               fail_step, seed):
+    """monte_carlo with the filter's step `step` corrupted as `kind` says on
+    entry `entry` raises what reference_simulate raises, or returns its
+    records bit for bit; fail_step None runs separation_lqg, otherwise
+    numeric_bellman is failing_lqg(fail_step)."""
+    # step == horizon corrupts nothing
+    rng = np.random.default_rng(seed)
+    noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05), sigma_z=random_spd(rng, m, 0.1),
+                      x0_mean=rng.standard_normal(n), sigma_0=random_spd(rng, n, 0.3))
+    cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n), r=random_spd(rng, p))
+    a, b = 0.5 * rng.standard_normal((n, n)), rng.standard_normal((n, p))
+    policy = PolicyConfig("separation_lqg" if fail_step is None else "numeric_bellman",
+                          "sampled_from_prior")
+    configs = [SimConfig(BilinearSystem(a=a, b=b, c0=rng.standard_normal((m, n)),
+                                        ck=tuple(rng.standard_normal((m, n))
+                                                 for _ in range(p))),
+                         noise, cost, policy, horizon)
+               for _ in range(variants)]
+    labels = [f"config {v}, " if variants > 1 else "" for v in range(variants)]
+    streams = [RngStream(seed, run) for run in range(runs)]
+    step, entry = step % (horizon + 1), entry % (variants * runs)
+    original = bilq.sim.POLICIES["numeric_bellman"]
+    bilq.sim.POLICIES["numeric_bellman"] = failing_lqg(fail_step)
+    try:
+        results, caught = outcome_corrupted(lambda: monte_carlo(configs, runs, seed),
+                                            kind, step, entry)
+        reference, ref_caught = outcome_corrupted(
+            lambda: reference_simulate(configs, streams, labels), kind, step, entry)
+    finally:
+        bilq.sim.POLICIES["numeric_bellman"] = original
+    assert set(caught) <= set(ref_caught)
+    if isinstance(reference, str):
+        assert results == reference
+        return
+    assert not isinstance(results, str), results
+    records = [rec for res in results for rec in res.records]
+    assert len(records) == len(reference)
+    for v, (rec, ref) in enumerate(zip(records, reference)):
+        for field in RECORD_ARRAYS:
+            assert getattr(rec, field).tobytes() == getattr(ref, field).tobytes(), (v, field)
+        assert rec.terminal_cost == ref.terminal_cost, v
+
+
 class TestChecksMatchPerStepReference:
     """The engine's filter checks, made once per block of steps, raise what
     checks made in every step raise, and a run that passes them is the
@@ -535,45 +597,23 @@ class TestChecksMatchPerStepReference:
            variants=st.integers(1, 2), runs=st.integers(1, 3), horizon=st.integers(1, 20),
            kind=st.sampled_from(FAILURE_KINDS), step=st.integers(0, 20),
            entry=st.integers(0, 5), fail_step=st.none() | st.integers(0, 20),
-           seed=st.integers(0, 2 ** 32 - 1))
+           seed=st.integers(0, 2 ** 32 - 1), block=st.integers(1, 5))
     def test_injected_failure(self, n, m, p, variants, runs, horizon, kind, step, entry,
-                              fail_step, seed):
-        # step == horizon corrupts nothing; fail_step None runs separation_lqg
-        rng = np.random.default_rng(seed)
-        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05), sigma_z=random_spd(rng, m, 0.1),
-                          x0_mean=rng.standard_normal(n), sigma_0=random_spd(rng, n, 0.3))
-        cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n), r=random_spd(rng, p))
-        a, b = 0.5 * rng.standard_normal((n, n)), rng.standard_normal((n, p))
-        policy = PolicyConfig("separation_lqg" if fail_step is None else "numeric_bellman",
-                              "sampled_from_prior")
-        configs = [SimConfig(BilinearSystem(a=a, b=b, c0=rng.standard_normal((m, n)),
-                                            ck=tuple(rng.standard_normal((m, n))
-                                                     for _ in range(p))),
-                             noise, cost, policy, horizon)
-                   for _ in range(variants)]
-        labels = [f"config {v}, " if variants > 1 else "" for v in range(variants)]
-        streams = [RngStream(seed, run) for run in range(runs)]
-        step, entry = step % (horizon + 1), entry % (variants * runs)
-        original = bilq.sim.POLICIES["numeric_bellman"]
-        bilq.sim.POLICIES["numeric_bellman"] = failing_lqg(fail_step)
-        try:
-            results, caught = outcome_corrupted(lambda: monte_carlo(configs, runs, seed),
-                                                kind, step, entry)
-            reference, ref_caught = outcome_corrupted(
-                lambda: reference_simulate(configs, streams, labels), kind, step, entry)
-        finally:
-            bilq.sim.POLICIES["numeric_bellman"] = original
-        assert set(caught) <= set(ref_caught)
-        if isinstance(reference, str):
-            assert results == reference
-            return
-        assert not isinstance(results, str), results
-        records = [rec for res in results for rec in res.records]
-        assert len(records) == len(reference)
-        for v, (rec, ref) in enumerate(zip(records, reference)):
-            for field in RECORD_ARRAYS:
-                assert getattr(rec, field).tobytes() == getattr(ref, field).tobytes(), (v, field)
-            assert rec.terminal_cost == ref.terminal_cost, v
+                              fail_step, seed, block):
+        # blocks of 1-5 steps put block ends inside horizons of 1-20
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bilq.kalman, "CHECK_BLOCK", block)
+            assert_engine_checks_match(n, m, p, variants, runs, horizon, kind, step, entry,
+                                       fail_step, seed)
+
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    @pytest.mark.parametrize("horizon, step", BLOCK_EDGES)
+    @pytest.mark.parametrize("fails_next", [False, True])
+    def test_block_edges(self, kind, horizon, step, fails_next):
+        # fails_next: the decision after the corrupted step raises, and
+        # numeric_bellman's decisions raise on a covariance that is not PSD
+        assert_engine_checks_match(2, 2, 1, 2, 2, horizon, kind, step, 3,
+                                   step + 1 if fails_next else None, 11)
 
 
 class TestLandscapeSweep:
@@ -605,6 +645,55 @@ class TestLandscapeSweep:
             blind = -table.params.c0 / table.params.c1
             peak = table.u[np.argmax(table.g)]
             assert abs(peak - blind) <= (table.u[1] - table.u[0])
+
+
+def random_records(rng, runs, horizon, n, m, p):
+    """Records of random arrays; stage costs from a few values, so that the
+    percentiles meet ties."""
+    return [TrajectoryRecord(states=rng.standard_normal((horizon + 1, n)),
+                             inputs=rng.standard_normal((horizon, p)),
+                             outputs=rng.standard_normal((horizon, m)),
+                             means=rng.standard_normal((horizon + 1, n)),
+                             covs=rng.standard_normal((horizon + 1, n, n)),
+                             stage_costs=rng.choice([0.0, 0.1, 0.3, 7.0], horizon),
+                             terminal_cost=float(rng.exponential()))
+            for _ in range(runs)]
+
+
+class TestMetricTable:
+    """The stacked metric table gives what the metrics computed one record
+    and one metric at a time give, bit for bit: in each record's metric(),
+    in the percentiles and in the trajectory CSV."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs=st.integers(1, 4), horizon=st.integers(1, 20), n=st.integers(1, 3),
+           m=st.integers(1, 3), p=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @example(runs=1, horizon=1, n=1, m=1, p=1, seed=0)
+    @example(runs=1, horizon=20, n=3, m=2, p=3, seed=1)
+    @example(runs=4, horizon=1, n=2, m=3, p=2, seed=2)
+    def test_matches_per_record_route(self, runs, horizon, n, m, p, seed):
+        records = random_records(np.random.default_rng(seed), runs, horizon, n, m, p)
+        for rec in records:
+            for name in METRICS:
+                assert rec.metric(name).tobytes() == reference_metric(rec, name).tobytes()
+        percentiles = aggregate_percentiles(records)
+        assert list(percentiles) == list(METRICS)
+        for name, series in percentiles.items():
+            expected = np.percentile(np.stack([reference_metric(rec, name) for rec in records]),
+                                     [25.0, 50.0, 75.0], axis=0, method="linear")
+            assert series.metric == name
+            assert (np.stack([series.p25, series.p50, series.p75]).tobytes()
+                    == expected.tobytes()), name
+        with tempfile.TemporaryDirectory() as tmp:
+            write_trajectory_csv(f"{tmp}/table.csv", records)
+            reference_trajectory_csv(f"{tmp}/reference.csv", records)
+            with open(f"{tmp}/table.csv", "rb") as got, open(f"{tmp}/reference.csv", "rb") as ref:
+                assert got.read() == ref.read()
+
+    def test_unknown_metric(self):
+        rec = random_records(np.random.default_rng(0), 1, 2, 1, 1, 1)[0]
+        with pytest.raises(ValueError, match="unknown metric 'cost'"):
+            rec.metric("cost")
 
 
 class TestCsvWriters:
