@@ -19,7 +19,7 @@ from .control import (lqg_policy, scalar_critical_points, scalar_gap_params, LOC
 from .observability import (check_proposition1, covariance_boundedness_probe,
                             window_gramians)
 from .presets import double_integrator_config, orthogonal_config, scalar_config
-from .sim import (INIT_ESTIMATES, POLICY_KINDS, PolicyConfig, SimConfig,
+from .sim import (INIT_ESTIMATES, METRICS, POLICY_KINDS, PolicyConfig, SimConfig,
                   cached_riccati, format_float, landscape_sweep, monte_carlo,
                   write_critical_points_csv, write_landscape_csv,
                   write_summary_csv, write_trajectory_csv)
@@ -83,7 +83,7 @@ def _monte_carlo_variants(outdir, variants, runs, seed, tables):
     (paired noise); writes the CSVs and returns the percentiles by name."""
     percentiles = {}
     for (name, _), res in zip(variants, monte_carlo([c for _, c in variants], runs, seed, tables)):
-        write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.records)
+        write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.table)
         percentiles[name] = res.percentiles
     write_summary_csv(outdir / "summary.csv",
                       [(percentiles[name], config.policy.kind, name)
@@ -251,7 +251,7 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
         _finish(*status, [str(exc)])
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(outdir / "trajectories.csv", res.records)
+    write_trajectory_csv(outdir / "trajectories.csv", res.table)
     write_summary_csv(outdir / "summary.csv",
                       [(res.percentiles, policy, "config")])
     failures = []
@@ -259,10 +259,8 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
         if not (np.all(series.p25 <= series.p50 + 1e-15)
                 and np.all(series.p50 <= series.p75 + 1e-15)):
             failures.append(f"percentile ordering violated for {name}")
-    for rec in res.records:
-        if rec.stage_costs.min() < 0.0 or rec.terminal_cost < 0.0:
-            failures.append("negative realized cost")
-            break
+    if res.table[..., METRICS.index("stage_cost")].min() < 0.0:
+        failures.append("negative realized cost")
     _finish(*status, failures)
 
 
@@ -287,7 +285,7 @@ def cmd_observability(config_path, horizon, delta):
     _, lows = window_gramians(system, probe.inputs)
     for start, low in enumerate(lows):
         click.echo(f"{start},{format_float(low)},{low > delta}")
-    prop = check_proposition1(system, inputs=probe.inputs[:n], delta=delta)
+    prop = check_proposition1(system, delta=delta)
     click.echo(f"proposition1_ok,{prop.ok}")
     click.echo(f"proposition1_min_eigenvalue,{format_float(prop.min_eigenvalue)}")
     click.echo(f"probe_max_norm,{format_float(probe.max_norm)}")

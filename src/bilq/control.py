@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (PSD_TOL, chol_solve, is_symmetric, matvec, min_eigenvalue, quadratic,
-                   symmetrize)
+from .core import PSD_TOL, chol_solve, matvec, min_eigenvalue, quadratic, symmetrize
 
 LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
@@ -35,11 +34,15 @@ ONE_SIDED_H = 1e-6
 @dataclass(frozen=True)
 class RiccatiTables:
     """Backward-recursion tables indexed by stage: k_seq[t] = K_t (len T+1),
-    p_seq[t] = P_t and gain_seq[t] = feedback gain at stage t (len T)."""
+    p_seq[t] = P_t, gain_seq[t] = feedback gain at stage t, and the stage
+    objective's input weight cal_a_seq[t] = B'K_{t+1}B + R (PD: the recursion
+    factored it) and cross weight cal_b_seq[t] = B'K_{t+1}A (len T)."""
 
     k_seq: tuple
     p_seq: tuple
     gain_seq: tuple
+    cal_a_seq: tuple
+    cal_b_seq: tuple
 
     @property
     def horizon(self):
@@ -59,20 +62,19 @@ def riccati_recursion(cost, sys, horizon):
         raise ValueError("horizon must be >= 1")
     a, b = sys.a, sys.b
     k_seq = [None] * (horizon + 1)
-    p_seq = [None] * horizon
-    gain_seq = [None] * horizon
+    p_seq, gain_seq, cal_a_seq, cal_b_seq = ([None] * horizon for _ in range(4))
     k_seq[horizon] = cost.q_t
     for t in reversed(range(horizon)):
         k_next = k_seq[t + 1]
         bk = b.T @ k_next
-        g = symmetrize(bk @ b + cost.r)
-        m = bk @ a
+        g = cal_a_seq[t] = symmetrize(bk @ b + cost.r)
+        m = cal_b_seq[t] = bk @ a
         sol = chol_solve(g, m)
         p_seq[t] = symmetrize(m.T @ sol)
         gain_seq[t] = -sol
         k_seq[t] = symmetrize(a.T @ k_next @ a - p_seq[t] + cost.q)
-    return RiccatiTables(k_seq=tuple(k_seq), p_seq=tuple(p_seq),
-                         gain_seq=tuple(gain_seq))
+    return RiccatiTables(k_seq=tuple(k_seq), p_seq=tuple(p_seq), gain_seq=tuple(gain_seq),
+                         cal_a_seq=tuple(cal_a_seq), cal_b_seq=tuple(cal_b_seq))
 
 
 def lqg_policy(tables, t, x_hat):
@@ -290,28 +292,24 @@ def scalar_optimal_controller_T2(params):
 
 @dataclass(frozen=True)
 class BellmanObjectiveParams:
-    """Quadratic weights and estimation-penalty data of the stage objective
-    for one belief, x_hat (n,) and prior_cov Sigma (n, n) PSD, or a stack of
-    R beliefs, (R, n) and (R, n, n).  Stacked for one belief too (R = 1):
+    """The stage objective at stage t of a Riccati table for one belief, x_hat
+    (n,) and prior_cov Sigma (n, n) PSD, or a stack of R beliefs, (R, n) and
+    (R, n, n).  Its weights cal_a and cal_b are the table's, checked once by
+    the recursion; cal_g = A'P_{t+1}A.  Stacked for one belief too (R = 1):
     cal_b_x_hat (R, p), trace_g = tr(Sigma cal_g) (R,) and blocks (R, p+1, -1),
     row l the m x m C_k Sigma C_l', C_k Sigma cal_g Sigma C_l' of C = (c0, *ck)."""
 
-    cal_a: np.ndarray
-    cal_b: np.ndarray
-    cal_g: np.ndarray
+    tables: RiccatiTables
+    t: int
     prior_cov: np.ndarray
     x_hat: np.ndarray
     sys: object
     noise: object
 
     def __post_init__(self):
-        cal_a = symmetrize(np.asarray(self.cal_a, dtype=float))
-        if min_eigenvalue(cal_a) <= 0.0:
-            raise ValueError("cal_a must be positive definite")
-        cal_g = np.asarray(self.cal_g, dtype=float)
-        if not is_symmetric(cal_g) or min_eigenvalue(cal_g) < -1e-10:
-            raise ValueError("cal_g must be symmetric PSD")
-        cal_g = symmetrize(cal_g)
+        if not 0 <= self.t <= self.tables.horizon - 2:
+            raise ValueError(f"stage {self.t} has no estimation-penalty objective")
+        cal_g = symmetrize(self.sys.a.T @ self.tables.p_seq[self.t + 1] @ self.sys.a)
         prior_cov = symmetrize(np.asarray(self.prior_cov, dtype=float))
         if min_eigenvalue(prior_cov) < -PSD_TOL:
             raise ValueError("prior_cov must be PSD")
@@ -321,8 +319,8 @@ class BellmanObjectiveParams:
         c_cov = c_all @ covs                    # rows C_k Sigma, k = 0..p
         blocks = np.stack([c_cov @ c_all.T, c_cov @ cal_g @ c_cov.swapaxes(-1, -2)], 1)
         blocks = blocks.reshape(len(covs), 2, k, m, k, m).transpose(0, 4, 2, 1, 3, 5)
-        object.__setattr__(self, "cal_a", cal_a)
-        object.__setattr__(self, "cal_b", np.asarray(self.cal_b, dtype=float))
+        object.__setattr__(self, "cal_a", self.tables.cal_a_seq[self.t])
+        object.__setattr__(self, "cal_b", self.tables.cal_b_seq[self.t])
         object.__setattr__(self, "cal_g", cal_g)
         object.__setattr__(self, "prior_cov", prior_cov)
         object.__setattr__(self, "x_hat", np.reshape(np.asarray(self.x_hat, dtype=float),
@@ -338,7 +336,7 @@ class BellmanObjectiveParams:
         return u.reshape(self.x_hat.shape[:-1] + u.shape[-1:])
 
 
-def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
+def bellman_params_at_stage(sys, noise, tables, t, belief):
     """Stage objective data at stage t for a belief given as a pair
     (mean (n,), cov (n, n)), or for a stack of them, (means (R, n), covs
     (R, n, n)).
@@ -347,20 +345,9 @@ def bellman_params_at_stage(sys, noise, cost, tables, t, belief):
     estimation penalty is still weighted by the LQR table p_seq[t+1], so
     minimizing it is a one-step look-ahead, not the optimal decision.
     """
-    if not 0 <= t <= tables.horizon - 2:
-        raise ValueError(f"stage {t} has no estimation-penalty objective")
     mean, cov = belief
-    k_next = tables.k_seq[t + 1]
-    p_next = tables.p_seq[t + 1]
-    return BellmanObjectiveParams(
-        cal_a=sys.b.T @ k_next @ sys.b + cost.r,
-        cal_b=sys.b.T @ k_next @ sys.a,
-        cal_g=sys.a.T @ p_next @ sys.a,
-        prior_cov=cov,
-        x_hat=mean,
-        sys=sys,
-        noise=noise,
-    )
+    return BellmanObjectiveParams(tables=tables, t=t, prior_cov=cov, x_hat=mean,
+                                  sys=sys, noise=noise)
 
 
 def _stage_terms(bp, u, runs, derivatives=False):

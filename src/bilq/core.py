@@ -418,9 +418,10 @@ def config_from_dict(data):
         sections = [(data[key], kind) for key, kind in CONFIG_SECTIONS]
         system, noise, cost = (kind(**{f.name: section[f.name] for f in fields(kind)})
                                for section, kind in sections)
-        horizon = int(data["horizon"])
-        runs = int(data["runs"])
-        seed = int(data["seed"])
+        for name in ("horizon", "runs", "seed"):
+            if type(data[name]) is not int:     # a bool, a float or a string is no JSON integer
+                raise ValueError(f"{name} must be an integer, got {data[name]!r}")
+        horizon, runs, seed = data["horizon"], data["runs"], data["seed"]
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if runs < 1:

@@ -82,7 +82,7 @@ def _numeric_bellman(batch, t):
     For T > 2 a one-step look-ahead, not the optimal policy; for T = 2
     exactly optimal at m = p = 1 (a global minimizer), locally elsewhere."""
     return np.concatenate([bellman_minimize_Tm2(bellman_params_at_stage(
-        sys, batch.noise, batch.cost, batch.tables, t,
+        sys, batch.noise, batch.tables, t,
         (batch.means[runs], batch.covs[runs])))[0] for sys, runs in batch.configs])
 
 
@@ -248,7 +248,10 @@ class PercentileSeries:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
+    """A config's records, their metric_table and its aggregate_percentiles."""
+
     records: tuple
+    table: np.ndarray
     percentiles: dict
 
 
@@ -277,7 +280,9 @@ def monte_carlo(configs, runs, seed, tables=None):
                             tables)
         for v, i in enumerate(indices):
             own = records[v * runs:(v + 1) * runs]
-            results[i] = MonteCarloResult(records=own, percentiles=aggregate_percentiles(own))
+            table = metric_table(own)
+            results[i] = MonteCarloResult(records=own, table=table,
+                                          percentiles=aggregate_percentiles(table))
     return results[0] if single else tuple(results)
 
 
@@ -293,9 +298,9 @@ def metric_table(records):
                      np.trace(stacked("covs"), axis1=-2, axis2=-1)], axis=-1)
 
 
-def aggregate_percentiles(records):
-    """Linear percentiles per metric and step: one np.percentile call over metric_table."""
-    q = np.percentile(metric_table(records), [25.0, 50.0, 75.0], axis=0, method="linear")
+def aggregate_percentiles(table):
+    """Linear percentiles per metric and step of a metric_table, in one np.percentile call."""
+    q = np.percentile(table, [25.0, 50.0, 75.0], axis=0, method="linear")
     return {name: PercentileSeries(metric=name, p25=q[0, :, j], p50=q[1, :, j], p75=q[2, :, j])
             for j, name in enumerate(METRICS)}
 
@@ -339,9 +344,9 @@ def _write_rows(path, header, row_format, rows):
         fh.writelines(line % row for row in rows)
 
 
-def write_trajectory_csv(path, records):
-    """One row per (run, t) of metric_table(records); the t = T row carries the terminal cost."""
-    rows = [(run, t, *values) for run, series in enumerate(metric_table(records).tolist())
+def write_trajectory_csv(path, table):
+    """One row per (run, t) of a metric_table; the t = T row carries the terminal cost."""
+    rows = [(run, t, *values) for run, series in enumerate(table.tolist())
             for t, values in enumerate(series)]
     _write_rows(path, "run,t," + ",".join(METRICS),
                 "%d,%d" + ",%.17g" * len(METRICS), rows)

@@ -109,6 +109,21 @@ class TestDoubleIntegrator:
         assert abs(p50("linear", "cov_trace", 100)
                    - p50("linear", "cov_trace", 20)) <= 0.1 * p50("linear", "cov_trace", 20)
 
+    def test_one_metric_table_per_result(self, runner, tmp_path, monkeypatch):
+        # the table that gives the percentiles also writes the trajectory CSV
+        built = []
+        metric_table = bilq.sim.metric_table
+
+        def counted(records):
+            built.append(len(records))
+            return metric_table(records)
+
+        monkeypatch.setattr(bilq.sim, "metric_table", counted)
+        result = invoke(runner, ["double-integrator", "--runs", "2", "--seed", "0",
+                                 "--out", str(tmp_path / "di")])
+        assert result.exit_code == 0, result.output
+        assert built == [2, 2, 2]
+
     def test_each_variant_is_its_config_run_alone(self, runner, tmp_path):
         # the command runs its variants in one call; each CSV is the bytes
         # of its config's Monte Carlo alone
@@ -122,7 +137,7 @@ class TestDoubleIntegrator:
             config = SimConfig(system, noise, cost,
                                PolicyConfig(kind, "sampled_from_prior"), 100)
             write_trajectory_csv(tmp_path / f"{name}.csv",
-                                 monte_carlo(config, 3, 12).records)
+                                 monte_carlo(config, 3, 12).table)
             assert ((tmp_path / f"{name}.csv").read_bytes()
                     == (out / f"trajectories_{name}.csv").read_bytes()), name
 
@@ -167,7 +182,7 @@ class TestOrthogonal:
         system, noise, cost, horizon, runs, seed = config_from_dict(data)
         policy = PolicyConfig("separation_lqg", "sampled_from_prior")
         res = monte_carlo(SimConfig(system, noise, cost, policy, horizon), runs, seed)
-        write_trajectory_csv(tmp_path / "linear.csv", res.records)
+        write_trajectory_csv(tmp_path / "linear.csv", res.table)
         assert ((tmp_path / "linear.csv").read_bytes()
                 == (out / "trajectories_linear.csv").read_bytes())
 
@@ -233,6 +248,19 @@ class TestSimulate:
                                       "--out", str(out)])
         assert result.exit_code == 1
         assert "config field invalid: ck count 0 != 1 columns of b" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_non_integer_horizon_rejected(self, runner, tmp_path):
+        config = scalar_config_file(tmp_path)
+        data = json.loads(config.read_text())
+        data["horizon"] = 2.9
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert "config field invalid: horizon must be an integer, got 2.9" in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
 

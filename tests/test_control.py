@@ -42,7 +42,7 @@ def random_stage(seed, n, m, p, t=0, runs=None, noise_scale=0.1):
     means = rng.standard_normal((runs or 1, n))
     covs = np.stack([random_spd(rng, n) for _ in range(runs or 1)])
     belief = (means, covs) if runs else (means[0], covs[0])
-    return bellman_params_at_stage(sys_, noise, cost, tables, t, belief)
+    return bellman_params_at_stage(sys_, noise, tables, t, belief)
 
 
 def scalar_io_stage(seed, n, runs, t, rank, ck_scale, noise_scale=0.1, spread=1.0):
@@ -70,7 +70,7 @@ def bilinear_integrator_stage(cov, mean=(0.0, 0.0), ck=1.0, horizon=16, t=0):
     cost = replace(cost, r=[[1.0]])
     tables = riccati_recursion(cost, sys_, horizon)
     mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
-    return bellman_params_at_stage(sys_, noise, cost, tables, t, (mean, cov))
+    return bellman_params_at_stage(sys_, noise, tables, t, (mean, cov))
 
 
 def central_differences(f, u, h):
@@ -358,7 +358,7 @@ class TestBellmanObjective:
         sys_, noise, cost = double_integrator_config("linear")
         tables = riccati_recursion(cost, sys_, 5)
         belief = ([0.4, -0.2], np.eye(2))
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, 3, belief)
+        bp = bellman_params_at_stage(sys_, noise, tables, 3, belief)
         u0 = np.zeros(1)
         base = bellman_objective_Tm2(bp, u0)
         for _ in range(10):
@@ -370,7 +370,7 @@ class TestBellmanObjective:
         sys_, noise, cost = scalar_config()
         tables = riccati_recursion(cost, sys_, 2)
         belief = ([0.1], [[2.0]])
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, 0, belief)
+        bp = bellman_params_at_stage(sys_, noise, tables, 0, belief)
         params = scalar_gap_params(sys_, noise, cost, prior_var=2.0)
         for u in np.linspace(-1.5, 1.5, 31):
             lhs = bellman_objective_Tm2(bp, [u]) - bellman_objective_Tm2(bp, [0.0])
@@ -381,7 +381,7 @@ class TestBellmanObjective:
         sys_, noise, cost = double_integrator_config("bilinear")
         tables = riccati_recursion(cost, sys_, 4)
         belief = ([1.0, 0.0], np.eye(2))
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, 2, belief)
+        bp = bellman_params_at_stage(sys_, noise, tables, 2, belief)
 
         def penalty(u):
             quad = float(np.atleast_1d(u) @ bp.cal_a @ np.atleast_1d(u)
@@ -391,20 +391,26 @@ class TestBellmanObjective:
         assert penalty([0.0]) > penalty([1.0])
 
     def test_invariants(self):
-        sys_, noise, _ = scalar_config()
-        from bilq.control import BellmanObjectiveParams
-        with pytest.raises(ValueError, match="cal_a"):
-            BellmanObjectiveParams(cal_a=[[0.0]], cal_b=[[1.0]], cal_g=[[1.0]],
-                                   prior_cov=[[1.0]], x_hat=[0.0],
-                                   sys=sys_, noise=noise)
+        # the input weight B'KB + R is checked once, by the recursion that
+        # factors it: a cost that makes it indefinite has no table
+        sys_, noise, cost = scalar_config()
+        with pytest.raises(np.linalg.LinAlgError, match="1-th leading minor of the matrix"):
+            riccati_recursion(replace(cost, r=[[-1.5]]), sys_, 2)    # B'KB = q_t = 1
+        # a hand-built table's weight is refused by the minimizer's solve
+        bp = random_stage(2, n=3, m=2, p=2)
+        bad = replace(bp.tables, cal_a_seq=(np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                            *bp.tables.cal_a_seq[1:]))
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor of the matrix"):
+            bellman_minimize_Tm2(replace(bp, tables=bad))
+        tables = riccati_recursion(cost, sys_, 2)
+        with pytest.raises(ValueError, match="stage 1 has no estimation-penalty objective"):
+            bellman_params_at_stage(sys_, noise, tables, 1, ([0.0], [[1.0]]))
         with pytest.raises(ValueError, match="prior_cov"):
-            BellmanObjectiveParams(cal_a=[[1.0]], cal_b=[[1.0]], cal_g=[[1.0]],
-                                   prior_cov=[[-1.0]], x_hat=[0.0],
-                                   sys=sys_, noise=noise)
-        # a singular prior is PSD: no measurement can reduce a zero variance
-        bp = BellmanObjectiveParams(cal_a=[[1.0]], cal_b=[[1.0]], cal_g=[[1.0]],
-                                    prior_cov=[[0.0]], x_hat=[0.0], sys=sys_, noise=noise)
-        assert bellman_objective_Tm2(bp, [0.5]) == 0.25
+            bellman_params_at_stage(sys_, noise, tables, 0, ([0.0], [[-1.0]]))
+        # a singular prior is PSD: no measurement can reduce a zero variance,
+        # so only the quadratic control cost is left
+        bp = bellman_params_at_stage(sys_, noise, tables, 0, ([0.0], [[0.0]]))
+        assert bellman_objective_Tm2(bp, [0.5]) == 0.25 * bp.cal_a[0, 0]
 
 
 class TestObjectiveMatchesFilter:
@@ -427,7 +433,7 @@ class TestObjectiveMatchesFilter:
                         r=random_spd(rng, p))
         tables = riccati_recursion(cost, sys_, 3)
         belief = BeliefState(mean=rng.standard_normal(n), cov=random_spd(rng, n))
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, t, (belief.mean, belief.cov))
+        bp = bellman_params_at_stage(sys_, noise, tables, t, (belief.mean, belief.cov))
         u = input_scale * rng.standard_normal(p)
         quad = u @ bp.cal_a @ u + 2.0 * (bp.cal_b @ bp.x_hat) @ u
         penalty = bellman_objective_Tm2(bp, u) - quad
@@ -503,7 +509,7 @@ class TestBellmanMinimize:
         cost = CostSpec(q=np.eye(n), q_t=np.eye(n), r=np.eye(p))
         tables = riccati_recursion(cost, sys_, 4)
         belief = (rng.standard_normal(n) * 0.1, np.eye(n))
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, 2, belief)
+        bp = bellman_params_at_stage(sys_, noise, tables, 2, belief)
         u_star, f_star = bellman_minimize_Tm2(bp)
         np.testing.assert_allclose(u_star, bp.u_lqg, atol=1e-7)
         assert f_star <= bellman_objective_Tm2(bp, bp.u_lqg) + 1e-12
@@ -512,7 +518,7 @@ class TestBellmanMinimize:
         sys_, noise, cost = scalar_config()
         tables = riccati_recursion(cost, sys_, 2)
         belief = ([0.1], [[2.0]])
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, 0, belief)
+        bp = bellman_params_at_stage(sys_, noise, tables, 0, belief)
         u_star, _ = bellman_minimize_Tm2(bp)
         assert min(abs(u_star[0] - U_MINUS), abs(u_star[0] - U_PLUS)) < 1e-6
 
@@ -521,7 +527,7 @@ class TestBellmanMinimize:
         sys_ = replace(sys_, c0=[[0.0]])
         tables = riccati_recursion(cost, sys_, 2)
         belief = ([0.0], [[2.0]])
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, 0, belief)
+        bp = bellman_params_at_stage(sys_, noise, tables, 0, belief)
         u_star, f_star = bellman_minimize_Tm2(bp)
         assert f_star <= bellman_objective_Tm2(bp, [0.0]) + 1e-12
 
@@ -591,7 +597,7 @@ class TestBellmanMinimize:
         tables = riccati_recursion(cost, sys_, 3)
         belief = (rng.standard_normal(n) * rng.choice([0.1, 1, 3]),
                   random_spd(rng, n, rng.choice([0.1, 1, 5])))
-        bp = bellman_params_at_stage(sys_, noise, cost, tables, int(rng.integers(0, 2)), belief)
+        bp = bellman_params_at_stage(sys_, noise, tables, int(rng.integers(0, 2)), belief)
         _, f = bellman_minimize_Tm2(bp)
         _, f_ref = reference_minimize_Tm2(bp)
         assert f_ref < 30.0
@@ -611,7 +617,7 @@ class TestBellmanMinimize:
         sys_, noise, cost = scalar_config()
         sys_ = replace(sys_, c0=[[0.0]])
         tables = riccati_recursion(cost, sys_, 2)
-        scalar = bellman_params_at_stage(sys_, noise, cost, tables, 0,
+        scalar = bellman_params_at_stage(sys_, noise, tables, 0,
                                          ([0.0], [[2.0]]))
         for bp in (scalar, bilinear_integrator_stage(10.0 * np.eye(2)),
                    bilinear_integrator_stage([[1.0, 0.9], [0.9, 1.0]], horizon=3)):
@@ -624,7 +630,7 @@ class TestBellmanMinimize:
         # than the minimizer and ties with it within f's roundoff
         sys_, noise, cost = scalar_config()
         sys_ = replace(sys_, c0=[[0.0]], ck=([[0.5]],))
-        bp = bellman_params_at_stage(sys_, noise, cost, riccati_recursion(cost, sys_, 2), 0,
+        bp = bellman_params_at_stage(sys_, noise, riccati_recursion(cost, sys_, 2), 0,
                                      ([1e-8], [[1.0]]))
         params = scalar_gap_params(sys_, noise, cost, prior_var=1.0, x_hat0=1e-8)
         points = scalar_critical_points(params)

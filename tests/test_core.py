@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +237,17 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="noise"):
             config_from_dict({"system": {"a": [[1.0]], "b": [[1.0]],
                                          "c0": [[1.0]], "ck": []}})
+
+    @pytest.mark.parametrize("name, value", [("horizon", 2.9), ("horizon", 2.0),
+                                             ("runs", True), ("runs", None), ("seed", "7"),
+                                             ("seed", 1e20)])
+    def test_counts_must_be_json_integers(self, name, value):
+        # no truncation: 2.9 is no horizon of 2, true no run count of 1
+        data = config_to_dict(*scalar_config(), horizon=2, runs=1, seed=0)
+        data[name] = value
+        message = f"config field invalid: {name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(data)
 
     @pytest.mark.parametrize("section, name", [("system", "c0"), ("noise", "sigma_z"),
                                                ("cost", "q_t")])

@@ -16,7 +16,7 @@ from bilq.presets import (double_integrator_config, orthogonal_config,
                           scalar_config)
 from bilq.sim import (INIT_ESTIMATES, METRICS, PolicyConfig, SimConfig,
                       TrajectoryRecord, aggregate_percentiles, landscape_sweep,
-                      monte_carlo, rollout, write_landscape_csv,
+                      metric_table, monte_carlo, rollout, write_landscape_csv,
                       write_summary_csv, write_trajectory_csv)
 
 import bilq.kalman
@@ -36,6 +36,7 @@ def assert_same_records(result, alone, label):
             assert (getattr(rec, field).tobytes()
                     == getattr(ref, field).tobytes()), (label, run, field)
         assert rec.terminal_cost == ref.terminal_cost, (label, run)
+    assert result.table.tobytes() == alone.table.tobytes(), label
 
 
 def lqg_testbed():
@@ -176,9 +177,26 @@ class TestRollout:
         rec = rollout(sys_, noise, cost, PolicyConfig("numeric_bellman"), 3,
                       RngStream(1))
         assert rec.inputs.shape == (3, p) and np.isfinite(rec.inputs).all()
-        bp = bellman_params_at_stage(sys_, noise, cost, riccati_recursion(cost, sys_, 3), 0,
+        bp = bellman_params_at_stage(sys_, noise, riccati_recursion(cost, sys_, 3), 0,
                                      (noise.x0_mean, noise.sigma_0))
         assert rec.inputs[0].tobytes() == bellman_minimize_Tm2(bp)[0].tobytes()
+
+    @pytest.mark.parametrize("preset", ["orthogonal", "bilinear_integrator"])
+    @pytest.mark.parametrize("scale", [1e5, 1e8])
+    def test_cost_units_do_not_change_decisions(self, preset, scale):
+        # scaling q, q_t and r together changes the units of the cost, not
+        # the policy; A'P A has rank <= p < n, so its smallest eigenvalues
+        # are roundoff of the cost's size, which no absolute check may read
+        if preset == "orthogonal":
+            (sys_, noise, cost), horizon = orthogonal_config(RngStream(0), "a"), 20
+        else:
+            (sys_, noise, cost), horizon = double_integrator_config("bilinear"), 16
+        scaled = CostSpec(q=scale * cost.q, q_t=scale * cost.q_t, r=scale * cost.r)
+        policy = PolicyConfig("numeric_bellman")
+        want = monte_carlo(SimConfig(sys_, noise, cost, policy, horizon), 2, 1)
+        got = monte_carlo(SimConfig(sys_, noise, scaled, policy, horizon), 2, 1)
+        for rec, ref in zip(got.records, want.records):
+            assert np.all(np.abs(rec.inputs - ref.inputs) <= 1e-12 * (1.0 + np.abs(ref.inputs)))
 
     def test_numeric_bellman_three_input_decision_time(self):
         # one decision on the orthogonal preset (p = 3) within a loose budget
@@ -295,7 +313,7 @@ class TestMonteCarlo:
                 outputs=np.zeros((1, 1)), means=np.zeros((2, 1)),
                 covs=np.zeros((2, 1, 1)), stage_costs=np.array([value]),
                 terminal_cost=0.0))
-        percentiles = aggregate_percentiles(records)
+        percentiles = aggregate_percentiles(metric_table(records))
         series = percentiles["stage_cost"]
         assert series.p75[0] - series.p50[0] == pytest.approx(
             series.p50[0] - series.p25[0], abs=1e-12)
@@ -676,7 +694,7 @@ class TestMetricTable:
         for rec in records:
             for name in METRICS:
                 assert rec.metric(name).tobytes() == reference_metric(rec, name).tobytes()
-        percentiles = aggregate_percentiles(records)
+        percentiles = aggregate_percentiles(metric_table(records))
         assert list(percentiles) == list(METRICS)
         for name, series in percentiles.items():
             expected = np.percentile(np.stack([reference_metric(rec, name) for rec in records]),
@@ -685,7 +703,7 @@ class TestMetricTable:
             assert (np.stack([series.p25, series.p50, series.p75]).tobytes()
                     == expected.tobytes()), name
         with tempfile.TemporaryDirectory() as tmp:
-            write_trajectory_csv(f"{tmp}/table.csv", records)
+            write_trajectory_csv(f"{tmp}/table.csv", metric_table(records))
             reference_trajectory_csv(f"{tmp}/reference.csv", records)
             with open(f"{tmp}/table.csv", "rb") as got, open(f"{tmp}/reference.csv", "rb") as ref:
                 assert got.read() == ref.read()
@@ -703,7 +721,7 @@ class TestCsvWriters:
                            PolicyConfig("separation_lqg", "sampled_from_prior"), 7)
         res = monte_carlo(config, 3, 5)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, res.records)
+        write_trajectory_csv(path, res.table)
         lines = path.read_text().splitlines()
         assert lines[0] == "run,t,stage_cost,cum_cost,u_norm,est_err,cov_trace"
         assert len(lines) == 1 + 3 * 8
