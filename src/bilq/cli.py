@@ -17,7 +17,7 @@ from .core import RngStream, config_to_dict, load_config, validate_system
 from .control import (lqg_policy, scalar_critical_points, scalar_gap_params, LOCAL_MAX,
                       LOCAL_MIN)
 from .observability import (check_proposition1, covariance_boundedness_probe,
-                            window_gramians)
+                            gramian_decomposition, window_gramians)
 from .presets import double_integrator_config, orthogonal_config, scalar_config
 from .sim import (INIT_ESTIMATES, METRICS, POLICY_KINDS, PolicyConfig, SimConfig,
                   cached_riccati, format_float, landscape_sweep, monte_carlo,
@@ -27,7 +27,6 @@ from .sim import (INIT_ESTIMATES, METRICS, POLICY_KINDS, PolicyConfig, SimConfig
 DEFAULT_HORIZON = 100
 RUNS = click.IntRange(min=1)
 SEED = click.IntRange(0, 2 ** 64 - 1)
-LQG_CLOSED_FORM = "use LQG closed form (c1 = 0)"
 
 
 def _finite(ctx, param, value):
@@ -120,11 +119,12 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_scalar_landscape(offset, grid, c1, out):
     """Sweep the scalar stage objective and classify its critical points."""
-    if c1 == 0.0:
-        raise click.ClickException(LQG_CLOSED_FORM)
     if abs(offset) > 1.0:
         click.echo("warning: offset outside [-1, 1]", err=True)
-    table = landscape_sweep(*scalar_config(c1=c1, offset=offset), grid)
+    try:
+        table = landscape_sweep(*scalar_config(c1=c1, offset=offset), grid)
+    except ValueError as exc:  # c1 = 0: use LQG closed form
+        raise click.ClickException(str(exc))
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_landscape_csv(out, table)
@@ -196,7 +196,10 @@ def cmd_orthogonal(runs, seed, variant, out):
 
     tables = {}
     probe = _lqg_probe(sys_bil, noise, cost, horizon, tables)
-    prop = check_proposition1(sys_bil, inputs=probe.inputs[:sys_bil.n])
+    prop = check_proposition1(sys_bil)
+    # spectral norms of the test matrix's static, cross and input parts along the probe's inputs
+    norms = {f"norm_o{k}": float(np.linalg.norm(o, 2)) for k, o in
+             enumerate(gramian_decomposition(sys_bil, probe.inputs[:sys_bil.n]), 1)}
     tail = float(probe.norms[50:horizon + 1].max())
     head = float(probe.norms[1:51].max())
 
@@ -205,7 +208,7 @@ def cmd_orthogonal(runs, seed, variant, out):
                    sort_keys=True, indent=1),
         encoding="utf-8")
     (outdir / "prop1_report.json").write_text(
-        json.dumps({"variant": variant, **asdict(prop), "probe_max_norm": probe.max_norm,
+        json.dumps({"variant": variant, **asdict(prop), **norms, "probe_max_norm": probe.max_norm,
                     "probe_head_max": head, "probe_tail_max": tail}, sort_keys=True, indent=1),
         encoding="utf-8")
 
@@ -243,10 +246,9 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
               {"runs": runs, "seed": seed, "policy": policy,
                "init_estimate": init_estimate})
     _fail_if_invalid(status, system, noise, cost)
-    config = SimConfig(system, noise, cost, PolicyConfig(policy, init_estimate),
-                       horizon)
     try:
-        res = monte_carlo(config, runs, seed)
+        res = monte_carlo(SimConfig(system, noise, cost, PolicyConfig(policy, init_estimate),
+                                    horizon), runs, seed)
     except ValueError as exc:
         _finish(*status, [str(exc)])
     outdir = Path(out)
@@ -314,12 +316,10 @@ def cmd_critical_points(config_path, x0hat, c0, c1):
     try:
         params = scalar_gap_params(system, noise, cost,
                                    prior_var=float(noise.sigma_0[0, 0]), x_hat0=x0hat)
-    except ValueError as exc:
+        points = scalar_critical_points(replace(params, **{
+            k: v for k, v in (("c0", c0), ("c1", c1)) if v is not None}))
+    except ValueError as exc:  # a zero prior variance; c1 = 0: use LQG closed form
         raise click.ClickException(str(exc))
-    params = replace(params, **{k: v for k, v in (("c0", c0), ("c1", c1)) if v is not None})
-    if params.c1 == 0.0:
-        raise click.ClickException(LQG_CLOSED_FORM)
-    points = scalar_critical_points(params)
     click.echo("u,kind,f_value,second_derivative")
     for pt in points:
         click.echo(f"{format_float(pt.u)},{pt.kind},{format_float(pt.f_value)},"

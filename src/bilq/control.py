@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PSD_TOL, chol_solve, matvec, min_eigenvalue, quadratic, symmetrize
+from .core import PSD_TOL, chol_solve, count, matvec, min_eigenvalue, quadratic, symmetrize
 
 LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
@@ -57,9 +57,7 @@ def riccati_recursion(cost, sys, horizon):
         K_t = A^T K_{t+1} A - P_t + Q
         gain_t = -(B^T K_{t+1} B + R)^-1 B^T K_{t+1} A
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = count("horizon", horizon, 1)
     a, b = sys.a, sys.b
     k_seq = [None] * (horizon + 1)
     p_seq, gain_seq, cal_a_seq, cal_b_seq = ([None] * horizon for _ in range(4))
@@ -176,7 +174,7 @@ def gradient_polynomial_coefficients(params):
     """Descending coefficients of the quintic whose roots (in the shifted
     coordinate) are the critical points of the stage objective."""
     if params.c1 == 0.0:
-        raise ValueError("use LQG closed form")
+        raise ValueError("use LQG closed form (c1 = 0)")
     al, ka, ga = params.alpha, params.kappa, params.gamma
     d = params.c1 * params.beta * params.x_hat0 - params.c0 * params.alpha
     return np.array([al, d, 2.0 * ka * al, 2.0 * ka * d,

@@ -12,6 +12,8 @@ Conventions used throughout the package:
 """
 
 import json
+import numbers
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,24 +22,45 @@ PSD_TOL = 1e-10
 SYM_TOL = 1e-10
 
 
-def _as_matrix(x, name):
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
+def _as_array(x, name, ndim=2):
+    """x as a read-only float64 copy with ndim dimensions (a matrix by default)
+    and finite entries, each a real number: a bool or a string, which float()
+    would take, is not."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
+        a = x.astype(float)
+    else:
+        items = np.asarray(x, dtype=object)
+        for v in items.flat:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} entries must be numbers, got {v!r}")
+        a = items.astype(float)
+    if a.ndim != ndim:
+        kind = "1-d vector" if ndim == 1 else "2-d matrix"
+        raise ValueError(f"{name} must be a {kind}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
-    a = a.copy()
     a.setflags(write=False)
     return a
 
 
-def _as_vector(x, name):
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite entries")
-    v = v.copy()
-    v.setflags(write=False)
-    return v
+def count(name, value, low, high=None):
+    """value as a Python int in [low, high), unbounded above when high is None.
+
+    The one rule of every count bilq takes (horizons, run counts, seeds,
+    stream ids, grid points): an int or a numpy integer, read through
+    operator.index; a bool, a float (2.0 too), a string or None is refused,
+    and nothing is truncated.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < low or (high is not None and number >= high):
+        below = "" if high is None else f" and below {high}"
+        raise ValueError(f"{name} must be at least {low}{below}, got {number}")
+    return number
 
 
 def symmetrize(s):
@@ -121,9 +144,9 @@ class BilinearSystem:
     ck: tuple
 
     def __post_init__(self):
-        a = _as_matrix(self.a, "a")
-        b = _as_matrix(self.b, "b")
-        c0 = _as_matrix(self.c0, "c0")
+        a = _as_array(self.a, "a")
+        b = _as_array(self.b, "b")
+        c0 = _as_array(self.c0, "c0")
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"a must be square, got {a.shape}")
         n = a.shape[0]
@@ -131,7 +154,7 @@ class BilinearSystem:
             raise ValueError(f"b must have {n} rows, got {b.shape}")
         if c0.shape[1] != n:
             raise ValueError(f"c0 must have {n} columns, got {c0.shape}")
-        ck = tuple(_as_matrix(c, f"ck[{i}]") for i, c in enumerate(self.ck))
+        ck = tuple(_as_array(c, f"ck[{i}]") for i, c in enumerate(self.ck))
         if len(ck) != b.shape[1]:
             raise ValueError(f"ck count {len(ck)} != {b.shape[1]} columns of b")
         for i, c in enumerate(ck):
@@ -165,10 +188,10 @@ class NoiseSpec:
     sigma_0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_w", _as_matrix(self.sigma_w, "sigma_w"))
-        object.__setattr__(self, "sigma_z", _as_matrix(self.sigma_z, "sigma_z"))
-        object.__setattr__(self, "x0_mean", _as_vector(self.x0_mean, "x0_mean"))
-        object.__setattr__(self, "sigma_0", _as_matrix(self.sigma_0, "sigma_0"))
+        object.__setattr__(self, "sigma_w", _as_array(self.sigma_w, "sigma_w"))
+        object.__setattr__(self, "sigma_z", _as_array(self.sigma_z, "sigma_z"))
+        object.__setattr__(self, "x0_mean", _as_array(self.x0_mean, "x0_mean", ndim=1))
+        object.__setattr__(self, "sigma_0", _as_array(self.sigma_0, "sigma_0"))
 
 
 @dataclass(frozen=True)
@@ -180,9 +203,9 @@ class CostSpec:
     r: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_matrix(self.q, "q"))
-        object.__setattr__(self, "q_t", _as_matrix(self.q_t, "q_t"))
-        object.__setattr__(self, "r", _as_matrix(self.r, "r"))
+        object.__setattr__(self, "q", _as_array(self.q, "q"))
+        object.__setattr__(self, "q_t", _as_array(self.q_t, "q_t"))
+        object.__setattr__(self, "r", _as_array(self.r, "r"))
 
 
 class BatchCheckError(ValueError):
@@ -241,8 +264,8 @@ class BeliefState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _as_vector(self.mean, "mean")
-        cov = _as_matrix(self.cov, "cov")
+        mean = _as_array(self.mean, "mean", ndim=1)
+        cov = _as_array(self.cov, "cov")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean size {mean.size}")
         check_beliefs(mean[None], cov[None])
@@ -331,23 +354,18 @@ class RngStream:
     given (seed, stream_id) replays the same sequence on every run.  Each
     stream is meant to be owned by a single rollout; substreams carve out
     independent key space (e.g. for initial-estimate draws) without
-    disturbing the owner's sequence.
+    disturbing the owner's sequence.  seed and stream_id are integers in
+    [0, 2**64) (see :func:`count`).
     """
 
     def __init__(self, seed, stream_id=0):
-        seed = int(seed)
-        stream_id = int(stream_id)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if not 0 <= stream_id < 2 ** 64:
-            raise ValueError("stream_id must be a 64-bit unsigned integer")
-        self.seed = seed
-        self.stream_id = stream_id
-        self._bits = np.random.Philox(key=seed + (stream_id << 64))
+        self.seed = count("seed", seed, 0, 2 ** 64)
+        self.stream_id = count("stream_id", stream_id, 0, 2 ** 64)
+        self._bits = np.random.Philox(key=self.seed + (self.stream_id << 64))
 
     def substream(self, tag):
         """Independent stream with the same seed and a tagged id."""
-        return RngStream(self.seed, self.stream_id ^ ((int(tag) + 1) << 48))
+        return RngStream(self.seed, self.stream_id ^ ((count("tag", tag, 0) + 1) << 48))
 
     def standard_normal(self, n):
         """n i.i.d. standard normal draws (Box-Muller pairs, cos/sin interleaved).
@@ -418,19 +436,12 @@ def config_from_dict(data):
         sections = [(data[key], kind) for key, kind in CONFIG_SECTIONS]
         system, noise, cost = (kind(**{f.name: section[f.name] for f in fields(kind)})
                                for section, kind in sections)
-        for name in ("horizon", "runs", "seed"):
-            if type(data[name]) is not int:     # a bool, a float or a string is no JSON integer
-                raise ValueError(f"{name} must be an integer, got {data[name]!r}")
-        horizon, runs, seed = data["horizon"], data["runs"], data["seed"]
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
-        if runs < 1:
-            raise ValueError(f"runs must be >= 1, got {runs}")
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        horizon, runs, seed = (count("horizon", data["horizon"], 1),
+                               count("runs", data["runs"], 1),
+                               count("seed", data["seed"], 0, 2 ** 64))
     except KeyError as exc:
         raise ValueError(f"config missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config field invalid: {exc}") from exc
     return system, noise, cost, horizon, runs, seed
 

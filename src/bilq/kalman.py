@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BatchCheckError, BeliefState, check_beliefs, chol_solve,
+from .core import (BatchCheckError, BeliefState, check_beliefs, chol_solve, count,
                    matvec, observation_matrix, raise_first_failure, symmetrize)
 
 COND_LIMIT = 1e14
@@ -186,9 +186,9 @@ def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):
             hi = max(hi, mu + 8.0 * np.sqrt(var))
         points = 4001
     else:
-        lo, hi, points = float(grid[0]), float(grid[1]), int(grid[2])
-        if not (np.isfinite([lo, hi]).all() and lo < hi and points >= 3):
-            raise ValueError("grid oracle requires a finite grid lo < hi, points >= 3")
+        lo, hi, points = float(grid[0]), float(grid[1]), count("grid points", grid[2], 3)
+        if not (np.isfinite([lo, hi]).all() and lo < hi):
+            raise ValueError("grid oracle requires a finite grid lo < hi")
     xs, dx = np.linspace(lo, hi, points, retstep=True)  # xs[1] - xs[0] is off by ~1e-12
     step = dx / np.sqrt(sw)
     if step > 8.0:  # beyond, Hermite terms outgrow the kernel by over exp(4)

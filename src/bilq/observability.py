@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import matvec, observation_matrix, symmetrize
+from .core import count, matvec, observation_matrix, symmetrize
 from .kalman import FilterSteps
 
 DEFAULT_DELTA = 1e-8
@@ -116,27 +116,18 @@ def gramian_decomposition(sys, inputs):
 class Prop1Report:
     ok: bool
     min_eigenvalue: float
-    norm_o1: float = float("nan")
-    norm_o2: float = float("nan")
-    norm_o3: float = float("nan")
 
 
-def check_proposition1(sys, inputs=None, delta=DEFAULT_DELTA):
+def check_proposition1(sys, delta=DEFAULT_DELTA):
     """Sufficient condition for bounded filter covariance under any inputs.
 
     True iff the pair (a, c0_perp) is observable: the time-invariant test
-    matrix built from c0_perp alone has min eigenvalue above delta.  When
-    an input sequence is supplied, the report carries the spectral norms
-    of the three-part decomposition along it.
+    matrix built from c0_perp alone (gramian_decomposition's first part,
+    which depends on no input) has min eigenvalue above delta.
     """
-    if inputs is None:
-        o1, norms = _gram(_blocks(sys, [orthogonal_complement_c0(sys)] * sys.n)), {}
-    else:
-        parts = gramian_decomposition(sys, inputs)
-        o1, norms = parts[0], {f"norm_o{k}": float(np.linalg.norm(o, 2))
-                               for k, o in enumerate(parts, 1)}
+    o1 = _gram(_blocks(sys, [orthogonal_complement_c0(sys)] * sys.n))
     low = float(np.linalg.eigvalsh(o1).min())
-    return Prop1Report(ok=low > delta, min_eigenvalue=low, **norms)
+    return Prop1Report(ok=low > delta, min_eigenvalue=low)
 
 
 @dataclass(frozen=True)
@@ -158,9 +149,7 @@ def covariance_boundedness_probe(sys, noise, input_policy, horizon):
     failed filter check raises ValueError naming its step.  Empirical
     only: a finite horizon cannot prove boundedness.
     """
-    horizon = int(horizon)
-    if horizon < sys.n:
-        raise ValueError("horizon must be at least n")
+    horizon = count("horizon", horizon, sys.n)
     means = noise.x0_mean[None]
     covs = np.empty((horizon + 1, sys.n, sys.n))
     covs[0] = noise.sigma_0

@@ -41,8 +41,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (RngStream, gaussian_draws, matvec, normal_tape, observation_matrix,
-                   quadratic)
+from .core import (RngStream, count, gaussian_draws, matvec, normal_tape,
+                   observation_matrix, quadratic)
 from .kalman import FilterSteps
 from .control import (bellman_minimize_Tm2, bellman_params_at_stage, lqg_policy,
                       riccati_recursion, scalar_critical_points, scalar_gap_params)
@@ -61,7 +61,6 @@ class _Batch:
 
     configs: list
     noise: object
-    cost: object
     tables: object
     x: np.ndarray
     means: np.ndarray = None
@@ -128,21 +127,24 @@ class TrajectoryRecord:
         return metric_table([self])[0, :, METRICS.index(name)]
 
 
-def _validate_policy(policy, sys, horizon):
-    if policy.kind == "scalar_nonlinear_t2":
-        if not (sys.n == 1 and sys.m == 1 and sys.p == 1):
-            raise ValueError("scalar_nonlinear_t2 requires a scalar system")
-        if horizon != 2:
-            raise ValueError("scalar_nonlinear_t2 requires horizon 2")
-
-
 @dataclass(frozen=True)
 class SimConfig:
+    """One experiment: a horizon T >= 1 (an integer, see core.count), and
+    scalar_nonlinear_t2 on a scalar system at T = 2 only."""
+
     system: object
     noise: object
     cost: object
     policy: PolicyConfig
     horizon: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "horizon", count("horizon", self.horizon, 1))
+        if self.policy.kind == "scalar_nonlinear_t2":
+            if not self.system.n == self.system.m == self.system.p == 1:
+                raise ValueError("scalar_nonlinear_t2 requires a scalar system")
+            if self.horizon != 2:
+                raise ValueError("scalar_nonlinear_t2 requires horizon 2")
 
 
 def _simulate(group, streams, labels, tables):
@@ -151,10 +153,7 @@ def _simulate(group, streams, labels, tables):
     labels[v] prefixes config v's runs in failure messages; tables: cached_riccati's."""
     sys, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
                                 group[0].policy)
-    T = int(group[0].horizon)
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
-    _validate_policy(policy, sys, T)
+    T = group[0].horizon
     act = POLICIES[policy.kind]
     n, m, p = sys.n, sys.m, sys.p
     R = len(streams)
@@ -166,7 +165,7 @@ def _simulate(group, streams, labels, tables):
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
     batch = _Batch(configs=[(c.system, slice(v * R, v * R + R)) for v, c in enumerate(group)],
-                   noise=noise, cost=cost, tables=cached_riccati(tables, sys, cost, T),
+                   noise=noise, tables=cached_riccati(tables, sys, cost, T),
                    x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
     # each run's own c0 and ck[k], from which observation_matrix builds its C(u)
     observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
@@ -262,14 +261,12 @@ def monte_carlo(configs, runs, seed, tables=None):
     tables, a dict of Riccati tables (see cached_riccati), may be shared across calls."""
     single = isinstance(configs, SimConfig)
     configs = [configs] if single else list(configs)
-    runs = int(runs)
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    runs = count("runs", runs, 1)
     groups = {}
     for i, c in enumerate(configs):
         # configs that are the same bits in all but c0/ck advance as one batch
         arrays = (c.system.a, c.system.b, *vars(c.noise).values(), *vars(c.cost).values())
-        key = (c.policy, int(c.horizon), *((x.shape, x.tobytes()) for x in arrays))
+        key = (c.policy, c.horizon, *((x.shape, x.tobytes()) for x in arrays))
         groups.setdefault(key, []).append(i)
     results = [None] * len(configs)
     tables = {} if tables is None else tables
@@ -321,7 +318,7 @@ def landscape_sweep(sys, noise, cost, grid=(-3.0, 3.0, 1201)):
     returns the decomposed objective on the grid plus the critical points.
     """
     params = scalar_gap_params(sys, noise, cost, prior_var=float(noise.sigma_0[0, 0]))
-    lo, hi, points = float(grid[0]), float(grid[1]), int(grid[2])
+    lo, hi, points = float(grid[0]), float(grid[1]), count("grid points", grid[2], 2)
     us = np.linspace(lo, hi, points)
     f_lqg = params.alpha * us * us + 2.0 * params.beta * params.x_hat0 * us
     cvals = params.c0 + params.c1 * us

@@ -261,10 +261,7 @@ def reference_simulate(group, streams, labels):
     """
     sys, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
                                 group[0].policy)
-    T = int(group[0].horizon)
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
-    sim._validate_policy(policy, sys, T)
+    T = group[0].horizon
     act = sim.POLICIES[policy.kind]
     n, m, p = sys.n, sys.m, sys.p
     R = len(streams)
@@ -277,7 +274,7 @@ def reference_simulate(group, streams, labels):
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
     batch = sim._Batch(configs=[(c.system, slice(v * R, v * R + R))
                                 for v, c in enumerate(group)],
-                       noise=noise, cost=cost, tables=riccati_recursion(cost, sys, T),
+                       noise=noise, tables=riccati_recursion(cost, sys, T),
                        x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
     observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
                                ck=tuple(np.stack(ck)[config_of]

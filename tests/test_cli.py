@@ -165,6 +165,10 @@ class TestOrthogonal:
             assert result.exit_code == 0, result.output
             reports[variant] = json.loads((out / "prop1_report.json").read_text())
             assert reports[variant]["ok"] is True
+            assert sorted(reports[variant]) == [
+                "min_eigenvalue", "norm_o1", "norm_o2", "norm_o3", "ok", "probe_head_max",
+                "probe_max_norm", "probe_tail_max", "variant"]
+            assert np.isfinite([reports[variant][f"norm_o{k}"] for k in (1, 2, 3)]).all()
         sys_a = json.loads((tmp_path / "a" / "system_a.json").read_text())
         sys_b = json.loads((tmp_path / "b" / "system_b.json").read_text())
         assert sys_a["system"]["a"] == sys_b["system"]["a"]
@@ -263,6 +267,42 @@ class TestSimulate:
         assert "config field invalid: horizon must be an integer, got 2.9" in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, name, value, message", [
+        (None, "runs", 2.5, "runs must be an integer, got 2.5"),
+        ("system", "a", [["0.9"]], "a entries must be numbers, got '0.9'"),
+        ("noise", "x0_mean", [[0.1]], "x0_mean must be a 1-d vector, got shape (1, 1)"),
+    ], ids=["runs", "a", "x0_mean"])
+    def test_non_number_entry_rejected(self, runner, tmp_path, section, name, value, message):
+        config = scalar_config_file(tmp_path)
+        data = json.loads(config.read_text())
+        (data if section is None else data[section])[name] = value
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"config field invalid: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, failure", [
+        (lambda: config_to_dict(*scalar_config(), 3, 2, 1),
+         "scalar_nonlinear_t2 requires horizon 2"),
+        (lambda: config_to_dict(*double_integrator_config("bilinear"), 16, 2, 1),
+         "scalar_nonlinear_t2 requires a scalar system"),
+    ], ids=["scalar horizon 3", "bilinear double integrator"])
+    def test_scalar_nonlinear_t2_restrictions(self, runner, tmp_path, config, failure):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config()))
+        result = invoke(runner, ["simulate", "--config", str(path),
+                                 "--policy", "scalar_nonlinear_t2", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        status = status_line(result)
+        assert status["status"] == "fail"
+        assert status["failures"] == [failure]
+        assert not (tmp_path / "x").exists()
 
     def test_known_initial_state_runs(self, runner, tmp_path):
         # sigma_0 = 0 is PSD: every run starts at the prior mean

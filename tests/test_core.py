@@ -11,7 +11,11 @@ from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, chol_solve, config_from_dict,
                        config_to_dict, load_config, normal_tape, observation_matrix,
                        sample_gaussian, validate_system)
+from bilq.control import riccati_recursion
+from bilq.kalman import grid_bayes_oracle
+from bilq.observability import covariance_boundedness_probe
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
+from bilq.sim import PolicyConfig, SimConfig, landscape_sweep, monte_carlo
 
 from helpers import random_spd
 
@@ -214,6 +218,62 @@ class TestSampleGaussian:
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.1)
 
 
+def _config_count(name):
+    def load(value):
+        data = config_to_dict(*scalar_config(), horizon=2, runs=1, seed=0)
+        counts = config_from_dict({**data, name: value})[3:]
+        return dict(zip(("horizon", "runs", "seed"), counts))[name]
+    return load
+
+
+def _scalar_sim(horizon):
+    return SimConfig(*scalar_config(), PolicyConfig("separation_lqg"), horizon)
+
+
+# every entry point of core.count: (name in its message, the call, its least
+# count, a count it accepts); each call returns what it made of the count
+COUNT_ENTRY_POINTS = {
+    "config horizon": ("horizon", _config_count("horizon"), 1, 3),
+    "config runs": ("runs", _config_count("runs"), 1, 3),
+    "config seed": ("seed", _config_count("seed"), 0, 3),
+    "RngStream seed": ("seed", lambda v: RngStream(v).seed, 0, 3),
+    "RngStream stream_id": ("stream_id", lambda v: RngStream(0, v).stream_id, 0, 3),
+    "riccati_recursion": ("horizon", lambda v: riccati_recursion(
+        scalar_config()[2], scalar_config()[0], v).horizon, 1, 3),
+    "SimConfig": ("horizon", lambda v: _scalar_sim(v).horizon, 1, 3),
+    "monte_carlo runs": ("runs", lambda v: len(monte_carlo(_scalar_sim(2), v, 0).records), 1, 3),
+    "probe horizon": ("horizon", lambda v: len(covariance_boundedness_probe(
+        *scalar_config()[:2], lambda t, mean: [0.0], v).inputs), 1, 3),
+    "grid_bayes_oracle": ("grid points", lambda v: grid_bayes_oracle(
+        *scalar_config()[:2], [0.3], [0.1], grid=(-12.0, 12.0, v)), 3, 401),
+    "landscape_sweep": ("grid points", lambda v: len(landscape_sweep(
+        *scalar_config(), grid=(-3.0, 3.0, v)).u), 2, 3),
+}
+
+
+class TestCount:
+    """One integer rule for every count: no truncation, no bool, no string."""
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "3", None])
+    def test_non_integers_refused(self, entry, value):
+        name, call, _, _ = COUNT_ENTRY_POINTS[entry]
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_numpy_integer_accepted(self, entry):
+        _, call, _, accepted = COUNT_ENTRY_POINTS[entry]
+        assert call(np.int64(accepted)) == call(accepted)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_below_least_refused(self, entry):
+        name, call, low, _ = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"{name} must be at least {low}"):
+            call(low - 1)
+
+
 class TestConfigIO:
     def test_round_trip(self, tmp_path):
         sys_, noise, cost = double_integrator_config("bilinear")
@@ -247,6 +307,21 @@ class TestConfigIO:
         data[name] = value
         message = f"config field invalid: {name} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("preset, section, name, value, message", [
+        (scalar_config, "system", "a", [["0.9"]], "a entries must be numbers, got '0.9'"),
+        (scalar_config, "cost", "r", [[True]], "r entries must be numbers, got True"),
+        # numpy reads this one as the float matrix [[1, 1], [0, 1]]
+        (lambda: double_integrator_config("linear"), "cost", "q", [[1.0, True], [False, 1.0]],
+         "q entries must be numbers, got True"),
+        (scalar_config, "noise", "x0_mean", [[0.1]],
+         "x0_mean must be a 1-d vector, got shape (1, 1)"),
+    ], ids=["string", "bool", "bool in a float matrix", "vector not 1-d"])
+    def test_entries_must_be_numbers(self, preset, section, name, value, message):
+        data = config_to_dict(*preset(), horizon=2, runs=1, seed=0)
+        data[section][name] = value
+        with pytest.raises(ValueError, match=f"^{re.escape('config field invalid: ' + message)}$"):
             config_from_dict(data)
 
     @pytest.mark.parametrize("section, name", [("system", "c0"), ("noise", "sigma_z"),

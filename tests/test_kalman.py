@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -374,12 +375,15 @@ class TestGridBayesOracle:
             assert abs(mean - ref[0]) <= 1e-10
             assert abs(var - ref[1]) <= 1e-10 * ref[1]
 
-    @pytest.mark.parametrize("grid", [(-1.0, 1.0, 1), (-1.0, 1.0, 2), (10.0, -10.0, 4001),
-                                      (1.0, 1.0, 11), (np.nan, 1.0, 11),
-                                      (-1.0, np.inf, 11)])
-    def test_invalid_grid_rejected(self, grid):
+    @pytest.mark.parametrize("grid, message", [
+        ((-1.0, 1.0, 1), "grid points must be at least 3, got 1"),
+        ((-1.0, 1.0, 2), "grid points must be at least 3, got 2"),
+        *(((lo, hi, n), "grid oracle requires a finite grid lo < hi")
+          for lo, hi, n in ((10.0, -10.0, 4001), (1.0, 1.0, 11), (np.nan, 1.0, 11),
+                            (-1.0, np.inf, 11)))])
+    def test_invalid_grid_rejected(self, grid, message):
         sys_, noise = scalar_setup()
-        with pytest.raises(ValueError, match="finite grid lo < hi, points >= 3"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             grid_bayes_oracle(sys_, noise, [0.5], [0.2], grid=grid)
 
     @pytest.mark.parametrize("inputs, outputs", [([np.nan], [0.2]), ([0.5], [np.inf]),

@@ -143,16 +143,19 @@ class TestProposition1:
         sys_, _, _ = orthogonal_config(RngStream(12), "a")
         rng = np.random.default_rng(0)
         inputs = [rng.standard_normal(sys_.p) for _ in range(sys_.n)]
-        report = check_proposition1(sys_, inputs=inputs)
-        assert np.isfinite(report.norm_o1)
-        assert np.isfinite(report.norm_o2)
-        assert np.isfinite(report.norm_o3)
-        # the static test matrix is the decomposition's first part, bit for bit
+        # the spectral norms that `orthogonal` writes to prop1_report.json
         parts = gramian_decomposition(sys_, inputs)
-        assert [report.norm_o1, report.norm_o2, report.norm_o3] == [
-            float(np.linalg.norm(o, 2)) for o in parts]
-        assert report.min_eigenvalue == check_proposition1(sys_).min_eigenvalue
+        norm_o1, norm_o2, norm_o3 = (float(np.linalg.norm(o, 2)) for o in parts)
+        assert np.isfinite(norm_o1)
+        assert np.isfinite(norm_o2)
+        assert np.isfinite(norm_o3)
+        # the static test matrix is the decomposition's first part, bit for bit,
+        # along any inputs
+        other = gramian_decomposition(sys_, [2.0 * u for u in inputs])
+        assert float(np.linalg.norm(other[0], 2)) == norm_o1
+        report = check_proposition1(sys_)
         assert report.min_eigenvalue == float(np.linalg.eigvalsh(parts[0]).min())
+        assert report.min_eigenvalue == float(np.linalg.eigvalsh(other[0]).min())
 
     def test_full_test_dominates_static_part(self):
         # for systems passing the sufficient condition, adding inputs never
