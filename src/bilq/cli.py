@@ -279,10 +279,10 @@ def cmd_observability(config_path, horizon, delta):
     status = ("observability", str(config_path), None,
               {"horizon": horizon, "delta": delta})
     _fail_if_invalid(status, system, noise, cost)
-    n = system.n
-    if horizon < n:
-        raise click.ClickException(f"horizon must be at least n = {n}")
-    probe = _lqg_probe(system, noise, cost, horizon, {})
+    try:
+        probe = _lqg_probe(system, noise, cost, horizon, {})
+    except ValueError as exc:  # a horizon below n; a failed filter check
+        raise click.ClickException(str(exc))
     click.echo("window_start,gramian_min_eigenvalue,uniformly_observable")
     _, lows = window_gramians(system, probe.inputs)
     for start, low in enumerate(lows):
@@ -306,8 +306,6 @@ def cmd_critical_points(config_path, x0hat, c0, c1):
     """Classify the critical points of the scalar stage objective."""
     if config_path is not None:
         system, noise, cost, _, _, _ = _load_config_or_fail(config_path)
-        if not (system.n == 1 and system.m == 1 and system.p == 1):
-            raise click.ClickException("critical-points requires a scalar system")
     else:
         system, noise, cost = scalar_config()
     status = ("critical-points", None if config_path is None else str(config_path), None,
@@ -318,7 +316,7 @@ def cmd_critical_points(config_path, x0hat, c0, c1):
                                    prior_var=float(noise.sigma_0[0, 0]), x_hat0=x0hat)
         points = scalar_critical_points(replace(params, **{
             k: v for k, v in (("c0", c0), ("c1", c1)) if v is not None}))
-    except ValueError as exc:  # a zero prior variance; c1 = 0: use LQG closed form
+    except ValueError as exc:  # not scalar; a zero prior variance; c1 = 0: LQG closed form
         raise click.ClickException(str(exc))
     click.echo("u,kind,f_value,second_derivative")
     for pt in points:

@@ -4,6 +4,8 @@ The gain here carries a leading minus sign and the mean update subtracts
 gain times innovation; the covariance recursion is the matching
 ``A S A^T + L C S A^T + sigma_w`` form, symmetrized after evaluation.
 FilterSteps runs it over a loop of steps, its checks stacked over blocks of steps.
+The checks prove definiteness by Cholesky, with eigvalsh (whose verdicts they give)
+where that fails; so the gain is one LU solve with the innovation covariance.
 Beside the filter sits a grid Bayes oracle for scalar systems.  Its kernel, cut
 at 8 sigma, is K Hermite terms convolved by blocked FFTs (the fast Gauss transform
 of Greengard & Strain, 1991): O(points x K) per step plus FFTs, not O(points^2).
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BatchCheckError, BeliefState, check_beliefs, chol_solve, count,
-                   matvec, observation_matrix, raise_first_failure, symmetrize)
+from .core import (EPS, BatchCheckError, BeliefState, check_beliefs, cholesky_certified,
+                   count, matvec, observation_matrix, raise_first_failure, symmetrize)
 
 COND_LIMIT = 1e14
 CHECK_BLOCK = 25  # steps per FilterSteps check; vs 4, 2 vCPUs: monte_carlo wall_s -4%, RSS +0.7%
@@ -34,12 +36,20 @@ def _innovation_cov(cs_covs, noise, cs):  # cs_covs: C S
 
 
 def _check_step(innov_cov, means=None, covs=None):
-    """Innovation covariances PD, condition number <= COND_LIMIT; check_beliefs if given."""
-    vals = np.linalg.eigvalsh(innov_cov)
-    low, high = vals.min(axis=-1), vals.max(axis=-1)
-    cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
-    raise_first_failure(cond > COND_LIMIT, "innovation covariance singular",
-                        lambda i: f"condition number {cond[i]:.3e}")
+    """Innovation covariances S (R, m, m) PD, condition number <= COND_LIMIT;
+    check_beliefs if given.  A Cholesky of S / s - c I, s = max |S_ij|, c =
+    10 m / COND_LIMIT + m (m + 3) EPS (twice its error), proves lambda_min(S)
+    >= 10 m s / COND_LIMIT >= lambda_max(S) * 10 / COND_LIMIT; eigvalsh otherwise."""
+    m, scale = innov_cov.shape[-1], np.abs(innov_cov).max(axis=(-2, -1))
+    fit = np.isfinite(scale) & (scale > 0.0)
+    c = 10.0 * m / COND_LIMIT + m * (m + 3) * EPS
+    rest = ~cholesky_certified(innov_cov[fit] / scale[fit, None, None] - c * np.eye(m), fit)
+    if rest.any():
+        vals, cond = np.linalg.eigvalsh(innov_cov[rest]), np.zeros(len(innov_cov))
+        low, high = vals.min(axis=-1), vals.max(axis=-1)
+        cond[rest] = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
+        raise_first_failure(cond > COND_LIMIT, "innovation covariance singular",
+                            lambda i: f"condition number {cond[i]:.3e}")
     if means is not None:
         check_beliefs(means, covs)
 
@@ -47,8 +57,8 @@ def _check_step(innov_cov, means=None, covs=None):
 def _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov):
     """kf_step_batch's arithmetic without its checks, cs_covs = C S: gains
     -A S C^T (C S C^T + sigma_z)^(-1), innovations, next means and covs."""
-    # solve for (innov_cov)^(-1) C S A^T, then transpose; keeps the solve SPD
-    sol = chol_solve(innov_cov, cs_covs @ sys.a.T)
+    # (innov_cov)^(-1) C S A^T by LU, transposed; the checks prove innov_cov PD
+    sol = np.linalg.solve(innov_cov, cs_covs @ sys.a.T)
     gains = -np.ascontiguousarray(sol.swapaxes(-1, -2))
     innovations = outputs - matvec(cs, means)
     means_next = (matvec(sys.a, means) + matvec(sys.b, inputs)
@@ -90,7 +100,8 @@ class FilterSteps:
     steps x beliefs of each CHECK_BLOCK steps, at a non-finite next belief
     (no step runs on one) and on check(): after the loop, and before any of
     its exceptions propagates.  A failure, replayed step by step, raises what
-    per-step checks raise first: "<check>: <where(step, index)>[, <detail>]"."""
+    per-step checks raise first: "<check>: <where(step, index)>[, <detail>]",
+    also for an indefinite innovation covariance that a step's LU solve took."""
 
     def __init__(self, where):
         self.where, self.first, self.pending = where, 0, []  # pending: _check_step's args

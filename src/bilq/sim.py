@@ -187,7 +187,6 @@ def _simulate(group, streams, labels, tables):
     outputs = np.empty((N, T, m))
     means = np.empty((N, T + 1, n))
     covs = np.zeros((N, T + 1, n, n))
-    stage_costs = np.empty((N, T))
 
     try:
         for t in range(T + 1):
@@ -208,7 +207,6 @@ def _simulate(group, streams, labels, tables):
             y = matvec(cs, x) + z[:, t]
             inputs[:, t] = u
             outputs[:, t] = y
-            stage_costs[:, t] = quadratic(x, cost.q) + quadratic(u, cost.r)
             if filtered:
                 _, _, batch.means, batch.covs = steps.step(batch.means, batch.covs, sys,
                                                            noise, u, y, cs)
@@ -216,6 +214,7 @@ def _simulate(group, streams, labels, tables):
     finally:
         steps.check()  # before any failure of the loop: an earlier step's comes first
 
+    stage_costs = quadratic(states[:, :T], cost.q) + quadratic(inputs, cost.r)
     terminal_costs = quadratic(batch.x, cost.q_t)
     return tuple(TrajectoryRecord(states=states[r], inputs=inputs[r],
                                   outputs=outputs[r], means=means[r],

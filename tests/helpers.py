@@ -15,7 +15,10 @@ gain off one package filter step, `reference_gramian`, the
 observability test matrix one window and one 2-d block at a time, as a
 bit-for-bit reference for the stacked windows, and `reference_metric` and
 `reference_trajectory_csv`, the metric series and trajectory CSV one
-record at a time, as bit-for-bit references for the stacked metric table.
+record at a time, as bit-for-bit references for the stacked metric table,
+and `reference_check_step` and `reference_check_beliefs`, the filter's
+checks by eigenvalues alone, as references for the Cholesky-certified
+checks' verdicts and messages.
 """
 
 import itertools
@@ -29,10 +32,10 @@ from scipy.linalg import cho_factor, cho_solve
 import bilq.kalman
 import bilq.sim as sim
 from bilq.control import bellman_objective_Tm2, riccati_recursion
-from bilq.core import (PSD_TOL, BatchCheckError, BeliefState, check_beliefs, chol_solve,
-                       gaussian_draws, matvec, min_eigenvalue, normal_tape,
-                       observation_matrix, quadratic, symmetrize)
-from bilq.kalman import kf_step, kf_step_batch
+from bilq.core import (PSD_TOL, SYM_TOL, BatchCheckError, BeliefState, check_beliefs,
+                       chol_solve, gaussian_draws, matvec, min_eigenvalue, normal_tape,
+                       observation_matrix, quadratic, raise_first_failure, symmetrize)
+from bilq.kalman import COND_LIMIT, kf_step, kf_step_batch
 
 
 def standard_riccati_gains(a, b, q, q_t, r, horizon):
@@ -333,6 +336,34 @@ def reference_simulate(group, streams, labels):
                  for r in range(N))
 
 
+def reference_check_step(innov_cov, means=None, covs=None):
+    """bilq.kalman._check_step by eigvalsh alone, as it was before its
+    Cholesky certificate: innovation covariances PD with condition number
+    <= COND_LIMIT, then reference_check_beliefs if given."""
+    vals = np.linalg.eigvalsh(innov_cov)
+    low, high = vals.min(axis=-1), vals.max(axis=-1)
+    cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
+    raise_first_failure(cond > COND_LIMIT, "innovation covariance singular",
+                        lambda i: f"condition number {cond[i]:.3e}")
+    if means is not None:
+        reference_check_beliefs(means, covs)
+
+
+def reference_check_beliefs(means, covs):
+    """bilq.core.check_beliefs by eigvalsh alone, as it was before its
+    Cholesky certificate."""
+    raise_first_failure(~np.isfinite(means).all(axis=-1), "mean has non-finite entries")
+    raise_first_failure(~np.isfinite(covs).all(axis=(-2, -1)), "cov has non-finite entries")
+    if covs.shape[-1] == 0:
+        return
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    asym = np.abs(covs - covs.swapaxes(-1, -2)).max(axis=(-2, -1))
+    raise_first_failure(asym > SYM_TOL * scale, "cov not symmetric")
+    low = np.linalg.eigvalsh(symmetrize(covs)).min(axis=-1)
+    raise_first_failure(low < -PSD_TOL, "cov not PSD",
+                        lambda i: f"min eigenvalue {low[i]:.3e}")
+
+
 # (horizon, corrupted step) at the edges of the shipped filter check block:
 # the last step of a block, the first of the next, and the last of a horizon
 # that is not a multiple of the block
@@ -347,11 +378,13 @@ FAILURE_KINDS = ("cov_not_psd", "cov_not_symmetric", "cov_not_finite", "mean_not
 def corrupted_filter(kind, step, index):
     """Within the block, the filter's step `step` (counted over every filter
     step taken, from 0) hands on entry `index` of its stack corrupted as
-    `kind` says (one of FAILURE_KINDS): its next covariance shifted to a
+    `kind` says (FAILURE_KINDS and one more): its next covariance shifted to a
     min eigenvalue of -1e-3, made asymmetric or NaN, its next mean +inf,
     or its innovation covariance zero or of condition number 1e15 (for
-    m > 1).  Patches bilq.kalman's _advance or _innovation_cov, which both
-    the per-step and the deferred checks read."""
+    m > 1), or, as "innovation_indefinite", its innovation covariance
+    given eigenvalues 1, ..., 1, -1, which the gain's LU solve takes.
+    Patches bilq.kalman's _advance or _innovation_cov, which both the
+    per-step and the deferred checks read."""
     name = "_innovation_cov" if kind.startswith("innovation") else "_advance"
     original = getattr(bilq.kalman, name)
     calls = itertools.count()
@@ -363,8 +396,9 @@ def corrupted_filter(kind, step, index):
         if name == "_innovation_cov":
             result = result.copy()
             m = result.shape[-1]
+            last = {"innovation_ill_conditioned": 1e-15, "innovation_indefinite": -1.0}
             result[index] = 0.0 if kind == "innovation_singular" else np.diag(
-                np.r_[np.ones(m - 1), 1e-15])
+                np.r_[np.ones(m - 1), last[kind]])
             return result
         gains, innovations, means, covs = result
         means, covs = means.copy(), covs.copy()

@@ -402,6 +402,17 @@ class TestObservabilityCommand:
         assert result.exit_code == 0, result.output
         assert status_line(result)["status"] == "ok"
 
+    def test_horizon_below_n_is_a_usage_error(self, runner, tmp_path):
+        # the probe's own count rule, reported without a traceback
+        sys_, noise, cost = orthogonal_config(RngStream(12), "a")
+        config = tmp_path / "ortho.json"
+        config.write_text(json.dumps(config_to_dict(sys_, noise, cost, 100, 5, 1)))
+        result = runner.invoke(main, ["observability", "--config", str(config),
+                                      "--horizon", "3"])
+        assert result.exit_code == 1
+        assert result.output == "Error: horizon must be at least 6, got 3\n"
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestCriticalPointsCommand:
     def test_default_config(self, runner):
@@ -434,6 +445,16 @@ class TestCriticalPointsCommand:
         status = status_line(result)
         assert status["status"] == "fail" and status["config"] == str(config)
         assert status["failures"] == ["config invalid: sigma_z not positive definite"]
+
+    def test_non_scalar_config_is_a_usage_error(self, runner, tmp_path):
+        # scalar_gap_params' own check, reported without a traceback
+        config = tmp_path / "di.json"
+        config.write_text(json.dumps(config_to_dict(*double_integrator_config("bilinear"),
+                                                     2, 1, 0)))
+        result = runner.invoke(main, ["critical-points", "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.output == "Error: gap parameters require a scalar system\n"
+        assert isinstance(result.exception, SystemExit)
 
     def test_zero_prior_variance_is_a_usage_error(self, runner, tmp_path):
         config = self.config_file(tmp_path, sigma_0=[[0.0]])

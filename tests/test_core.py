@@ -238,6 +238,7 @@ COUNT_ENTRY_POINTS = {
     "config seed": ("seed", _config_count("seed"), 0, 3),
     "RngStream seed": ("seed", lambda v: RngStream(v).seed, 0, 3),
     "RngStream stream_id": ("stream_id", lambda v: RngStream(0, v).stream_id, 0, 3),
+    "RngStream.standard_normal": ("n", lambda v: len(RngStream(0).standard_normal(v)), 0, 3),
     "riccati_recursion": ("horizon", lambda v: riccati_recursion(
         scalar_config()[2], scalar_config()[0], v).horizon, 1, 3),
     "SimConfig": ("horizon", lambda v: _scalar_sim(v).horizon, 1, 3),

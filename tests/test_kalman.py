@@ -1,16 +1,19 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bilq.core import (BatchCheckError, BeliefState, BilinearSystem, NoiseSpec,
-                       RngStream, observation_matrix)
-from bilq.kalman import _hermite_kernel, grid_bayes_oracle, kf_step, kf_step_batch
+from bilq.core import (PSD_TOL, BatchCheckError, BeliefState, BilinearSystem, NoiseSpec,
+                       RngStream, check_beliefs, observation_matrix)
+from bilq.kalman import (COND_LIMIT, _check_step, _hermite_kernel, grid_bayes_oracle, kf_step,
+                         kf_step_batch)
 
 from helpers import (cov_update_information_form, dense_grid_oracle, kalman_gain,
-                     standard_kf_update_predict, random_spd)
+                     reference_check_beliefs, reference_check_step, standard_kf_update_predict,
+                     random_spd)
 
 
 def scalar_setup(a=0.9, b=1.0, c0=0.0, c1=1.0, sw=0.01, sz=0.09, x0=0.1, s0=2.0):
@@ -400,3 +403,111 @@ class TestGridBayesOracle:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                           match="^grid truncation$"):
             grid_bayes_oracle(sys_, noise, [0.5], [1e6])
+
+
+def check_outcome(check, *args):
+    """check(*args)'s verdict: "passed", or its exception's type, message and,
+    for a BatchCheckError, index; with the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check(*args)
+            verdict = "passed"
+        except BatchCheckError as exc:
+            verdict = ("BatchCheckError", str(exc), exc.index)
+        except ValueError as exc:  # LinAlgError too
+            verdict = (type(exc).__name__, str(exc))
+    return verdict, [w.category for w in caught]
+
+
+def spectral_stack(rng, kinds, k, log_scales, margin):
+    """One symmetric k x k matrix per kind, rotated diag(eigenvalues):
+    eigenvalues in [1, 10] times 10**log_scale, but for "edge" one of them
+    moved to the check's edge (`margin` of them), for "negative" one of them
+    negated, for "singular" one zero, for "nan" and "inf" one entry pair so,
+    and "zero" the zero matrix."""
+    stack = []
+    for kind, log_scale in zip(kinds, log_scales):
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        eigs = 10.0 ** log_scale * rng.uniform(1.0, 10.0, k)
+        if kind in ("edge", "negative", "singular"):
+            eigs[0] = {"edge": margin(eigs), "negative": -eigs[0], "singular": 0.0}[kind]
+        s = 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
+        if kind in ("nan", "inf"):
+            i, j = rng.integers(k, size=2)
+            s[i, j] = s[j, i] = np.nan if kind == "nan" else np.inf
+        stack.append(0.0 * s if kind == "zero" else s)
+    return np.stack(stack)
+
+
+ROW_KINDS = ("good", "good", "good", "edge", "edge", "negative", "singular", "nan", "inf",
+             "zero")
+
+
+class TestCertifiedChecks:
+    """The checks certify definiteness by Cholesky and take eigenvalues only
+    where that fails: they raise exactly what the eigvalsh-only checks raise,
+    and give no RuntimeWarning of their own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 5), kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1,
+                                                 max_size=6),
+           log_scale=st.floats(-250.0, 250.0), log_excess=st.floats(-2.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_innovation_check_matches_eigvalsh(self, m, kinds, log_scale, log_excess, seed):
+        # "edge" rows have condition numbers from COND_LIMIT / 100 to 10 COND_LIMIT
+        rng = np.random.default_rng(seed)
+        scales = log_scale + rng.uniform(-2.0, 2.0, len(kinds))
+        stack = spectral_stack(rng, kinds, m, scales,
+                               lambda eigs: eigs.max() / (COND_LIMIT * 10.0 ** log_excess))
+        # the certificate adds no warning: the one either gives is the
+        # fallback's inf / inf on a 1 x 1 infinite matrix
+        assert check_outcome(_check_step, stack) == check_outcome(reference_check_step, stack)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), kinds=st.lists(st.sampled_from(ROW_KINDS + ("asymmetric",)),
+                                                 min_size=1, max_size=6),
+           log_scale=st.floats(-3.0, 8.0), tols=st.floats(-0.5, 0.5) | st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_belief_check_matches_eigvalsh(self, n, kinds, log_scale, tols, seed):
+        # "edge" rows have a min eigenvalue within 3 PSD_TOL of -PSD_TOL, before
+        # roundoff; scales from 1e-4 to 1e10 span the certified one (1e3 to 1e4)
+        rng = np.random.default_rng(seed)
+        covs = spectral_stack(rng, kinds, n, log_scale + rng.uniform(-1.0, 1.0, len(kinds)),
+                              lambda eigs: -PSD_TOL * (1.0 + tols))
+        covs[[kind == "asymmetric" for kind in kinds], 0, -1] += 1e-3
+        means = rng.standard_normal((len(kinds), n))
+        verdict, caught = check_outcome(check_beliefs, means, covs)
+        assert verdict == check_outcome(reference_check_beliefs, means, covs)[0]
+        assert caught == []
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("cond", [0.05, 0.2, 0.9, 1.1, 1.5, 3.0])
+    def test_condition_bound_reached_by_all_ones(self, m, cond):
+        # ones + delta I has lambda_max = m max |S_ij|, the bound the certificate
+        # assumes, and condition number cond * COND_LIMIT
+        stack = np.ones((1, m, m)) + m / (cond * COND_LIMIT) * np.eye(m)
+        assert check_outcome(_check_step, stack) == check_outcome(reference_check_step, stack)
+
+    @pytest.mark.parametrize("kind", ["edge", "negative", "singular", "nan", "inf", "zero"])
+    def test_one_bad_row_among_good_ones(self, kind):
+        rng = np.random.default_rng(7)
+        kinds = ["good"] * 40
+        kinds[17] = kind
+        stack = spectral_stack(rng, kinds, 3, np.zeros(40), lambda eigs: eigs.max() / 1e15)
+        verdict, caught = check_outcome(_check_step, stack)
+        assert verdict == check_outcome(reference_check_step, stack)[0]
+        assert verdict[0] == "LinAlgError" or verdict[2] == 17
+        assert caught == []
+
+    def test_eigenvalues_only_where_cholesky_cannot_certify(self, monkeypatch):
+        # innovation covariances over 200 decades, all certified, and one belief
+        # covariance above the certified scale, which alone takes eigvalsh
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
+        rng = np.random.default_rng(3)
+        covs = spectral_stack(rng, ["good"] * 30, 4, np.r_[np.zeros(29), 6.0], None)
+        innov = spectral_stack(rng, ["good"] * 30, 2, np.linspace(-100.0, 100.0, 30), None)
+        _check_step(innov, np.zeros((30, 4)), covs)
+        assert rows == [1]

@@ -12,8 +12,8 @@ from bilq.observability import (check_proposition1, covariance_boundedness_probe
                                 orthogonal_complement_c0, window_gramians)
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
 
-from helpers import (BLOCK_EDGES, FAILURE_KINDS, outcome_corrupted, per_step_probe_covs,
-                     random_spd, reference_boundedness_probe, reference_gramian)
+from helpers import (BLOCK_EDGES, FAILURE_KINDS, SHIPPED_BLOCK, outcome_corrupted,
+                     per_step_probe_covs, random_spd, reference_boundedness_probe, reference_gramian)
 
 
 def random_bilinear(rng, n=3, m=2, p=2, spectral=0.9):
@@ -268,7 +268,8 @@ class TestProbeMatchesReference:
 def assert_probe_checks_match(n, m, p, horizon, kind, step, fail_step, seed):
     """The probe with the filter's step `step` corrupted as `kind` says, under
     an input policy that fails at fail_step, raises what per_step_probe_covs
-    raises, or reports its covariances and inputs bit for bit."""
+    raises, returning its message and warnings, or reports its covariances
+    and inputs bit for bit."""
     rng = np.random.default_rng(seed)
     sys_ = random_bilinear(rng, n, m, p, spectral=rng.uniform(0.5, 1.2))
     noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.01), sigma_z=random_spd(rng, m, 0.05),
@@ -289,7 +290,7 @@ def assert_probe_checks_match(n, m, p, horizon, kind, step, fail_step, seed):
     assert set(caught) <= set(ref_caught)
     if isinstance(reference, str):
         assert report == reference
-        return
+        return report, caught
     assert not isinstance(report, str), report
     covs, inputs = reference
     assert report.norms.tobytes() == np.linalg.norm(covs, 2, axis=(1, 2)).tobytes()
@@ -319,6 +320,15 @@ class TestProbeChecksMatchPerStepReference:
     def test_block_edges(self, kind, horizon, step, fails_next):
         assert_probe_checks_match(2, 2, 1, horizon, kind, step,
                                   step + 1 if fails_next else None, 5)
+
+    @pytest.mark.parametrize("step", [SHIPPED_BLOCK // 2, SHIPPED_BLOCK + SHIPPED_BLOCK // 2])
+    def test_indefinite_innovation_mid_block(self, step):
+        # the gain's LU solve takes it and the steps after it run; the
+        # block's check still names its step, with no RuntimeWarning
+        message, caught = assert_probe_checks_match(
+            2, 2, 1, 2 * SHIPPED_BLOCK, "innovation_indefinite", step, None, 5)
+        assert message == f"innovation covariance singular: step {step}, condition number inf"
+        assert caught == []
 
 
 def assert_windows_match_gramian(sys_, inputs):

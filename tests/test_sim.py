@@ -21,8 +21,9 @@ from bilq.sim import (INIT_ESTIMATES, METRICS, PolicyConfig, SimConfig,
 
 import bilq.kalman
 import bilq.sim
-from helpers import (BLOCK_EDGES, FAILURE_KINDS, failing_lqg, outcome_corrupted,
-                     per_step_lqg_rollout, random_spd, reference_metric, reference_simulate,
+from helpers import (BLOCK_EDGES, FAILURE_KINDS, SHIPPED_BLOCK, failing_lqg,
+                     outcome_corrupted, per_step_lqg_rollout, random_spd, reference_metric,
+                     reference_simulate,
                      reference_trajectory_csv, standard_lqg_rollout,
                      standard_riccati_gains)
 
@@ -564,9 +565,9 @@ class TestFailureLocalization:
 def assert_engine_checks_match(n, m, p, variants, runs, horizon, kind, step, entry,
                                fail_step, seed):
     """monte_carlo with the filter's step `step` corrupted as `kind` says on
-    entry `entry` raises what reference_simulate raises, or returns its
-    records bit for bit; fail_step None runs separation_lqg, otherwise
-    numeric_bellman is failing_lqg(fail_step)."""
+    entry `entry` raises what reference_simulate raises, returning its
+    message and warnings, or returns its records bit for bit; fail_step None
+    runs separation_lqg, otherwise numeric_bellman is failing_lqg(fail_step)."""
     # step == horizon corrupts nothing
     rng = np.random.default_rng(seed)
     noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05), sigma_z=random_spd(rng, m, 0.1),
@@ -595,7 +596,7 @@ def assert_engine_checks_match(n, m, p, variants, runs, horizon, kind, step, ent
     assert set(caught) <= set(ref_caught)
     if isinstance(reference, str):
         assert results == reference
-        return
+        return results, caught
     assert not isinstance(results, str), results
     records = [rec for res in results for rec in res.records]
     assert len(records) == len(reference)
@@ -632,6 +633,16 @@ class TestChecksMatchPerStepReference:
         # numeric_bellman's decisions raise on a covariance that is not PSD
         assert_engine_checks_match(2, 2, 1, 2, 2, horizon, kind, step, 3,
                                    step + 1 if fails_next else None, 11)
+
+    @pytest.mark.parametrize("step", [SHIPPED_BLOCK // 2, SHIPPED_BLOCK + SHIPPED_BLOCK // 2])
+    def test_indefinite_innovation_mid_block(self, step):
+        # the gain's LU solve takes it and the steps after it run; the
+        # block's check still names its step, with no RuntimeWarning
+        message, caught = assert_engine_checks_match(
+            2, 2, 1, 2, 2, 2 * SHIPPED_BLOCK, "innovation_indefinite", step, 3, None, 11)
+        assert message == (f"innovation covariance singular: config 1, run 1, step {step}, "
+                           "condition number inf")
+        assert caught == []
 
 
 class TestLandscapeSweep:
