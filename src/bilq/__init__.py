@@ -8,9 +8,8 @@ from .kalman import KalmanStep, grid_bayes_oracle, kf_step, kf_step_batch
 from .control import (AffineFalsificationReport, BellmanObjectiveParams,
                       CriticalPoint, RiccatiTables, ScalarGapParams,
                       T2ControllerResult, affine_falsification_test,
-                      bellman_minimize_Tm2, bellman_objective_Tm2,
-                      bellman_params_at_stage, lqg_policy, riccati_recursion,
-                      scalar_cost_to_go, scalar_critical_points,
+                      bellman_minimize_Tm2, bellman_objective_Tm2, lqg_policy,
+                      riccati_recursion, scalar_cost_to_go, scalar_critical_points,
                       scalar_gap_params, scalar_optimal_controller_T2)
 from .observability import (PROBE_THRESHOLD, BoundednessReport, GramianReport,
                             Prop1Report, check_proposition1,

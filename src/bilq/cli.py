@@ -16,7 +16,7 @@ import numpy as np
 from .core import RngStream, config_to_dict, load_config, validate_system
 from .control import (lqg_policy, scalar_critical_points, scalar_gap_params, LOCAL_MAX,
                       LOCAL_MIN)
-from .observability import (check_proposition1, covariance_boundedness_probe,
+from .observability import (DEFAULT_DELTA, check_proposition1, covariance_boundedness_probe,
                             gramian_decomposition, window_gramians)
 from .presets import double_integrator_config, orthogonal_config, scalar_config
 from .sim import (INIT_ESTIMATES, METRICS, POLICY_KINDS, PolicyConfig, SimConfig,
@@ -270,7 +270,7 @@ def cmd_simulate(config_path, runs, seed, policy, init_estimate, out):
 @click.option("--config", "config_path", type=click.Path(dir_okay=False),
               required=True)
 @click.option("--horizon", type=int, default=DEFAULT_HORIZON, show_default=True)
-@click.option("--delta", type=click.FloatRange(min=0.0), default=1e-8,
+@click.option("--delta", type=click.FloatRange(min=0.0), default=DEFAULT_DELTA,
               show_default=True, callback=_finite,
               help="Positive-definiteness margin for the observability test.")
 def cmd_observability(config_path, horizon, delta):

@@ -290,12 +290,12 @@ def scalar_optimal_controller_T2(params):
 
 @dataclass(frozen=True)
 class BellmanObjectiveParams:
-    """The stage objective at stage t of a Riccati table for one belief, x_hat
-    (n,) and prior_cov Sigma (n, n) PSD, or a stack of R beliefs, (R, n) and
-    (R, n, n).  Its weights cal_a and cal_b are the table's, checked once by
-    the recursion; cal_g = A'P_{t+1}A.  Stacked for one belief too (R = 1):
-    cal_b_x_hat (R, p), trace_g = tr(Sigma cal_g) (R,) and blocks (R, p+1, -1),
-    row l the m x m C_k Sigma C_l', C_k Sigma cal_g Sigma C_l' of C = (c0, *ck)."""
+    """The stage objective at stage t <= T - 2 of a Riccati table (exact at T - 2, a
+    one-step look-ahead earlier) for one belief, x_hat (n,) and prior_cov Sigma (n, n)
+    PSD, or a stack of R, (R, n) and (R, n, n).  Its weights cal_a and cal_b are the
+    table's, checked once by the recursion; cal_g = A'P_{t+1}A.  Stacked for one belief
+    too (R = 1): cal_b_x_hat (R, p), trace_g = tr(Sigma cal_g) (R,) and blocks (R, p+1,
+    -1), row l the m x m C_k Sigma C_l', C_k Sigma cal_g Sigma C_l' of C = (c0, *ck)."""
 
     tables: RiccatiTables
     t: int
@@ -332,20 +332,6 @@ class BellmanObjectiveParams:
         """The certainty-equivalent action -cal_a^-1 cal_b x_hat, (p,) or (R, p)."""
         u = -chol_solve(self.cal_a, self.cal_b_x_hat[..., None])[..., 0]
         return u.reshape(self.x_hat.shape[:-1] + u.shape[-1:])
-
-
-def bellman_params_at_stage(sys, noise, tables, t, belief):
-    """Stage objective data at stage t for a belief given as a pair
-    (mean (n,), cov (n, n)), or for a stack of them, (means (R, n), covs
-    (R, n, n)).
-
-    Exact for the last-but-two stage (t = T - 2).  At earlier stages the
-    estimation penalty is still weighted by the LQR table p_seq[t+1], so
-    minimizing it is a one-step look-ahead, not the optimal decision.
-    """
-    mean, cov = belief
-    return BellmanObjectiveParams(tables=tables, t=t, prior_cov=cov, x_hat=mean,
-                                  sys=sys, noise=noise)
 
 
 def _stage_terms(bp, u, runs, derivatives=False):

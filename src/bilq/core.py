@@ -70,11 +70,6 @@ def symmetrize(s):
     return 0.5 * (s + s.swapaxes(-1, -2))
 
 
-def is_symmetric(s, tol=SYM_TOL):
-    scale = max(1.0, float(np.abs(s).max()) if s.size else 1.0)
-    return float(np.abs(s - s.T).max()) <= tol * scale
-
-
 def matvec(a, x):
     """a @ x for a vector x (n,) or a stack of them (..., n).
 
@@ -305,10 +300,11 @@ class ValidationReport:
 
 
 def _check_matrix(report, mat, name, dim, *, strict):
-    """Shape (dim, dim), then symmetry, then PD (strict) or PSD within PSD_TOL."""
+    """Shape (dim, dim), then symmetry within 1e-12 (relative to max(1, max |entry|)),
+    then PD (strict) or PSD within PSD_TOL."""
     if mat.shape != (dim, dim):
         report.add(f"{name} shape {mat.shape} != ({dim}, {dim})")
-    elif not is_symmetric(mat, tol=1e-12):
+    elif np.abs(mat - mat.T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
         report.add(f"{name} not symmetric")
     elif strict and min_eigenvalue(mat) <= 0.0:
         report.add(f"{name} not positive definite")

@@ -36,12 +36,14 @@ def _innovation_cov(cs_covs, noise, cs):  # cs_covs: C S
 
 
 def _check_step(innov_cov, means=None, covs=None):
-    """Innovation covariances S (R, m, m) PD, condition number <= COND_LIMIT;
+    """Innovation covariances S (R, m, m) finite, PD, condition number <= COND_LIMIT;
     check_beliefs if given.  A Cholesky of S / s - c I, s = max |S_ij|, c =
     10 m / COND_LIMIT + m (m + 3) EPS (twice its error), proves lambda_min(S)
     >= 10 m s / COND_LIMIT >= lambda_max(S) * 10 / COND_LIMIT; eigvalsh otherwise."""
+    raise_first_failure(~np.isfinite(innov_cov).all(axis=(-2, -1)),
+                        "innovation covariance has non-finite entries")
     m, scale = innov_cov.shape[-1], np.abs(innov_cov).max(axis=(-2, -1))
-    fit = np.isfinite(scale) & (scale > 0.0)
+    fit = scale > 0.0
     c = 10.0 * m / COND_LIMIT + m * (m + 3) * EPS
     rest = ~cholesky_certified(innov_cov[fit] / scale[fit, None, None] - c * np.eye(m), fit)
     if rest.any():

@@ -26,14 +26,16 @@ Policies are a table of functions of (batch, t) returning one action per
 run.  The certainty-equivalent ones are one stacked matrix-vector product
 per step; ``numeric_bellman`` is one stacked minimizer call per step for
 the runs of each config, on its system, and ``scalar_nonlinear_t2`` is
-``numeric_bellman`` restricted to the scalar system at T = 2.  The last
-stage has no estimation penalty: there the engine takes the
-certainty-equivalent action for every filtered policy.
-``numeric_bellman`` minimizes the stage objective of
+``numeric_bellman`` restricted to the scalar system at T = 2.  The engine's
+only state is the runs' histories, which policies read at slot t and each
+step extends to slot t + 1; it holds no policy's rule and calls the policy
+at every step.  ``numeric_bellman`` minimizes the stage objective of
 :func:`bilq.control.bellman_objective_Tm2` with the estimation penalty
 weighted by the LQR table ``p_seq[t+1]``: a one-step look-ahead for T > 2,
 not the optimal policy.  For T = 2 it is exactly optimal at one input and
 one output, where the minimizer is global, and locally optimal elsewhere.
+The last stage, t = T - 1, has no estimation penalty: there it takes the
+certainty-equivalent action.
 """
 
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ import numpy as np
 from .core import (RngStream, count, gaussian_draws, matvec, normal_tape,
                    observation_matrix, quadratic)
 from .kalman import FilterSteps
-from .control import (bellman_minimize_Tm2, bellman_params_at_stage, lqg_policy,
+from .control import (BellmanObjectiveParams, bellman_minimize_Tm2, lqg_policy,
                       riccati_recursion, scalar_critical_points, scalar_gap_params)
 
 INIT_ESTIMATES = ("prior_mean", "sampled_from_prior")
@@ -55,34 +57,38 @@ INIT_ESTIMATE_SUBSTREAM = 0
 
 @dataclass
 class _Batch:
-    """State of N runs at the current step: (system, slice of its runs) per
-    config, true states x (N, n), and predicted means (N, n) and covs
-    (N, n, n) (None for the perfect-observation policy)."""
+    """N runs' histories, with (system, slice of its runs) per config: true
+    states (N, T + 1, n), predicted means (N, T + 1, n) and covs (N, T + 1, n, n).
+    Step t reads slot t and writes slot t + 1; under the perfect-observation
+    policy the means are the states and the covs stay zero."""
 
     configs: list
     noise: object
     tables: object
-    x: np.ndarray
-    means: np.ndarray = None
-    covs: np.ndarray = None
+    states: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
 
 
 def _perfect_state_lqr(batch, t):
-    return lqg_policy(batch.tables, t, batch.x)
+    return lqg_policy(batch.tables, t, batch.states[:, t])
 
 
 def _separation_lqg(batch, t):
-    return lqg_policy(batch.tables, t, batch.means)
+    return lqg_policy(batch.tables, t, batch.means[:, t])
 
 
 def _numeric_bellman(batch, t):
     """Per run, the numeric minimizer of its system's stage objective whose
-    estimation penalty is weighted by p_seq[t+1], one call per config.
+    estimation penalty is weighted by p_seq[t+1], one call per config; at
+    t = T - 1, which has no estimation penalty, the certainty-equivalent action.
     For T > 2 a one-step look-ahead, not the optimal policy; for T = 2
     exactly optimal at m = p = 1 (a global minimizer), locally elsewhere."""
-    return np.concatenate([bellman_minimize_Tm2(bellman_params_at_stage(
-        sys, batch.noise, batch.tables, t,
-        (batch.means[runs], batch.covs[runs])))[0] for sys, runs in batch.configs])
+    if t == batch.tables.horizon - 1:
+        return _separation_lqg(batch, t)
+    return np.concatenate([bellman_minimize_Tm2(BellmanObjectiveParams(
+        tables=batch.tables, t=t, prior_cov=batch.covs[runs, t], x_hat=batch.means[runs, t],
+        sys=sys, noise=batch.noise))[0] for sys, runs in batch.configs])
 
 
 POLICIES = {
@@ -159,66 +165,57 @@ def _simulate(group, streams, labels, tables):
     R = len(streams)
     N = R * len(group)
     config_of, stream_of = np.divmod(np.arange(N), R)
-    names = [f"{labels[v]}run {streams[r].stream_id}" for v, r in zip(config_of, stream_of)]
     tape = normal_tape(streams, [n] + [n, m] * T)[stream_of]
     step_normals = tape[:, n:].reshape(N, T, n + m)
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
+    filtered = policy.kind != "perfect_state_lqr"
+    states = np.empty((N, T + 1, n))
     batch = _Batch(configs=[(c.system, slice(v * R, v * R + R)) for v, c in enumerate(group)],
-                   noise=noise, tables=cached_riccati(tables, sys, cost, T),
-                   x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
+                   noise=noise, tables=cached_riccati(tables, sys, cost, T), states=states,
+                   means=np.empty((N, T + 1, n)) if filtered else states,
+                   covs=np.zeros((N, T + 1, n, n)))
+    states[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
+    inputs = np.empty((N, T, p))
+    outputs = np.empty((N, T, m))
     # each run's own c0 and ck[k], from which observation_matrix builds its C(u)
     observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
                                ck=tuple(np.stack(ck)[config_of]
                                         for ck in zip(*(c.system.ck for c in group), strict=True)))
-    steps = FilterSteps(lambda t, i: f"{names[i]}, step {t}")
-    filtered = policy.kind != "perfect_state_lqr"
+    steps = FilterSteps(lambda t, i: f"{labels[config_of[i]]}run "
+                                     f"{streams[stream_of[i]].stream_id}, step {t}")
     if filtered:
         if policy.init_estimate == "sampled_from_prior":
             init = normal_tape([s.substream(INIT_ESTIMATE_SUBSTREAM) for s in streams], [n])
-            batch.means = gaussian_draws(noise.x0_mean, noise.sigma_0, init[stream_of])
+            batch.means[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, init[stream_of])
         else:
-            batch.means = np.broadcast_to(noise.x0_mean, (N, n)).copy()
-        batch.covs = np.broadcast_to(noise.sigma_0, (N, n, n)).copy()
-        steps.check_prior(batch.means, batch.covs)
-
-    states = np.empty((N, T + 1, n))
-    inputs = np.empty((N, T, p))
-    outputs = np.empty((N, T, m))
-    means = np.empty((N, T + 1, n))
-    covs = np.zeros((N, T + 1, n, n))
+            batch.means[:, 0] = noise.x0_mean
+        batch.covs[:, 0] = noise.sigma_0
+        steps.check_prior(batch.means[:, 0], batch.covs[:, 0])
 
     try:
-        for t in range(T + 1):
-            x = batch.x
-            states[:, t] = x
-            means[:, t] = batch.means if filtered else x
-            if filtered:
-                covs[:, t] = batch.covs
-            if t == T:
-                break
-            decide = _separation_lqg if filtered and t == T - 1 else act
+        for t in range(T):
+            x = states[:, t]
             try:
-                u = np.asarray(decide(batch, t), dtype=float).reshape(N, p)
+                u = np.asarray(act(batch, t), dtype=float).reshape(N, p)
             except ValueError as exc:  # LinAlgError too
                 raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
                                  f"{exc}") from exc
             cs = observation_matrix(observed, u)
-            y = matvec(cs, x) + z[:, t]
             inputs[:, t] = u
-            outputs[:, t] = y
+            outputs[:, t] = y = matvec(cs, x) + z[:, t]
             if filtered:
-                _, _, batch.means, batch.covs = steps.step(batch.means, batch.covs, sys,
-                                                           noise, u, y, cs)
-            batch.x = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
+                _, _, batch.means[:, t + 1], batch.covs[:, t + 1] = steps.step(
+                    batch.means[:, t], batch.covs[:, t], sys, noise, u, y, cs)
+            states[:, t + 1] = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
     finally:
         steps.check()  # before any failure of the loop: an earlier step's comes first
 
     stage_costs = quadratic(states[:, :T], cost.q) + quadratic(inputs, cost.r)
-    terminal_costs = quadratic(batch.x, cost.q_t)
+    terminal_costs = quadratic(states[:, T], cost.q_t)
     return tuple(TrajectoryRecord(states=states[r], inputs=inputs[r],
-                                  outputs=outputs[r], means=means[r],
-                                  covs=covs[r], stage_costs=stage_costs[r],
+                                  outputs=outputs[r], means=batch.means[r],
+                                  covs=batch.covs[r], stage_costs=stage_costs[r],
                                   terminal_cost=float(terminal_costs[r]))
                  for r in range(N))
 

@@ -275,43 +275,36 @@ def reference_simulate(group, streams, labels):
     step_normals = tape[:, n:].reshape(N, T, n + m)
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
+    filtered = policy.kind != "perfect_state_lqr"
+    states = np.empty((N, T + 1, n))
     batch = sim._Batch(configs=[(c.system, slice(v * R, v * R + R))
                                 for v, c in enumerate(group)],
-                       noise=noise, tables=riccati_recursion(cost, sys, T),
-                       x=gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n]))
+                       noise=noise, tables=riccati_recursion(cost, sys, T), states=states,
+                       means=np.empty((N, T + 1, n)) if filtered else states,
+                       covs=np.zeros((N, T + 1, n, n)))
+    states[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
     observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
                                ck=tuple(np.stack(ck)[config_of]
                                         for ck in zip(*(c.system.ck for c in group), strict=True)))
-    filtered = policy.kind != "perfect_state_lqr"
     if filtered:
         if policy.init_estimate == "sampled_from_prior":
             init = normal_tape([s.substream(sim.INIT_ESTIMATE_SUBSTREAM) for s in streams], [n])
-            batch.means = gaussian_draws(noise.x0_mean, noise.sigma_0, init[stream_of])
+            batch.means[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, init[stream_of])
         else:
-            batch.means = np.broadcast_to(noise.x0_mean, (N, n)).copy()
-        batch.covs = np.broadcast_to(noise.sigma_0, (N, n, n)).copy()
+            batch.means[:, 0] = noise.x0_mean
+        batch.covs[:, 0] = noise.sigma_0
         try:
-            check_beliefs(batch.means, batch.covs)
+            check_beliefs(batch.means[:, 0], batch.covs[:, 0])
         except BatchCheckError as exc:
             raise exc.localized(f"{names[exc.index]}, step 0") from exc
 
-    states = np.empty((N, T + 1, n))
     inputs = np.empty((N, T, p))
     outputs = np.empty((N, T, m))
-    means = np.empty((N, T + 1, n))
-    covs = np.zeros((N, T + 1, n, n))
     stage_costs = np.empty((N, T))
-    for t in range(T + 1):
-        x = batch.x
-        states[:, t] = x
-        means[:, t] = batch.means if filtered else x
-        if filtered:
-            covs[:, t] = batch.covs
-        if t == T:
-            break
-        decide = sim._separation_lqg if filtered and t == T - 1 else act
+    for t in range(T):
+        x = states[:, t]
         try:
-            u = np.asarray(decide(batch, t), dtype=float).reshape(N, p)
+            u = np.asarray(act(batch, t), dtype=float).reshape(N, p)
         except ValueError as exc:
             raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
                              f"{exc}") from exc
@@ -322,24 +315,26 @@ def reference_simulate(group, streams, labels):
         stage_costs[:, t] = quadratic(x, cost.q) + quadratic(u, cost.r)
         if filtered:
             try:
-                _, _, batch.means, batch.covs = kf_step_batch(
-                    batch.means, batch.covs, sys, noise, u, y, cs)
+                _, _, batch.means[:, t + 1], batch.covs[:, t + 1] = kf_step_batch(
+                    batch.means[:, t], batch.covs[:, t], sys, noise, u, y, cs)
             except BatchCheckError as exc:
                 raise exc.localized(f"{names[exc.index]}, step {t}") from exc
-        batch.x = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
+        states[:, t + 1] = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
 
-    terminal_costs = quadratic(batch.x, cost.q_t)
+    terminal_costs = quadratic(states[:, T], cost.q_t)
     return tuple(sim.TrajectoryRecord(states=states[r], inputs=inputs[r],
-                                      outputs=outputs[r], means=means[r],
-                                      covs=covs[r], stage_costs=stage_costs[r],
+                                      outputs=outputs[r], means=batch.means[r],
+                                      covs=batch.covs[r], stage_costs=stage_costs[r],
                                       terminal_cost=float(terminal_costs[r]))
                  for r in range(N))
 
 
 def reference_check_step(innov_cov, means=None, covs=None):
     """bilq.kalman._check_step by eigvalsh alone, as it was before its
-    Cholesky certificate: innovation covariances PD with condition number
-    <= COND_LIMIT, then reference_check_beliefs if given."""
+    Cholesky certificate: innovation covariances finite, then PD with condition
+    number <= COND_LIMIT, then reference_check_beliefs if given."""
+    raise_first_failure(~np.isfinite(innov_cov).all(axis=(-2, -1)),
+                        "innovation covariance has non-finite entries")
     vals = np.linalg.eigvalsh(innov_cov)
     low, high = vals.min(axis=-1), vals.max(axis=-1)
     cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
@@ -371,7 +366,7 @@ SHIPPED_BLOCK = bilq.kalman.CHECK_BLOCK
 BLOCK_EDGES = ((2 * SHIPPED_BLOCK, SHIPPED_BLOCK - 1), (2 * SHIPPED_BLOCK, SHIPPED_BLOCK),
                (2 * SHIPPED_BLOCK + 3, 2 * SHIPPED_BLOCK + 2))
 FAILURE_KINDS = ("cov_not_psd", "cov_not_symmetric", "cov_not_finite", "mean_not_finite",
-                 "innovation_singular", "innovation_ill_conditioned")
+                 "innovation_singular", "innovation_ill_conditioned", "innovation_not_finite")
 
 
 @contextmanager
@@ -380,8 +375,9 @@ def corrupted_filter(kind, step, index):
     step taken, from 0) hands on entry `index` of its stack corrupted as
     `kind` says (FAILURE_KINDS and one more): its next covariance shifted to a
     min eigenvalue of -1e-3, made asymmetric or NaN, its next mean +inf,
-    or its innovation covariance zero or of condition number 1e15 (for
-    m > 1), or, as "innovation_indefinite", its innovation covariance
+    or its innovation covariance zero, of condition number 1e15 (for
+    m > 1) or +inf in its last diagonal entry, or, as
+    "innovation_indefinite", its innovation covariance
     given eigenvalues 1, ..., 1, -1, which the gain's LU solve takes.
     Patches bilq.kalman's _advance or _innovation_cov, which both the
     per-step and the deferred checks read."""
@@ -396,7 +392,8 @@ def corrupted_filter(kind, step, index):
         if name == "_innovation_cov":
             result = result.copy()
             m = result.shape[-1]
-            last = {"innovation_ill_conditioned": 1e-15, "innovation_indefinite": -1.0}
+            last = {"innovation_ill_conditioned": 1e-15, "innovation_indefinite": -1.0,
+                    "innovation_not_finite": np.inf}
             result[index] = 0.0 if kind == "innovation_singular" else np.diag(
                 np.r_[np.ones(m - 1), last[kind]])
             return result
@@ -426,7 +423,7 @@ def failing_lqg(fail_step):
     def decide(batch, t):
         if t == fail_step:
             raise ValueError("told to fail")
-        if np.linalg.eigvalsh(batch.covs).min() < -PSD_TOL:
+        if np.linalg.eigvalsh(batch.covs[:, t]).min() < -PSD_TOL:
             raise ValueError("covariance not PSD")
         return sim._separation_lqg(batch, t)
     return decide

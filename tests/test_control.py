@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from bilq import control
 from bilq.core import BeliefState, BilinearSystem, CostSpec, NoiseSpec
-from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, ScalarGapParams,
-                          affine_falsification_test, bellman_minimize_Tm2,
-                          bellman_objective_Tm2, bellman_params_at_stage,
+from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, BellmanObjectiveParams,
+                          ScalarGapParams, affine_falsification_test, bellman_minimize_Tm2,
+                          bellman_objective_Tm2,
                           gradient_polynomial_coefficients, lqg_policy,
                           riccati_recursion, scalar_cost_to_go,
                           scalar_critical_points, scalar_gap_params,
@@ -41,8 +41,10 @@ def random_stage(seed, n, m, p, t=0, runs=None, noise_scale=0.1):
     tables = riccati_recursion(cost, sys_, 3)
     means = rng.standard_normal((runs or 1, n))
     covs = np.stack([random_spd(rng, n) for _ in range(runs or 1)])
-    belief = (means, covs) if runs else (means[0], covs[0])
-    return bellman_params_at_stage(sys_, noise, tables, t, belief)
+    if not runs:
+        means, covs = means[0], covs[0]
+    return BellmanObjectiveParams(tables=tables, t=t, prior_cov=covs, x_hat=means,
+                                  sys=sys_, noise=noise)
 
 
 def scalar_io_stage(seed, n, runs, t, rank, ck_scale, noise_scale=0.1, spread=1.0):
@@ -69,8 +71,8 @@ def bilinear_integrator_stage(cov, mean=(0.0, 0.0), ck=1.0, horizon=16, t=0):
     sys_, noise, cost = double_integrator_config("bilinear", c1=ck)
     cost = replace(cost, r=[[1.0]])
     tables = riccati_recursion(cost, sys_, horizon)
-    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
-    return bellman_params_at_stage(sys_, noise, tables, t, (mean, cov))
+    return BellmanObjectiveParams(tables=tables, t=t, prior_cov=cov, x_hat=mean,
+                                  sys=sys_, noise=noise)
 
 
 def central_differences(f, u, h):
@@ -357,8 +359,8 @@ class TestBellmanObjective:
         rng = np.random.default_rng(3)
         sys_, noise, cost = double_integrator_config("linear")
         tables = riccati_recursion(cost, sys_, 5)
-        belief = ([0.4, -0.2], np.eye(2))
-        bp = bellman_params_at_stage(sys_, noise, tables, 3, belief)
+        bp = BellmanObjectiveParams(tables=tables, t=3, prior_cov=np.eye(2),
+                                    x_hat=[0.4, -0.2], sys=sys_, noise=noise)
         u0 = np.zeros(1)
         base = bellman_objective_Tm2(bp, u0)
         for _ in range(10):
@@ -369,8 +371,8 @@ class TestBellmanObjective:
     def test_scalar_consistency_with_gap_form(self):
         sys_, noise, cost = scalar_config()
         tables = riccati_recursion(cost, sys_, 2)
-        belief = ([0.1], [[2.0]])
-        bp = bellman_params_at_stage(sys_, noise, tables, 0, belief)
+        bp = BellmanObjectiveParams(tables=tables, t=0, prior_cov=[[2.0]], x_hat=[0.1],
+                                    sys=sys_, noise=noise)
         params = scalar_gap_params(sys_, noise, cost, prior_var=2.0)
         for u in np.linspace(-1.5, 1.5, 31):
             lhs = bellman_objective_Tm2(bp, [u]) - bellman_objective_Tm2(bp, [0.0])
@@ -380,8 +382,8 @@ class TestBellmanObjective:
     def test_small_input_pays_estimation_penalty(self):
         sys_, noise, cost = double_integrator_config("bilinear")
         tables = riccati_recursion(cost, sys_, 4)
-        belief = ([1.0, 0.0], np.eye(2))
-        bp = bellman_params_at_stage(sys_, noise, tables, 2, belief)
+        bp = BellmanObjectiveParams(tables=tables, t=2, prior_cov=np.eye(2),
+                                    x_hat=[1.0, 0.0], sys=sys_, noise=noise)
 
         def penalty(u):
             quad = float(np.atleast_1d(u) @ bp.cal_a @ np.atleast_1d(u)
@@ -404,12 +406,15 @@ class TestBellmanObjective:
             bellman_minimize_Tm2(replace(bp, tables=bad))
         tables = riccati_recursion(cost, sys_, 2)
         with pytest.raises(ValueError, match="stage 1 has no estimation-penalty objective"):
-            bellman_params_at_stage(sys_, noise, tables, 1, ([0.0], [[1.0]]))
+            BellmanObjectiveParams(tables=tables, t=1, prior_cov=[[1.0]], x_hat=[0.0],
+                                   sys=sys_, noise=noise)
         with pytest.raises(ValueError, match="prior_cov"):
-            bellman_params_at_stage(sys_, noise, tables, 0, ([0.0], [[-1.0]]))
+            BellmanObjectiveParams(tables=tables, t=0, prior_cov=[[-1.0]], x_hat=[0.0],
+                                   sys=sys_, noise=noise)
         # a singular prior is PSD: no measurement can reduce a zero variance,
         # so only the quadratic control cost is left
-        bp = bellman_params_at_stage(sys_, noise, tables, 0, ([0.0], [[0.0]]))
+        bp = BellmanObjectiveParams(tables=tables, t=0, prior_cov=[[0.0]], x_hat=[0.0],
+                                    sys=sys_, noise=noise)
         assert bellman_objective_Tm2(bp, [0.5]) == 0.25 * bp.cal_a[0, 0]
 
 
@@ -433,7 +438,8 @@ class TestObjectiveMatchesFilter:
                         r=random_spd(rng, p))
         tables = riccati_recursion(cost, sys_, 3)
         belief = BeliefState(mean=rng.standard_normal(n), cov=random_spd(rng, n))
-        bp = bellman_params_at_stage(sys_, noise, tables, t, (belief.mean, belief.cov))
+        bp = BellmanObjectiveParams(tables=tables, t=t, prior_cov=belief.cov,
+                                    x_hat=belief.mean, sys=sys_, noise=noise)
         u = input_scale * rng.standard_normal(p)
         quad = u @ bp.cal_a @ u + 2.0 * (bp.cal_b @ bp.x_hat) @ u
         penalty = bellman_objective_Tm2(bp, u) - quad
@@ -508,8 +514,8 @@ class TestBellmanMinimize:
                           x0_mean=np.zeros(n), sigma_0=np.eye(n))
         cost = CostSpec(q=np.eye(n), q_t=np.eye(n), r=np.eye(p))
         tables = riccati_recursion(cost, sys_, 4)
-        belief = (rng.standard_normal(n) * 0.1, np.eye(n))
-        bp = bellman_params_at_stage(sys_, noise, tables, 2, belief)
+        bp = BellmanObjectiveParams(tables=tables, t=2, prior_cov=np.eye(n),
+                                    x_hat=rng.standard_normal(n) * 0.1, sys=sys_, noise=noise)
         u_star, f_star = bellman_minimize_Tm2(bp)
         np.testing.assert_allclose(u_star, bp.u_lqg, atol=1e-7)
         assert f_star <= bellman_objective_Tm2(bp, bp.u_lqg) + 1e-12
@@ -517,8 +523,8 @@ class TestBellmanMinimize:
     def test_scalar_regime_matches_closed_form(self):
         sys_, noise, cost = scalar_config()
         tables = riccati_recursion(cost, sys_, 2)
-        belief = ([0.1], [[2.0]])
-        bp = bellman_params_at_stage(sys_, noise, tables, 0, belief)
+        bp = BellmanObjectiveParams(tables=tables, t=0, prior_cov=[[2.0]], x_hat=[0.1],
+                                    sys=sys_, noise=noise)
         u_star, _ = bellman_minimize_Tm2(bp)
         assert min(abs(u_star[0] - U_MINUS), abs(u_star[0] - U_PLUS)) < 1e-6
 
@@ -526,8 +532,8 @@ class TestBellmanMinimize:
         sys_, noise, cost = scalar_config()
         sys_ = replace(sys_, c0=[[0.0]])
         tables = riccati_recursion(cost, sys_, 2)
-        belief = ([0.0], [[2.0]])
-        bp = bellman_params_at_stage(sys_, noise, tables, 0, belief)
+        bp = BellmanObjectiveParams(tables=tables, t=0, prior_cov=[[2.0]], x_hat=[0.0],
+                                    sys=sys_, noise=noise)
         u_star, f_star = bellman_minimize_Tm2(bp)
         assert f_star <= bellman_objective_Tm2(bp, [0.0]) + 1e-12
 
@@ -595,9 +601,10 @@ class TestBellmanMinimize:
         cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n),
                         r=random_spd(rng, p, rng.choice([0.1, 1, 10])))
         tables = riccati_recursion(cost, sys_, 3)
-        belief = (rng.standard_normal(n) * rng.choice([0.1, 1, 3]),
-                  random_spd(rng, n, rng.choice([0.1, 1, 5])))
-        bp = bellman_params_at_stage(sys_, noise, tables, int(rng.integers(0, 2)), belief)
+        mean = rng.standard_normal(n) * rng.choice([0.1, 1, 3])
+        cov = random_spd(rng, n, rng.choice([0.1, 1, 5]))
+        bp = BellmanObjectiveParams(tables=tables, t=int(rng.integers(0, 2)), prior_cov=cov,
+                                    x_hat=mean, sys=sys_, noise=noise)
         _, f = bellman_minimize_Tm2(bp)
         _, f_ref = reference_minimize_Tm2(bp)
         assert f_ref < 30.0
@@ -617,8 +624,8 @@ class TestBellmanMinimize:
         sys_, noise, cost = scalar_config()
         sys_ = replace(sys_, c0=[[0.0]])
         tables = riccati_recursion(cost, sys_, 2)
-        scalar = bellman_params_at_stage(sys_, noise, tables, 0,
-                                         ([0.0], [[2.0]]))
+        scalar = BellmanObjectiveParams(tables=tables, t=0, prior_cov=[[2.0]], x_hat=[0.0],
+                                        sys=sys_, noise=noise)
         for bp in (scalar, bilinear_integrator_stage(10.0 * np.eye(2)),
                    bilinear_integrator_stage([[1.0, 0.9], [0.9, 1.0]], horizon=3)):
             u, f = bellman_minimize_Tm2(bp)
@@ -630,8 +637,8 @@ class TestBellmanMinimize:
         # than the minimizer and ties with it within f's roundoff
         sys_, noise, cost = scalar_config()
         sys_ = replace(sys_, c0=[[0.0]], ck=([[0.5]],))
-        bp = bellman_params_at_stage(sys_, noise, riccati_recursion(cost, sys_, 2), 0,
-                                     ([1e-8], [[1.0]]))
+        bp = BellmanObjectiveParams(tables=riccati_recursion(cost, sys_, 2), t=0,
+                                    prior_cov=[[1.0]], x_hat=[1e-8], sys=sys_, noise=noise)
         params = scalar_gap_params(sys_, noise, cost, prior_var=1.0, x_hat0=1e-8)
         points = scalar_critical_points(params)
         assert [pt.kind for pt in points] == [LOCAL_MIN, COMPLEX_PAIR, COMPLEX_PAIR]

@@ -210,6 +210,29 @@ class TestKfStepBatch:
                           observation_matrix(sys_, inputs))
         assert info.value.index == 2
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), runs=st.integers(1, 4),
+           value=st.sampled_from([np.inf, np.nan]), bad=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, m=1, runs=1, value=np.inf, bad=0, seed=0)
+    def test_non_finite_covariance_fails_the_innovation_check(self, n, m, runs, value, bad,
+                                                             seed):
+        # an entry of +inf or NaN in a prior covariance makes its innovation
+        # covariance non-finite, which the step refuses before it solves for a gain
+        rng = np.random.default_rng(seed)
+        sys_ = random_system(rng, n, m, 1)
+        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05), sigma_z=random_spd(rng, m, 0.1),
+                          x0_mean=np.zeros(n), sigma_0=np.eye(n))
+        covs = np.stack([random_spd(rng, n) for _ in range(runs)])
+        bad %= runs
+        covs[bad, -1, -1] = value
+        inputs = rng.standard_normal((runs, 1))
+        with pytest.raises(BatchCheckError, match=r"^innovation covariance has non-finite "
+                                                  r"entries$") as info:
+            kf_step_batch(rng.standard_normal((runs, n)), covs, sys_, noise, inputs,
+                          np.zeros((runs, m)), observation_matrix(sys_, inputs))
+        assert info.value.index == bad
+
 
 class TestInformationForm:
     def test_no_observation(self):
@@ -454,15 +477,23 @@ class TestCertifiedChecks:
                                                  max_size=6),
            log_scale=st.floats(-250.0, 250.0), log_excess=st.floats(-2.0, 1.0),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(m=1, kinds=["inf"], log_scale=0.0, log_excess=0.0, seed=0)
+    @example(m=1, kinds=["good", "nan"], log_scale=0.0, log_excess=0.0, seed=0)
+    @example(m=3, kinds=["singular", "inf", "nan"], log_scale=0.0, log_excess=0.0, seed=0)
     def test_innovation_check_matches_eigvalsh(self, m, kinds, log_scale, log_excess, seed):
         # "edge" rows have condition numbers from COND_LIMIT / 100 to 10 COND_LIMIT
         rng = np.random.default_rng(seed)
         scales = log_scale + rng.uniform(-2.0, 2.0, len(kinds))
         stack = spectral_stack(rng, kinds, m, scales,
                                lambda eigs: eigs.max() / (COND_LIMIT * 10.0 ** log_excess))
-        # the certificate adds no warning: the one either gives is the
-        # fallback's inf / inf on a 1 x 1 infinite matrix
-        assert check_outcome(_check_step, stack) == check_outcome(reference_check_step, stack)
+        verdict, caught = check_outcome(_check_step, stack)
+        assert (verdict, caught) == check_outcome(reference_check_step, stack)
+        assert caught == []
+        # a non-finite row fails first, before the certificate or eigvalsh reads it
+        bad = [kind in ("nan", "inf") for kind in kinds]
+        if any(bad):
+            assert verdict == ("BatchCheckError", "innovation covariance has non-finite entries",
+                               bad.index(True))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 6), kinds=st.lists(st.sampled_from(ROW_KINDS + ("asymmetric",)),
@@ -497,7 +528,7 @@ class TestCertifiedChecks:
         stack = spectral_stack(rng, kinds, 3, np.zeros(40), lambda eigs: eigs.max() / 1e15)
         verdict, caught = check_outcome(_check_step, stack)
         assert verdict == check_outcome(reference_check_step, stack)[0]
-        assert verdict[0] == "LinAlgError" or verdict[2] == 17
+        assert verdict[0] == "BatchCheckError" and verdict[2] == 17
         assert caught == []
 
     def test_eigenvalues_only_where_cholesky_cannot_certify(self, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from bilq.core import (PSD_TOL, BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, sample_gaussian)
 from bilq.kalman import kf_step
-from bilq.control import (bellman_minimize_Tm2, bellman_params_at_stage,
+from bilq.control import (BellmanObjectiveParams, bellman_minimize_Tm2,
                           lqg_policy, riccati_recursion, scalar_cost_to_go,
                           scalar_gap_params, scalar_optimal_controller_T2)
 from bilq.presets import (double_integrator_config, orthogonal_config,
@@ -144,11 +144,30 @@ class TestRollout:
         assert rec.inputs[1, 0] == pytest.approx(-0.45 * rec.means[1, 0], abs=1e-12)
         params = scalar_gap_params(sys_, noise, cost, prior_var=2.0)
         assert rec.inputs[1, 0] == scalar_optimal_controller_T2(params).u1_rule(rec.means[1, 0])
-        # every filtered policy takes the certainty-equivalent action at the last stage
-        rec = rollout(sys_, noise, cost, PolicyConfig("numeric_bellman", "prior_mean"), 3,
-                      RngStream(5, 0))
-        tables = riccati_recursion(cost, sys_, 3)
-        assert rec.inputs[2].tobytes() == lqg_policy(tables, 2, rec.means[2]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["perfect_state_lqr", "separation_lqg", "numeric_bellman"])
+    def test_engine_asks_the_policy_at_every_step(self, monkeypatch, kind):
+        # the engine holds no policy's rule: the last step's action is the policy's too
+        original, steps = bilq.sim.POLICIES[kind], []
+        monkeypatch.setitem(bilq.sim.POLICIES, kind,
+                            lambda batch, t: steps.append(t) or original(batch, t))
+        sys_, noise, cost = double_integrator_config("bilinear")
+        rollout(sys_, noise, cost, PolicyConfig(kind, "sampled_from_prior"), 5, RngStream(2))
+        assert steps == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("preset, horizon", [("orthogonal", 3), ("bilinear_integrator", 4),
+                                                 ("scalar", 3)])
+    def test_numeric_bellman_last_action_is_certainty_equivalent(self, preset, horizon):
+        # the last stage has no estimation penalty: numeric_bellman takes lqg_policy's action
+        sys_, noise, cost = {"orthogonal": lambda: orthogonal_config(RngStream(0), "a"),
+                             "bilinear_integrator": lambda: double_integrator_config("bilinear"),
+                             "scalar": scalar_config}[preset]()
+        records = monte_carlo(SimConfig(sys_, noise, cost, PolicyConfig("numeric_bellman"),
+                                        horizon), 4, 1).records
+        means = np.stack([rec.means[horizon - 1] for rec in records])
+        actions = np.stack([rec.inputs[horizon - 1] for rec in records])
+        tables = riccati_recursion(cost, sys_, horizon)
+        assert actions.tobytes() == lqg_policy(tables, horizon - 1, means).tobytes()
 
     def test_numeric_bellman_matches_t2_policy_on_scalar(self):
         sys_, noise, cost = scalar_config()
@@ -178,8 +197,9 @@ class TestRollout:
         rec = rollout(sys_, noise, cost, PolicyConfig("numeric_bellman"), 3,
                       RngStream(1))
         assert rec.inputs.shape == (3, p) and np.isfinite(rec.inputs).all()
-        bp = bellman_params_at_stage(sys_, noise, riccati_recursion(cost, sys_, 3), 0,
-                                     (noise.x0_mean, noise.sigma_0))
+        bp = BellmanObjectiveParams(tables=riccati_recursion(cost, sys_, 3), t=0,
+                                    prior_cov=noise.sigma_0, x_hat=noise.x0_mean,
+                                    sys=sys_, noise=noise)
         assert rec.inputs[0].tobytes() == bellman_minimize_Tm2(bp)[0].tobytes()
 
     @pytest.mark.parametrize("preset", ["orthogonal", "bilinear_integrator"])
