@@ -14,15 +14,14 @@ import click
 import numpy as np
 
 from .core import RngStream, config_to_dict, load_config, validate_system
-from .control import (lqg_policy, scalar_critical_points, scalar_gap_params, LOCAL_MAX,
-                      LOCAL_MIN)
+from .control import (lqg_policy, riccati_recursion, scalar_critical_points,
+                      scalar_gap_params, LOCAL_MAX, LOCAL_MIN)
 from .observability import (DEFAULT_DELTA, check_proposition1, covariance_boundedness_probe,
                             gramian_decomposition, window_gramians)
 from .presets import double_integrator_config, orthogonal_config, scalar_config
 from .sim import (INIT_ESTIMATES, METRICS, POLICY_KINDS, PolicyConfig, SimConfig,
-                  cached_riccati, format_float, landscape_sweep, monte_carlo,
-                  write_critical_points_csv, write_landscape_csv,
-                  write_summary_csv, write_trajectory_csv)
+                  format_float, landscape_sweep, monte_carlo, write_critical_points_csv,
+                  write_landscape_csv, write_summary_csv, write_trajectory_csv)
 
 DEFAULT_HORIZON = 100
 RUNS = click.IntRange(min=1)
@@ -71,23 +70,23 @@ def _fail_if_invalid(status, system, noise, cost):
         _finish(*status, [f"config invalid: {v}" for v in report.violations])
 
 
-def _lqg_probe(system, noise, cost, horizon, tables):
-    """The covariance boundedness probe under certainty-equivalent LQG (see cached_riccati)."""
-    policy = partial(lqg_policy, cached_riccati(tables, system, cost, horizon))
-    return covariance_boundedness_probe(system, noise, policy, horizon)
+def _lqg_probe(system, noise, riccati):
+    """The covariance boundedness probe under certainty-equivalent LQG on riccati."""
+    return covariance_boundedness_probe(system, noise, partial(lqg_policy, riccati),
+                                        riccati.horizon)
 
 
-def _monte_carlo_variants(outdir, variants, runs, seed, tables):
+def _monte_carlo_variants(outdir, variants, runs, seed):
     """Monte Carlo of every (name, SimConfig) in one call, on the same streams
-    (paired noise); writes the CSVs and returns the percentiles by name."""
-    percentiles = {}
-    for (name, _), res in zip(variants, monte_carlo([c for _, c in variants], runs, seed, tables)):
+    (paired noise); writes the CSVs and returns the results by name."""
+    results = dict(zip([name for name, _ in variants],
+                       monte_carlo([c for _, c in variants], runs, seed)))
+    for name, res in results.items():
         write_trajectory_csv(outdir / f"trajectories_{name}.csv", res.table)
-        percentiles[name] = res.percentiles
     write_summary_csv(outdir / "summary.csv",
-                      [(percentiles[name], config.policy.kind, name)
+                      [(results[name].percentiles, config.policy.kind, name)
                        for name, config in variants])
-    return percentiles
+    return results
 
 
 def _check_classifications(points):
@@ -160,12 +159,12 @@ def cmd_double_integrator(runs, seed, c1, out):
         variants.append((name, SimConfig(system, noise, cost,
                                          PolicyConfig(kind, "sampled_from_prior"),
                                          horizon)))
-    percentiles = _monte_carlo_variants(outdir, variants, runs, seed, {})
+    results = _monte_carlo_variants(outdir, variants, runs, seed)
 
     failures = []
     if runs >= 10:
-        bil = percentiles["bilinear"]
-        lin = percentiles["linear"]
+        bil = results["bilinear"].percentiles
+        lin = results["linear"].percentiles
         if not bil["cum_cost"].p50[horizon] > lin["cum_cost"].p50[horizon]:
             failures.append("bilinear median cumulative cost does not exceed linear")
         if not bil["cov_trace"].p50[horizon] > 2.0 * bil["cov_trace"].p50[20]:
@@ -193,9 +192,12 @@ def cmd_orthogonal(runs, seed, variant, out):
     base_stream = RngStream(seed)
     sys_bil, noise, cost = orthogonal_config(base_stream, variant=variant)
     sys_lin = replace(sys_bil, ck=tuple(np.zeros_like(c) for c in sys_bil.ck))
+    policy = PolicyConfig("separation_lqg", "sampled_from_prior")
+    variants = [(name, SimConfig(system, noise, cost, policy, horizon))
+                for name, system in (("linear", sys_lin), ("bilinear", sys_bil))]
+    results = _monte_carlo_variants(outdir, variants, runs, seed)
 
-    tables = {}
-    probe = _lqg_probe(sys_bil, noise, cost, horizon, tables)
+    probe = _lqg_probe(sys_bil, noise, results["bilinear"].riccati)
     prop = check_proposition1(sys_bil)
     # spectral norms of the test matrix's static, cross and input parts along the probe's inputs
     norms = {f"norm_o{k}": float(np.linalg.norm(o, 2)) for k, o in
@@ -211,12 +213,6 @@ def cmd_orthogonal(runs, seed, variant, out):
         json.dumps({"variant": variant, **asdict(prop), **norms, "probe_max_norm": probe.max_norm,
                     "probe_head_max": head, "probe_tail_max": tail}, sort_keys=True, indent=1),
         encoding="utf-8")
-
-    policy = PolicyConfig("separation_lqg", "sampled_from_prior")
-    _monte_carlo_variants(outdir, [(name, SimConfig(system, noise, cost, policy, horizon))
-                                   for name, system in (("linear", sys_lin),
-                                                        ("bilinear", sys_bil))],
-                          runs, seed, tables)
 
     failures = []
     if not prop.ok:
@@ -280,7 +276,7 @@ def cmd_observability(config_path, horizon, delta):
               {"horizon": horizon, "delta": delta})
     _fail_if_invalid(status, system, noise, cost)
     try:
-        probe = _lqg_probe(system, noise, cost, horizon, {})
+        probe = _lqg_probe(system, noise, riccati_recursion(cost, system, horizon))
     except ValueError as exc:  # a horizon below n; a failed filter check
         raise click.ClickException(str(exc))
     click.echo("window_start,gramian_min_eigenvalue,uniformly_observable")

@@ -292,10 +292,11 @@ def scalar_optimal_controller_T2(params):
 class BellmanObjectiveParams:
     """The stage objective at stage t <= T - 2 of a Riccati table (exact at T - 2, a
     one-step look-ahead earlier) for one belief, x_hat (n,) and prior_cov Sigma (n, n)
-    PSD, or a stack of R, (R, n) and (R, n, n).  Its weights cal_a and cal_b are the
-    table's, checked once by the recursion; cal_g = A'P_{t+1}A.  Stacked for one belief
-    too (R = 1): cal_b_x_hat (R, p), trace_g = tr(Sigma cal_g) (R,) and blocks (R, p+1,
-    -1), row l the m x m C_k Sigma C_l', C_k Sigma cal_g Sigma C_l' of C = (c0, *ck)."""
+    PSD, or a stack of R, (R, n) and (R, n, n), sys's c0 and ck[k] (m, n) or per belief
+    (R, m, n).  Its weights cal_a and cal_b are the table's, checked once by the
+    recursion; cal_g = A'P_{t+1}A.  Stacked for one belief too (R = 1): cal_b_x_hat
+    (R, p), trace_g = tr(Sigma cal_g) (R,) and blocks (R, p+1, -1), row l the m x m
+    C_k Sigma C_l', C_k Sigma cal_g Sigma C_l' of C = (c0, *ck)."""
 
     tables: RiccatiTables
     t: int
@@ -313,9 +314,10 @@ class BellmanObjectiveParams:
             raise ValueError("prior_cov must be PSD")
         n, m, k = prior_cov.shape[-1], self.sys.m, self.sys.p + 1
         covs = prior_cov.reshape(-1, n, n)
-        c_all = np.concatenate([self.sys.c0, *self.sys.ck])
+        c_all = np.concatenate([self.sys.c0, *self.sys.ck], axis=-2)
         c_cov = c_all @ covs                    # rows C_k Sigma, k = 0..p
-        blocks = np.stack([c_cov @ c_all.T, c_cov @ cal_g @ c_cov.swapaxes(-1, -2)], 1)
+        blocks = np.stack([c_cov @ c_all.swapaxes(-1, -2),
+                           c_cov @ cal_g @ c_cov.swapaxes(-1, -2)], 1)
         blocks = blocks.reshape(len(covs), 2, k, m, k, m).transpose(0, 4, 2, 1, 3, 5)
         object.__setattr__(self, "cal_a", self.tables.cal_a_seq[self.t])
         object.__setattr__(self, "cal_b", self.tables.cal_b_seq[self.t])
@@ -390,16 +392,16 @@ def _taylor(bp, u, runs):
     f is a difference of terms that can be much larger than f, so the
     roundoff bound is 1e-14 (1 + the sum of their magnitudes)."""
     f, scale, sol = _stage_terms(bp, u, runs, derivatives=True)
-    (count, p), m = u.shape, bp.sys.m
+    (points, p), m = u.shape, bp.sys.m
     x, s_inv = sol[..., :m], sol[..., m:2 * m]
-    y, z = sol[..., 2 * m:].reshape(count, m, 2, p, m).transpose(2, 0, 3, 1, 4)
+    y, z = sol[..., 2 * m:].reshape(points, m, 2, p, m).transpose(2, 0, 3, 1, 4)
     z_yx = z - y @ x[:, None]
     # tr((Z_k - Y_k X) Y_l), the second and third terms of H_kl halved
-    cross = (z_yx.reshape(count, p, -1)
-             @ y.swapaxes(-1, -2).reshape(count, p, -1).swapaxes(-1, -2))
-    weights = np.concatenate([-(x @ s_inv), s_inv], -2).reshape(count, -1, 1)
-    blocks = bp.blocks[runs].reshape(count, p + 1, p + 1, -1)[:, 1:, 1:]
-    curvature = (blocks.reshape(count, p * p, -1) @ weights).reshape(count, p, p)
+    cross = (z_yx.reshape(points, p, -1)
+             @ y.swapaxes(-1, -2).reshape(points, p, -1).swapaxes(-1, -2))
+    weights = np.concatenate([-(x @ s_inv), s_inv], -2).reshape(points, -1, 1)
+    blocks = bp.blocks[runs].reshape(points, p + 1, p + 1, -1)[:, 1:, 1:]
+    curvature = (blocks.reshape(points, p * p, -1) @ weights).reshape(points, p, p)
     grad = (2.0 * (matvec(bp.cal_a, u) + bp.cal_b_x_hat[runs])
             - z_yx.diagonal(0, -2, -1).sum(-1))
     hess = symmetrize(2.0 * (bp.cal_a + cross - curvature))
@@ -478,8 +480,8 @@ def _quintic_candidates(bp, u_lqg):
     scalar_critical_points cannot serve: its ScalarGapParams form holds
     only where n is affine in s (n = Sigma g (s - sigma_z) at n = 1), so
     that n(u) has no linear term of its own."""
-    count = len(u_lqg)
-    blocks = bp.blocks.reshape(count, 2, 2, 2)      # [run, l, k, (B_kl, D_kl)]
+    beliefs = len(u_lqg)
+    blocks = bp.blocks.reshape(beliefs, 2, 2, 2)    # [run, l, k, (B_kl, D_kl)]
     s_n = np.stack([blocks[:, 0, 0], 0.5 * (blocks[:, 0, 1] + blocks[:, 1, 0]),
                     blocks[:, 1, 1]])               # (3, R, 2): s and n, ascending
     s_n[0, :, 0] += bp.noise.sigma_z[0, 0]
@@ -488,19 +490,19 @@ def _quintic_candidates(bp, u_lqg):
     a, b = bp.cal_a[0, 0], bp.cal_b_x_hat[:, 0]
     square = np.stack([s0 * s0, 4.0 * s0 * s1, 4.0 * s1 * s1 + 2.0 * s0 * s2,
                        4.0 * s1 * s2, s2 * s2])     # s^2, ascending
-    coef = np.zeros((6, count))
+    coef = np.zeros((6, beliefs))
     coef[:5] += b * square
     coef[1:] += a * square
     coef[:3] -= [n1 * s0 - n0 * s1, n2 * s0 - n0 * s2, n2 * s1 - n1 * s2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         monic = (coef[4::-1] / coef[5]).T
     exact = np.isfinite(monic).all(1)
-    companion = np.zeros((count, 5, 5))
+    companion = np.zeros((beliefs, 5, 5))
     companion[:, 0] = -np.where(exact[:, None], monic, 0.0)
     companion[:, 1:, :-1] = np.eye(4)
     roots = np.linalg.eigvals(companion)
     real = _is_real_root(roots)
-    roots = np.where(real, roots.real, roots.real[np.arange(count), real.argmax(1), None])
+    roots = np.where(real, roots.real, roots.real[np.arange(beliefs), real.argmax(1), None])
     return np.where(exact[:, None], roots, u_lqg).T[..., None]
 
 
@@ -531,41 +533,40 @@ def bellman_minimize_Tm2(bp):
     that of a +-u pair whose roots differ in their last bits the negative
     wins.
     Elsewhere, unit_design, scaled to the box around the certainty-
-    equivalent action u_lqg (half width max(3 |u_lqg|, 1)), is evaluated in
-    one call; a basin narrower than its spacing, or outside the box, can be
-    missed.  Damped Newton (Hessian shifted to PD, steps capped at the half
-    width, Armijo backtracking; Nocedal & Wright, ch. 3) runs from u_lqg
-    and the 4 best design points, every start of every belief in one array
-    per iteration; values within 1e-9 (1 + |f|) tie.  A stack is searched
-    DESIGN_BUDGET design points at a time, which leaves every result's bits
-    unchanged.
+    equivalent action u_lqg (half width max(3 |u_lqg|, 1)), is evaluated
+    DESIGN_BUDGET design points at a time, in slices of the stack, which
+    leaves every result's bits unchanged; a basin narrower than its spacing,
+    or outside the box, can be missed.  Damped Newton (Hessian shifted to PD,
+    steps capped at the half width, Armijo backtracking; Nocedal & Wright,
+    ch. 3) runs from u_lqg and the 4 best design points, every start of every
+    belief in one array per iteration; values within 1e-9 (1 + |f|) tie.
     Per belief the lowest value of bellman_objective_Tm2 wins; ties go to
     the smallest |u|, then to the lexicographically most negative u.
     Returns (u, f): (p,) and a float for one belief, (R, p) and (R,) for a
     stack.
     """
     u_lqg = bp.u_lqg.reshape(-1, bp.cal_a.shape[0])
-    count, p = u_lqg.shape
+    beliefs, p = u_lqg.shape
+    runs = np.arange(beliefs)
     if p == 1 and bp.sys.m == 1:
         u = _quintic_candidates(bp, u_lqg)
-        f, scale, _ = _stage_terms(bp, u, np.arange(count))
-        u, f = _pick(u, f, 1e-14 * (1.0 + scale), 1e-9)
-        return (u[0], float(f[0])) if bp.x_hat.ndim == 1 else (u, f)
-    design = unit_design(p)
-    size = max(1, DESIGN_BUDGET // len(design))
-    if count > size:
-        parts = [bellman_minimize_Tm2(replace(bp, x_hat=bp.x_hat[i:i + size],
-                                              prior_cov=bp.prior_cov[i:i + size]))
-                 for i in range(0, count, size)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    half = np.maximum(3.0 * np.linalg.norm(u_lqg, axis=1), 1.0)
-    grid = u_lqg + half[:, None] * design[:, None]
-    best = np.argsort(bellman_objective_Tm2(bp, grid), axis=0, kind="stable")[:4, :, None]
-    starts = np.concatenate([u_lqg[None], np.take_along_axis(grid, best, 0)])
-    runs = np.tile(np.arange(count), len(starts))
-    u = _damped_newton(bp, starts.reshape(-1, p), runs, half[runs]).reshape(starts.shape)
-    f = bellman_objective_Tm2(bp, u)
-    u, f = _pick(u, f, 1e-9 * (1.0 + np.abs(f.min(0))), 0.0)
+        f, scale, _ = _stage_terms(bp, u, runs)
+        slack, norm_tol = 1e-14 * (1.0 + scale), 1e-9
+    else:
+        design = unit_design(p)
+        size = max(1, DESIGN_BUDGET // len(design))
+        half = np.maximum(3.0 * np.linalg.norm(u_lqg, axis=1), 1.0)
+        best = []
+        for part in np.split(runs, range(size, beliefs, size)):
+            grid = u_lqg[part] + half[part, None] * design[:, None]
+            order = np.argsort(_stage_terms(bp, grid, part)[0], axis=0, kind="stable")
+            best.append(np.take_along_axis(grid, order[:4, :, None], 0))
+        starts = np.concatenate([u_lqg[None], np.concatenate(best, 1)])
+        owners = np.tile(runs, len(starts))         # the belief of each start
+        u = _damped_newton(bp, starts.reshape(-1, p), owners, half[owners]).reshape(starts.shape)
+        f = _stage_terms(bp, u, runs)[0]
+        slack, norm_tol = 1e-9 * (1.0 + np.abs(f.min(0))), 0.0
+    u, f = _pick(u, f, slack, norm_tol)
     return (u[0], float(f[0])) if bp.x_hat.ndim == 1 else (u, f)
 
 

@@ -141,8 +141,8 @@ class BilinearSystem:
 
     The effective observation matrix for an input u is
     ``c0 + sum_k u[k] * ck[k]``; ck holds one matrix per column of b.
-    Shapes, that count and finiteness are enforced at construction; numeric
-    invariants are reported by :func:`validate_system`.
+    Shapes, n, m, p >= 1, that count and finiteness are enforced at
+    construction; numeric invariants are reported by :func:`validate_system`.
     """
 
     a: np.ndarray
@@ -161,6 +161,8 @@ class BilinearSystem:
             raise ValueError(f"b must have {n} rows, got {b.shape}")
         if c0.shape[1] != n:
             raise ValueError(f"c0 must have {n} columns, got {c0.shape}")
+        if 0 in (n, c0.shape[0], b.shape[1]):
+            raise ValueError(f"n, m, p must be at least 1, got {n}, {c0.shape[0]}, {b.shape[1]}")
         ck = tuple(_as_array(c, f"ck[{i}]") for i, c in enumerate(self.ck))
         if len(ck) != b.shape[1]:
             raise ValueError(f"ck count {len(ck)} != {b.shape[1]} columns of b")
@@ -343,7 +345,7 @@ def observation_matrix(sys, u):
     if u.shape[-1] != sys.p:
         raise ValueError(f"input length {u.shape[-1]} != p = {sys.p}")
     weights = u if u.ndim == 1 else u.T[..., None, None]
-    c = sys.c0 if sys.p else sys.c0.copy()  # the sums below are new arrays
+    c = sys.c0  # p >= 1: the sums below are new arrays
     for k in range(sys.p):
         c = c + weights[k] * sys.ck[k]
     return c

@@ -57,8 +57,8 @@ def window_gramians(sys, inputs):
     (T - n + 1, n, n) for T inputs, with their minimum eigenvalues: one
     observation_matrix call and one eigvalsh call for all windows."""
     cs = _observations(sys, inputs)
-    count = len(cs) - sys.n + 1
-    total = _gram(_blocks(sys, [cs[k:k + count] for k in range(sys.n)]))
+    windows = len(cs) - sys.n + 1
+    total = _gram(_blocks(sys, [cs[k:k + windows] for k in range(sys.n)]))
     return total, np.linalg.eigvalsh(total).min(axis=-1)
 
 

@@ -10,9 +10,9 @@ All rollouts go through one lockstep engine that advances every run
 together with stacked (N, n) and (N, n, n) numpy operations: the run of
 :func:`rollout`, or in :func:`monte_carlo` the runs of every config of the
 call that is the same bits as another in all but c0/ck (an experiment's
-linear and bilinear variants).  Such a group shares one noise tape and one
-filter step per time step, each run observed through its own config's C(u);
-groups on the same system and cost share one Riccati table.  Each run owns a
+linear and bilinear variants).  Such a group is one system, each run's c0/ck
+stacked, with one noise tape and one filter step per time step; groups on one
+system and cost share the Riccati table their results hold.  Each run owns a
 stream, (seed, run index) in Monte Carlo, and its draws are materialized up
 front as a noise tape: the x_0 draw, then (w_t, z_t) for each step t, sliced
 from the stream's raw words as successive ``standard_normal`` calls would
@@ -24,8 +24,8 @@ several configs, the config's index, as checks made every step would.
 
 Policies are a table of functions of (batch, t) returning one action per
 run.  The certainty-equivalent ones are one stacked matrix-vector product
-per step; ``numeric_bellman`` is one stacked minimizer call per step for
-the runs of each config, on its system, and ``scalar_nonlinear_t2`` is
+per step; ``numeric_bellman`` is one minimizer call per step for every
+run of the group, on its stacked system, and ``scalar_nonlinear_t2`` is
 ``numeric_bellman`` restricted to the scalar system at T = 2.  The engine's
 only state is the runs' histories, which policies read at slot t and each
 step extends to slot t + 1; it holds no policy's rule and calls the policy
@@ -57,12 +57,12 @@ INIT_ESTIMATE_SUBSTREAM = 0
 
 @dataclass
 class _Batch:
-    """N runs' histories, with (system, slice of its runs) per config: true
-    states (N, T + 1, n), predicted means (N, T + 1, n) and covs (N, T + 1, n, n).
+    """N runs' histories on their system (a and b, each run's c0 and ck[k] (N, m, n)):
+    true states (N, T + 1, n), predicted means (N, T + 1, n) and covs (N, T + 1, n, n).
     Step t reads slot t and writes slot t + 1; under the perfect-observation
     policy the means are the states and the covs stay zero."""
 
-    configs: list
+    system: object
     noise: object
     tables: object
     states: np.ndarray
@@ -79,16 +79,16 @@ def _separation_lqg(batch, t):
 
 
 def _numeric_bellman(batch, t):
-    """Per run, the numeric minimizer of its system's stage objective whose
-    estimation penalty is weighted by p_seq[t+1], one call per config; at
+    """Per run, the numeric minimizer of its own observation's stage objective
+    whose estimation penalty is weighted by p_seq[t+1], one call for all runs; at
     t = T - 1, which has no estimation penalty, the certainty-equivalent action.
     For T > 2 a one-step look-ahead, not the optimal policy; for T = 2
     exactly optimal at m = p = 1 (a global minimizer), locally elsewhere."""
     if t == batch.tables.horizon - 1:
         return _separation_lqg(batch, t)
-    return np.concatenate([bellman_minimize_Tm2(BellmanObjectiveParams(
-        tables=batch.tables, t=t, prior_cov=batch.covs[runs, t], x_hat=batch.means[runs, t],
-        sys=sys, noise=batch.noise))[0] for sys, runs in batch.configs])
+    return bellman_minimize_Tm2(BellmanObjectiveParams(
+        tables=batch.tables, t=t, prior_cov=batch.covs[:, t], x_hat=batch.means[:, t],
+        sys=batch.system, noise=batch.noise))[0]
 
 
 POLICIES = {
@@ -156,32 +156,31 @@ class SimConfig:
 def _simulate(group, streams, labels, tables):
     """The lockstep engine: one closed-loop rollout per (config, stream) of configs
     differing at most in c0/ck, advanced together, TrajectoryRecords config-major;
-    labels[v] prefixes config v's runs in failure messages; tables: cached_riccati's."""
-    sys, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
-                                group[0].policy)
+    labels[v] prefixes config v's runs in failure messages; tables: their Riccati table."""
+    shared, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
+                                   group[0].policy)
     T = group[0].horizon
     act = POLICIES[policy.kind]
-    n, m, p = sys.n, sys.m, sys.p
+    n, m, p = shared.n, shared.m, shared.p
     R = len(streams)
     N = R * len(group)
     config_of, stream_of = np.divmod(np.arange(N), R)
+    sys = SimpleNamespace(a=shared.a, b=shared.b, m=m, p=p,
+                          c0=np.stack([c.system.c0 for c in group])[config_of],
+                          ck=tuple(np.stack(ck)[config_of]
+                                   for ck in zip(*(c.system.ck for c in group), strict=True)))
     tape = normal_tape(streams, [n] + [n, m] * T)[stream_of]
     step_normals = tape[:, n:].reshape(N, T, n + m)
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
     filtered = policy.kind != "perfect_state_lqr"
     states = np.empty((N, T + 1, n))
-    batch = _Batch(configs=[(c.system, slice(v * R, v * R + R)) for v, c in enumerate(group)],
-                   noise=noise, tables=cached_riccati(tables, sys, cost, T), states=states,
+    batch = _Batch(system=sys, noise=noise, tables=tables, states=states,
                    means=np.empty((N, T + 1, n)) if filtered else states,
                    covs=np.zeros((N, T + 1, n, n)))
     states[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
     inputs = np.empty((N, T, p))
     outputs = np.empty((N, T, m))
-    # each run's own c0 and ck[k], from which observation_matrix builds its C(u)
-    observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
-                               ck=tuple(np.stack(ck)[config_of]
-                                        for ck in zip(*(c.system.ck for c in group), strict=True)))
     steps = FilterSteps(lambda t, i: f"{labels[config_of[i]]}run "
                                      f"{streams[stream_of[i]].stream_id}, step {t}")
     if filtered:
@@ -201,7 +200,7 @@ def _simulate(group, streams, labels, tables):
             except ValueError as exc:  # LinAlgError too
                 raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
                                  f"{exc}") from exc
-            cs = observation_matrix(observed, u)
+            cs = observation_matrix(sys, u)
             inputs[:, t] = u
             outputs[:, t] = y = matvec(cs, x) + z[:, t]
             if filtered:
@@ -220,17 +219,11 @@ def _simulate(group, streams, labels, tables):
                  for r in range(N))
 
 
-def cached_riccati(tables, sys, cost, horizon):
-    """riccati_recursion(cost, sys, horizon), kept in the dict tables by its inputs' bits."""
-    key = (horizon, *((x.shape, x.tobytes()) for x in (sys.a, sys.b, *vars(cost).values())))
-    tables[key] = tables.get(key) or riccati_recursion(cost, sys, horizon)
-    return tables[key]
-
-
 def rollout(sys, noise, cost, policy, horizon, stream):
     """Simulate one closed-loop trajectory; deterministic given the stream
     (the lockstep engine on a batch of one)."""
-    return _simulate([SimConfig(sys, noise, cost, policy, horizon)], [stream], [""], {})[0]
+    return _simulate([SimConfig(sys, noise, cost, policy, horizon)], [stream], [""],
+                     riccati_recursion(cost, sys, horizon))[0]
 
 
 @dataclass(frozen=True)
@@ -243,39 +236,46 @@ class PercentileSeries:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """A config's records, their metric_table and its aggregate_percentiles."""
+    """A config's records, their metric_table and its aggregate_percentiles, and the
+    Riccati table its runs used, one object per horizon, a, b and cost in a call."""
 
     records: tuple
     table: np.ndarray
     percentiles: dict
+    riccati: object
 
 
-def monte_carlo(configs, runs, seed, tables=None):
+def _bits(*arrays):
+    return tuple((x.shape, x.tobytes()) for x in arrays)
+
+
+def monte_carlo(configs, runs, seed):
     """Rollouts on streams (seed, 0..runs-1), advanced in lockstep, with percentile
     aggregation: one SimConfig gives one MonteCarloResult, a sequence of them a tuple in
-    config order, record k bit for bit ``rollout(..., RngStream(seed, k))`` of its config.
-    tables, a dict of Riccati tables (see cached_riccati), may be shared across calls."""
+    config order, record k bit for bit ``rollout(..., RngStream(seed, k))`` of its config."""
     single = isinstance(configs, SimConfig)
     configs = [configs] if single else list(configs)
     runs = count("runs", runs, 1)
     groups = {}
     for i, c in enumerate(configs):
-        # configs that are the same bits in all but c0/ck advance as one batch
-        arrays = (c.system.a, c.system.b, *vars(c.noise).values(), *vars(c.cost).values())
-        key = (c.policy, c.horizon, *((x.shape, x.tobytes()) for x in arrays))
-        groups.setdefault(key, []).append(i)
-    results = [None] * len(configs)
-    tables = {} if tables is None else tables
-    for indices in groups.values():
+        # configs on one horizon, a, b and cost share a Riccati table; those that
+        # are the same bits in all but c0/ck advance as one batch
+        table_key = (c.horizon, *_bits(c.system.a, c.system.b, *vars(c.cost).values()))
+        groups.setdefault((table_key, c.policy, *_bits(*vars(c.noise).values())), []).append(i)
+    results, tables = [None] * len(configs), {}
+    for (key, *_), indices in groups.items():
+        c = configs[indices[0]]
+        tables[key] = tables.get(key) or riccati_recursion(c.cost, c.system, c.horizon)
         records = _simulate([configs[i] for i in indices],
                             [RngStream(seed, run) for run in range(runs)],
                             [f"config {i}, " if len(configs) > 1 else "" for i in indices],
-                            tables)
+                            tables[key])
         for v, i in enumerate(indices):
             own = records[v * runs:(v + 1) * runs]
             table = metric_table(own)
             results[i] = MonteCarloResult(records=own, table=table,
-                                          percentiles=aggregate_percentiles(table))
+                                          percentiles=aggregate_percentiles(table),
+                                          riccati=tables[key])
     return results[0] if single else tuple(results)
 
 

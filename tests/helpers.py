@@ -262,14 +262,19 @@ def reference_simulate(group, streams, labels):
     bit-for-bit reference for the engine's checks made per block of steps,
     its messages the ones the engine must raise.
     """
-    sys, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
-                                group[0].policy)
+    shared, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
+                                   group[0].policy)
     T = group[0].horizon
     act = sim.POLICIES[policy.kind]
-    n, m, p = sys.n, sys.m, sys.p
+    n, m, p = shared.n, shared.m, shared.p
     R = len(streams)
     N = R * len(group)
     config_of, stream_of = np.divmod(np.arange(N), R)
+    # the group's system: shared a and b, each run's own c0 and ck[k]
+    sys = SimpleNamespace(a=shared.a, b=shared.b, m=m, p=p,
+                          c0=np.stack([c.system.c0 for c in group])[config_of],
+                          ck=tuple(np.stack(ck)[config_of]
+                                   for ck in zip(*(c.system.ck for c in group), strict=True)))
     names = [f"{labels[v]}run {streams[r].stream_id}" for v, r in zip(config_of, stream_of)]
     tape = normal_tape(streams, [n] + [n, m] * T)[stream_of]
     step_normals = tape[:, n:].reshape(N, T, n + m)
@@ -277,15 +282,11 @@ def reference_simulate(group, streams, labels):
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
     filtered = policy.kind != "perfect_state_lqr"
     states = np.empty((N, T + 1, n))
-    batch = sim._Batch(configs=[(c.system, slice(v * R, v * R + R))
-                                for v, c in enumerate(group)],
-                       noise=noise, tables=riccati_recursion(cost, sys, T), states=states,
+    batch = sim._Batch(system=sys, noise=noise, tables=riccati_recursion(cost, shared, T),
+                       states=states,
                        means=np.empty((N, T + 1, n)) if filtered else states,
                        covs=np.zeros((N, T + 1, n, n)))
     states[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
-    observed = SimpleNamespace(p=p, c0=np.stack([c.system.c0 for c in group])[config_of],
-                               ck=tuple(np.stack(ck)[config_of]
-                                        for ck in zip(*(c.system.ck for c in group), strict=True)))
     if filtered:
         if policy.init_estimate == "sampled_from_prior":
             init = normal_tape([s.substream(sim.INIT_ESTIMATE_SUBSTREAM) for s in streams], [n])
@@ -308,7 +309,7 @@ def reference_simulate(group, streams, labels):
         except ValueError as exc:
             raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
                              f"{exc}") from exc
-        cs = observation_matrix(observed, u)
+        cs = observation_matrix(sys, u)
         y = matvec(cs, x) + z[:, t]
         inputs[:, t] = u
         outputs[:, t] = y

@@ -11,6 +11,8 @@ import pytest
 from click.testing import CliRunner
 
 import bilq
+import bilq.cli
+import bilq.control
 import bilq.sim
 from bilq.cli import main
 from bilq.core import PSD_TOL, RngStream, config_from_dict, config_to_dict
@@ -412,6 +414,29 @@ class TestObservabilityCommand:
         assert result.exit_code == 1
         assert result.output == "Error: horizon must be at least 6, got 3\n"
         assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command", ["double-integrator", "orthogonal", "observability"])
+def test_one_riccati_table_per_command(runner, tmp_path, monkeypatch, command):
+    # double-integrator's three variants, orthogonal's two and its probe, and
+    # observability's probe each run on one table
+    sys_, noise, cost = orthogonal_config(RngStream(12), "a")
+    config = tmp_path / "ortho.json"
+    config.write_text(json.dumps(config_to_dict(sys_, noise, cost, 100, 5, 1)))
+    calls = []
+    riccati = bilq.control.riccati_recursion
+
+    def counted(*args):
+        calls.append(args)
+        return riccati(*args)
+
+    for module in (bilq.control, bilq.sim, bilq.cli):
+        monkeypatch.setattr(module, "riccati_recursion", counted)
+    args = (["--config", str(config)] if command == "observability"
+            else ["--runs", "2", "--seed", "1", "--out", str(tmp_path / "out")])
+    result = invoke(runner, [command, *args])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 class TestCriticalPointsCommand:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -711,6 +712,26 @@ class TestStackedObjective:
             assert shared[r] == bellman_objective_Tm2(alone, per_belief[0])
         np.testing.assert_allclose(bp.u_lqg[1], replace(bp, x_hat=bp.x_hat[1],
                                                         prior_cov=bp.prior_cov[1]).u_lqg)
+
+    @pytest.mark.parametrize("n, m, p", [(2, 1, 1), (3, 2, 2)], ids=["m1-p1", "m2-p2"])
+    def test_per_belief_observations_match_each_alone(self, n, m, p):
+        # c0/ck stacked per belief, as the engine stacks a group's runs: each
+        # belief's values, u_lqg and minimizer are the bits of its own system's
+        bp = random_stage(9, n, m, p, t=0, runs=4)
+        rng = np.random.default_rng(1)
+        c0, ck = rng.standard_normal((4, m, n)), tuple(rng.standard_normal((p, 4, m, n)))
+        stacked = replace(bp, sys=SimpleNamespace(a=bp.sys.a, b=bp.sys.b, n=n, m=m, p=p,
+                                                  c0=c0, ck=ck))
+        grid = rng.standard_normal((5, 4, p))
+        on_grid = bellman_objective_Tm2(stacked, grid)
+        u, f = bellman_minimize_Tm2(stacked)
+        for r in range(4):
+            alone = replace(bp, x_hat=bp.x_hat[r], prior_cov=bp.prior_cov[r],
+                            sys=replace(bp.sys, c0=c0[r], ck=tuple(c[r] for c in ck)))
+            assert on_grid[:, r].tobytes() == bellman_objective_Tm2(alone, grid[:, r]).tobytes()
+            assert stacked.u_lqg[r].tobytes() == alone.u_lqg.tobytes()
+            u_r, f_r = bellman_minimize_Tm2(alone)
+            assert u_r.tobytes() == u[r].tobytes() and f_r == f[r]
 
 
 class TestAffineFalsification:

@@ -85,6 +85,14 @@ class TestConstruction:
             BilinearSystem(a=np.eye(2), b=np.ones((3, 1)), c0=np.eye(2),
                            ck=(np.zeros((2, 2)),))
 
+    @pytest.mark.parametrize("n, m, p", [(0, 2, 1), (2, 0, 1), (2, 2, 0)],
+                             ids=["no-states", "no-outputs", "no-inputs"])
+    def test_empty_dimension_refused(self, n, m, p):
+        # refused at construction, before validate_system, the filter or the
+        # minimizer reduce over an empty axis
+        with pytest.raises(ValueError, match=rf"^n, m, p must be at least 1, got {n}, {m}, {p}$"):
+            identity_setup(n, m, p)
+
     def test_belief_requires_symmetric_psd(self):
         with pytest.raises(ValueError, match="not symmetric"):
             BeliefState(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.0, 1.0]])

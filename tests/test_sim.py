@@ -11,7 +11,7 @@ from bilq.core import (PSD_TOL, BeliefState, BilinearSystem, CostSpec, NoiseSpec
 from bilq.kalman import kf_step
 from bilq.control import (BellmanObjectiveParams, bellman_minimize_Tm2,
                           lqg_policy, riccati_recursion, scalar_cost_to_go,
-                          scalar_gap_params, scalar_optimal_controller_T2)
+                          scalar_gap_params, scalar_optimal_controller_T2, unit_design)
 from bilq.presets import (double_integrator_config, orthogonal_config,
                           scalar_config)
 from bilq.sim import (INIT_ESTIMATES, METRICS, PolicyConfig, SimConfig,
@@ -19,6 +19,7 @@ from bilq.sim import (INIT_ESTIMATES, METRICS, PolicyConfig, SimConfig,
                       metric_table, monte_carlo, rollout, write_landscape_csv,
                       write_summary_csv, write_trajectory_csv)
 
+import bilq.control
 import bilq.kalman
 import bilq.sim
 from helpers import (BLOCK_EDGES, FAILURE_KINDS, SHIPPED_BLOCK, failing_lqg,
@@ -339,20 +340,27 @@ class TestMonteCarlo:
         assert series.p75[0] - series.p50[0] == pytest.approx(
             series.p50[0] - series.p25[0], abs=1e-12)
 
-    def test_shared_riccati_tables(self, monkeypatch):
-        # a tables dict passed in is filled, and a later call reads its table
-        # instead of recomputing it, with the same records as a fresh call
-        config = SimConfig(*lqg_testbed(), PolicyConfig("separation_lqg", "sampled_from_prior"),
-                           6)
-        alone = monte_carlo(config, 2, 1)
-        tables = {}
-        assert_same_records(monte_carlo(config, 2, 1, tables), alone, "filled")
-        assert len(tables) == 1
-
-        def recomputed(*args):
-            raise AssertionError("Riccati table recomputed")
-        monkeypatch.setattr(bilq.sim, "riccati_recursion", recomputed)
-        assert_same_records(monte_carlo(config, 2, 1, tables), alone, "shared")
+    def test_result_hands_back_its_riccati_table(self):
+        # the table a config's runs used, riccati_recursion's bits: one object
+        # for every config of the call on one system and cost, another for
+        # the config whose cost differs
+        sys_, noise, cost = double_integrator_config("linear")
+        configs = [SimConfig(*double_integrator_config(name),
+                             PolicyConfig(kind, "sampled_from_prior"), 6)
+                   for name, kind in (("linear", "separation_lqg"),
+                                      ("perfect", "perfect_state_lqr"),
+                                      ("bilinear", "separation_lqg"))]
+        scaled = replace(cost, r=2.0 * cost.r)
+        configs.append(replace(configs[0], cost=scaled))
+        results = monte_carlo(configs, 2, 1)
+        for res, c in ((results[0], cost), (results[3], scaled)):
+            fresh = riccati_recursion(c, sys_, 6)
+            for name, seq in vars(fresh).items():
+                assert all(x.tobytes() == y.tobytes()
+                           for x, y in zip(getattr(res.riccati, name), seq, strict=True)), name
+        assert results[1].riccati is results[0].riccati is results[2].riccati
+        assert results[3].riccati is not results[0].riccati
+        assert monte_carlo(configs[0], 2, 1).riccati.horizon == 6
 
     def test_output_independent_of_batch_size(self):
         # every record of a lockstep batch equals the same stream's rollout
@@ -424,19 +432,23 @@ class TestStackedVariants:
     """Configs that differ only in c0/ck advance as one batch, and each
     result is the bits of its config run alone."""
 
-    @pytest.mark.parametrize("kind, init, p, horizons", [
-        ("perfect_state_lqr", "prior_mean", 2, (1, 8)),
-        ("separation_lqg", "prior_mean", 2, (1, 8)),
-        ("separation_lqg", "sampled_from_prior", 1, (1, 8)),
-        ("numeric_bellman", "sampled_from_prior", 1, (2, 3)),
-        ("numeric_bellman", "prior_mean", 2, (2, 3)),
-    ], ids=["perfect", "lqg-prior-mean", "lqg-sampled", "bellman-p1", "bellman-p2"])
+    @pytest.mark.parametrize("kind, init, p, horizons, part", [
+        ("perfect_state_lqr", "prior_mean", 2, (1, 8), None),
+        ("separation_lqg", "prior_mean", 2, (1, 8), None),
+        ("separation_lqg", "sampled_from_prior", 1, (1, 8), None),
+        ("numeric_bellman", "sampled_from_prior", 1, (2, 3), None),
+        ("numeric_bellman", "prior_mean", 2, (2, 3), None),
+        ("numeric_bellman", "sampled_from_prior", 2, (2, 3), 2),
+    ], ids=["perfect", "lqg-prior-mean", "lqg-sampled", "bellman-p1", "bellman-p2",
+            "bellman-p2-parts"])
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 3), m=st.integers(1, 2), variants=st.integers(1, 3),
            runs=st.integers(1, 6), horizon_pick=st.integers(0, 7),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_each_result_is_its_config_alone(self, kind, init, p, horizons, n, m,
+    def test_each_result_is_its_config_alone(self, kind, init, p, horizons, part, n, m,
                                              variants, runs, horizon_pick, seed):
+        # part: the minimizer searches the group's one stack of beliefs in
+        # parts of that many beliefs, each config alone in one part
         rng = np.random.default_rng(seed)
         lo, hi = horizons
         horizon = lo + horizon_pick % (hi - lo + 1)
@@ -449,7 +461,10 @@ class TestStackedVariants:
                                                      for _ in range(p))),
                              noise, cost, PolicyConfig(kind, init), horizon)
                    for _ in range(variants)]
-        results = monte_carlo(configs, runs, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if part:
+                patch.setattr(bilq.control, "DESIGN_BUDGET", part * len(unit_design(p)))
+            results = monte_carlo(configs, runs, seed)
         assert isinstance(results, tuple) and len(results) == variants
         for v, (config, res) in enumerate(zip(configs, results)):
             assert_same_records(res, monte_carlo(config, runs, seed), v)
