@@ -315,6 +315,8 @@ class BellmanObjectiveParams:
         n, m, k = prior_cov.shape[-1], self.sys.m, self.sys.p + 1
         covs = prior_cov.reshape(-1, n, n)
         c_all = np.concatenate([self.sys.c0, *self.sys.ck], axis=-2)
+        if c_all.ndim == 3 and len(c_all) != len(covs):
+            raise ValueError(f"per-belief c0/ck: {len(c_all)} stacked for {len(covs)} beliefs")
         c_cov = c_all @ covs                    # rows C_k Sigma, k = 0..p
         blocks = np.stack([c_cov @ c_all.swapaxes(-1, -2),
                            c_cov @ cal_g @ c_cov.swapaxes(-1, -2)], 1)

@@ -3,7 +3,7 @@
 The gain here carries a leading minus sign and the mean update subtracts
 gain times innovation; the covariance recursion is the matching
 ``A S A^T + L C S A^T + sigma_w`` form, symmetrized after evaluation.
-FilterSteps runs it over a loop of steps, its checks stacked over blocks of steps.
+closed_loop runs it with plant and policy over steps, its checks stacked over blocks.
 The checks prove definiteness by Cholesky, with eigvalsh (whose verdicts they give)
 where that fails; so the gain is one LU solve with the innovation covariance.
 Beside the filter sits a grid Bayes oracle for scalar systems.  Its kernel, cut
@@ -19,7 +19,7 @@ from .core import (EPS, BatchCheckError, BeliefState, check_beliefs, cholesky_ce
                    count, matvec, observation_matrix, raise_first_failure, symmetrize)
 
 COND_LIMIT = 1e14
-CHECK_BLOCK = 25  # steps per FilterSteps check; vs 4, 2 vCPUs: monte_carlo wall_s -4%, RSS +0.7%
+CHECK_BLOCK = 25  # steps per closed_loop check; vs 4, 2 vCPUs: monte_carlo wall_s -4%, RSS +0.7%
 
 
 @dataclass(frozen=True)
@@ -97,49 +97,58 @@ def kf_step(belief, sys, noise, u, y):
                       next_belief=BeliefState(mean=means[0], cov=covs[0]))
 
 
-class FilterSteps:
-    """kf_step_batch in a loop over steps, its checks run stacked over the
-    steps x beliefs of each CHECK_BLOCK steps, at a non-finite next belief
-    (no step runs on one) and on check(): after the loop, and before any of
-    its exceptions propagates.  A failure, replayed step by step, raises what
-    per-step checks raise first: "<check>: <where(step, index)>[, <detail>]",
+def _at(where, step, check, *args):
+    try:
+        check(*args)
+    except BatchCheckError as exc:
+        raise exc.localized(where(step, exc.index)) from exc
+
+
+def _check_pending(pending, where):
+    """kf_step_batch's checks on pending, {step: _check_step's args}, emptied first:
+    all at once, unless a step's arithmetic raised; a failure is replayed step by step."""
+    steps = list(pending.items())
+    pending.clear()
+    try:
+        if steps and len(steps[-1][1]) == 3:
+            return _check_step(*map(np.concatenate, zip(*(args for _, args in steps))))
+    except ValueError:  # LinAlgError too
+        pass
+    for step, args in steps:
+        _at(where, step, _check_step, *args)
+
+
+def closed_loop(run, act, w, z, where):
+    """Advance runs' histories run.states, means (R, T + 1, n), covs (R, T + 1, n, n),
+    inputs (R, T, p) and outputs (R, T, m) from slot 0 on run.system and run.noise:
+    step t takes u_t = act(run, t), emits C(u_t) x_t + z_t, runs the filter's step from
+    slot t to t + 1 unless the means are the states, and sets x_{t+1} = A x_t + B u_t + w_t.
+    kf_step_batch's checks run on the prior, then stacked over the steps x runs of each
+    CHECK_BLOCK steps, at a non-finite belief (no step runs on one) and after the loop,
+    also before any of its exceptions propagates.  A failure, replayed step by step,
+    raises what per-step checks raise first: "<check>: <where(step, index)>[, <detail>]",
     also for an indefinite innovation covariance that a step's LU solve took."""
-
-    def __init__(self, where):
-        self.where, self.first, self.pending = where, 0, []  # pending: _check_step's args
-
-    def _at(self, step, check, *args):
-        try:
-            check(*args)
-        except BatchCheckError as exc:
-            raise exc.localized(self.where(step, exc.index)) from exc
-
-    def check_prior(self, means, covs):
-        """check_beliefs on the beliefs of step 0."""
-        self._at(0, check_beliefs, means, covs)
-
-    def step(self, means, covs, sys, noise, inputs, outputs, cs):
-        """kf_step_batch's arguments and results, bit for bit."""
-        cs_covs = cs @ covs
-        innov_cov = _innovation_cov(cs_covs, noise, cs)
-        self.pending.append((innov_cov,))  # checked even if the solve raises
-        result = _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov)
-        self.pending[-1] += result[2:]
-        if len(self.pending) == CHECK_BLOCK or not all(np.isfinite(x).all() for x in result[2:]):
-            self.check()
-        return result
-
-    def check(self):
-        """kf_step_batch's checks on the pending steps."""
-        pending, first = self.pending, self.first
-        self.pending, self.first = [], first + len(pending)
-        try:  # all at once, unless a step's arithmetic raised; a failure is replayed
-            if pending and len(pending[-1]) == 3:
-                return _check_step(*map(np.concatenate, zip(*pending)))
-        except ValueError:  # LinAlgError too
-            pass
-        for s, args in enumerate(pending):
-            self._at(first + s, _check_step, *args)
+    sys, noise, means, covs = run.system, run.noise, run.means, run.covs
+    filtered, pending = means is not run.states, {}
+    if filtered:
+        _at(where, 0, check_beliefs, means[:, 0], covs[:, 0])
+    try:
+        for t in range(run.inputs.shape[1]):
+            x = run.states[:, t]
+            run.inputs[:, t] = u = act(run, t)
+            cs = observation_matrix(sys, u)
+            run.outputs[:, t] = y = matvec(cs, x) + z[:, t]
+            if filtered:
+                cs_covs = cs @ covs[:, t]
+                pending[t] = (_innovation_cov(cs_covs, noise, cs),)  # checked if the solve raises
+                pending[t] += _advance(means[:, t], covs[:, t], sys, noise, u, y, cs, cs_covs,
+                                       pending[t][0])[2:]
+                means[:, t + 1], covs[:, t + 1] = belief = pending[t][1:]
+                if len(pending) == CHECK_BLOCK or not all(np.isfinite(v).all() for v in belief):
+                    _check_pending(pending, where)
+            run.states[:, t + 1] = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
+    finally:
+        _check_pending(pending, where)  # before any failure of the loop: an earlier step's first
 
 
 def _hermite_kernel(step):

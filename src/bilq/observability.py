@@ -4,16 +4,17 @@ The observability test sums n terms (A^k)^T C(u_k)^T C(u_k) A^k along an
 input sequence; a time-invariant sufficient condition projects the static
 observation matrix away from the span of the input-dependent ones and
 checks observability of that projection.  A forward covariance probe gives
-the matching empirical boundedness check; it runs the filter's stacked step
-on a stack of one belief, its checks stacked over blocks of steps.
+the matching empirical boundedness check: kalman.closed_loop on one
+noise-free run from the prior mean, whose innovations are zero.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .core import count, matvec, observation_matrix, symmetrize
-from .kalman import FilterSteps
+from .core import count, observation_matrix, symmetrize
+from .kalman import closed_loop
 
 DEFAULT_DELTA = 1e-8
 GS_DROP_TOL = 1e-10
@@ -142,30 +143,22 @@ class BoundednessReport:
 def covariance_boundedness_probe(sys, noise, input_policy, horizon):
     """Roll the covariance recursion forward and watch its spectral norm.
 
-    input_policy(t, mean) -> input vector, mean the filter's estimate; the
-    probe feeds the filter its own predicted outputs (zero innovation), so
-    estimate-feedback policies close the loop deterministically.  The
-    report's `exceeded` says whether the norm passed PROBE_THRESHOLD; a
-    failed filter check raises ValueError naming its step.  Empirical
-    only: a finite horizon cannot prove boundedness.
+    input_policy(t, mean) -> input vector, mean the filter's estimate.  The
+    probe is kalman.closed_loop on one noise-free run from the prior mean, so
+    every innovation is zero and estimate-feedback policies close the loop
+    deterministically.  The report's `exceeded` says whether the norm passed
+    PROBE_THRESHOLD; a failed filter check raises ValueError naming its step.
+    Empirical only: a finite horizon cannot prove boundedness.
     """
-    horizon = count("horizon", horizon, sys.n)
-    means = noise.x0_mean[None]
-    covs = np.empty((horizon + 1, sys.n, sys.n))
-    covs[0] = noise.sigma_0
-    inputs = np.empty((horizon, sys.p))
-    steps = FilterSteps(lambda t, _: f"step {t}")
-    steps.check_prior(means, covs[:1])
-    try:
-        for t in range(horizon):
-            inputs[t] = np.asarray(input_policy(t, means[0]), dtype=float).reshape(-1)
-            u = inputs[t:t + 1]
-            cs = observation_matrix(sys, u)
-            _, _, means, cov_next = steps.step(means, covs[t:t + 1], sys, noise,
-                                               u, matvec(cs, means), cs)
-            covs[t + 1] = cov_next[0]
-    finally:
-        steps.check()  # before any failure of the loop: an earlier step's comes first
+    T, n = count("horizon", horizon, sys.n), sys.n
+    run = SimpleNamespace(system=sys, noise=noise, states=np.empty((1, T + 1, n)),
+                          means=np.empty((1, T + 1, n)), covs=np.empty((1, T + 1, n, n)),
+                          inputs=np.empty((1, T, sys.p)), outputs=np.empty((1, T, sys.m)))
+    run.states[:, 0] = run.means[:, 0] = noise.x0_mean
+    run.covs[:, 0] = noise.sigma_0
+    closed_loop(run, lambda r, t: np.asarray(input_policy(t, r.means[0, t]), float).reshape(1, -1),
+                np.zeros((1, T, n)), np.zeros((1, T, sys.m)), lambda t, _: f"step {t}")
+    covs, inputs = run.covs[0], run.inputs[0]
     norms = np.linalg.norm(covs, 2, axis=(1, 2))
     max_norm = float(norms.max())
     return BoundednessReport(max_norm=max_norm, exceeded=max_norm > PROBE_THRESHOLD,

@@ -18,9 +18,10 @@ front as a noise tape: the x_0 draw, then (w_t, z_t) for each step t, sliced
 from the stream's raw words as successive ``standard_normal`` calls would
 slice them.  So a run's record is the same bits in any batch, and runs with
 the same (seed, run index) share noise across controller and observation
-variants, which pairs the comparisons.  Filter checks run stacked over blocks
-of steps (kalman.FilterSteps); a failure names the run, the step and, among
-several configs, the config's index, as checks made every step would.
+variants, which pairs the comparisons.  The steps are kalman.closed_loop's,
+whose filter checks run stacked over blocks of steps; a failure names the run,
+the step and, among several configs, the config's index, as checks made every
+step would.
 
 Policies are a table of functions of (batch, t) returning one action per
 run.  The certainty-equivalent ones are one stacked matrix-vector product
@@ -43,9 +44,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (RngStream, count, gaussian_draws, matvec, normal_tape,
-                   observation_matrix, quadratic)
-from .kalman import FilterSteps
+from .core import RngStream, count, gaussian_draws, normal_tape, quadratic
+from .kalman import closed_loop
 from .control import (BellmanObjectiveParams, bellman_minimize_Tm2, lqg_policy,
                       riccati_recursion, scalar_critical_points, scalar_gap_params)
 
@@ -58,9 +58,10 @@ INIT_ESTIMATE_SUBSTREAM = 0
 @dataclass
 class _Batch:
     """N runs' histories on their system (a and b, each run's c0 and ck[k] (N, m, n)):
-    true states (N, T + 1, n), predicted means (N, T + 1, n) and covs (N, T + 1, n, n).
-    Step t reads slot t and writes slot t + 1; under the perfect-observation
-    policy the means are the states and the covs stay zero."""
+    true states (N, T + 1, n), predicted means (N, T + 1, n) and covs (N, T + 1, n, n),
+    inputs (N, T, p) and outputs (N, T, m).  Step t (kalman.closed_loop) reads slot t
+    and writes slot t + 1; under the perfect-observation policy the means are the
+    states and the covs stay zero."""
 
     system: object
     noise: object
@@ -68,6 +69,8 @@ class _Batch:
     states: np.ndarray
     means: np.ndarray
     covs: np.ndarray
+    inputs: np.ndarray
+    outputs: np.ndarray
 
 
 def _perfect_state_lqr(batch, t):
@@ -160,7 +163,6 @@ def _simulate(group, streams, labels, tables):
     shared, noise, cost, policy = (group[0].system, group[0].noise, group[0].cost,
                                    group[0].policy)
     T = group[0].horizon
-    act = POLICIES[policy.kind]
     n, m, p = shared.n, shared.m, shared.p
     R = len(streams)
     N = R * len(group)
@@ -177,12 +179,9 @@ def _simulate(group, streams, labels, tables):
     states = np.empty((N, T + 1, n))
     batch = _Batch(system=sys, noise=noise, tables=tables, states=states,
                    means=np.empty((N, T + 1, n)) if filtered else states,
-                   covs=np.zeros((N, T + 1, n, n)))
+                   covs=np.zeros((N, T + 1, n, n)), inputs=np.empty((N, T, p)),
+                   outputs=np.empty((N, T, m)))
     states[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
-    inputs = np.empty((N, T, p))
-    outputs = np.empty((N, T, m))
-    steps = FilterSteps(lambda t, i: f"{labels[config_of[i]]}run "
-                                     f"{streams[stream_of[i]].stream_id}, step {t}")
     if filtered:
         if policy.init_estimate == "sampled_from_prior":
             init = normal_tape([s.substream(INIT_ESTIMATE_SUBSTREAM) for s in streams], [n])
@@ -190,30 +189,21 @@ def _simulate(group, streams, labels, tables):
         else:
             batch.means[:, 0] = noise.x0_mean
         batch.covs[:, 0] = noise.sigma_0
-        steps.check_prior(batch.means[:, 0], batch.covs[:, 0])
+    decide = POLICIES[policy.kind]
 
-    try:
-        for t in range(T):
-            x = states[:, t]
-            try:
-                u = np.asarray(act(batch, t), dtype=float).reshape(N, p)
-            except ValueError as exc:  # LinAlgError too
-                raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
-                                 f"{exc}") from exc
-            cs = observation_matrix(sys, u)
-            inputs[:, t] = u
-            outputs[:, t] = y = matvec(cs, x) + z[:, t]
-            if filtered:
-                _, _, batch.means[:, t + 1], batch.covs[:, t + 1] = steps.step(
-                    batch.means[:, t], batch.covs[:, t], sys, noise, u, y, cs)
-            states[:, t + 1] = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
-    finally:
-        steps.check()  # before any failure of the loop: an earlier step's comes first
+    def act(batch, t):
+        try:
+            return np.asarray(decide(batch, t), dtype=float).reshape(N, p)
+        except ValueError as exc:  # LinAlgError too
+            raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
+                             f"{exc}") from exc
 
-    stage_costs = quadratic(states[:, :T], cost.q) + quadratic(inputs, cost.r)
+    closed_loop(batch, act, w, z, lambda t, i: f"{labels[config_of[i]]}run "
+                                               f"{streams[stream_of[i]].stream_id}, step {t}")
+    stage_costs = quadratic(states[:, :T], cost.q) + quadratic(batch.inputs, cost.r)
     terminal_costs = quadratic(states[:, T], cost.q_t)
-    return tuple(TrajectoryRecord(states=states[r], inputs=inputs[r],
-                                  outputs=outputs[r], means=batch.means[r],
+    return tuple(TrajectoryRecord(states=states[r], inputs=batch.inputs[r],
+                                  outputs=batch.outputs[r], means=batch.means[r],
                                   covs=batch.covs[r], stage_costs=stage_costs[r],
                                   terminal_cost=float(terminal_costs[r]))
                  for r in range(N))

@@ -282,10 +282,12 @@ def reference_simulate(group, streams, labels):
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
     filtered = policy.kind != "perfect_state_lqr"
     states = np.empty((N, T + 1, n))
+    inputs = np.empty((N, T, p))
+    outputs = np.empty((N, T, m))
     batch = sim._Batch(system=sys, noise=noise, tables=riccati_recursion(cost, shared, T),
                        states=states,
                        means=np.empty((N, T + 1, n)) if filtered else states,
-                       covs=np.zeros((N, T + 1, n, n)))
+                       covs=np.zeros((N, T + 1, n, n)), inputs=inputs, outputs=outputs)
     states[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
     if filtered:
         if policy.init_estimate == "sampled_from_prior":
@@ -299,8 +301,6 @@ def reference_simulate(group, streams, labels):
         except BatchCheckError as exc:
             raise exc.localized(f"{names[exc.index]}, step 0") from exc
 
-    inputs = np.empty((N, T, p))
-    outputs = np.empty((N, T, m))
     stage_costs = np.empty((N, T))
     for t in range(T):
         x = states[:, t]

@@ -416,6 +416,28 @@ class TestObservabilityCommand:
         assert isinstance(result.exception, SystemExit)
 
 
+def test_twin_sensor_failure_named_by_both_closed_loops(runner, tmp_path):
+    # two identical, all but noiseless sensors: the innovation covariance is
+    # singular at step 0 of the probe's run and of every Monte Carlo run
+    sys_, noise, cost = scalar_config()
+    sys_ = replace(sys_, c0=[[1.0], [1.0]], ck=([[0.0], [0.0]],))
+    noise = replace(noise, sigma_z=1e-16 * np.eye(2))
+    config = tmp_path / "twin.json"
+    config.write_text(json.dumps(config_to_dict(sys_, noise, cost, 5, 3, 1)))
+    result = runner.invoke(main, ["observability", "--config", str(config)])
+    assert result.exit_code == 1
+    assert result.output == ("Error: innovation covariance singular: step 0, "
+                             "condition number inf\n")
+    assert isinstance(result.exception, SystemExit)
+    result = invoke(runner, ["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
+    assert result.exit_code == 1 and "Traceback" not in result.output
+    status = status_line(result)
+    assert status["status"] == "fail"
+    assert status["failures"] == ["innovation covariance singular: run 0, step 0, "
+                                  "condition number inf"]
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", ["double-integrator", "orthogonal", "observability"])
 def test_one_riccati_table_per_command(runner, tmp_path, monkeypatch, command):
     # double-integrator's three variants, orthogonal's two and its probe, and

@@ -733,6 +733,17 @@ class TestStackedObjective:
             u_r, f_r = bellman_minimize_Tm2(alone)
             assert u_r.tobytes() == u[r].tobytes() and f_r == f[r]
 
+    @pytest.mark.parametrize("entries", [1, 2])
+    def test_per_belief_stack_of_another_length_refused(self, entries):
+        # a stack of one would broadcast silently, one of two fail in numpy's words
+        bp = random_stage(9, 2, 1, 1, t=0, runs=3)
+        rng = np.random.default_rng(2)
+        sys_ = SimpleNamespace(a=bp.sys.a, b=bp.sys.b, n=2, m=1, p=1,
+                               c0=rng.standard_normal((entries, 1, 2)),
+                               ck=(rng.standard_normal((entries, 1, 2)),))
+        with pytest.raises(ValueError, match=f"^per-belief c0/ck: {entries} stacked for 3 beliefs$"):
+            replace(bp, sys=sys_)
+
 
 class TestAffineFalsification:
     def grid(self):

@@ -1,12 +1,14 @@
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bilq.kalman
-from bilq.core import BilinearSystem, CostSpec, NoiseSpec, RngStream
+from bilq.core import BilinearSystem, CostSpec, NoiseSpec, RngStream, matvec, observation_matrix
 from bilq.control import lqg_policy, riccati_recursion
+from bilq.kalman import closed_loop
 from bilq.observability import (check_proposition1, covariance_boundedness_probe,
                                 gramian, gramian_decomposition,
                                 orthogonal_complement_c0, window_gramians)
@@ -263,6 +265,42 @@ class TestProbeMatchesReference:
         sys_, noise, cost = config
         tables = riccati_recursion(cost, sys_, 100)
         assert_matches_reference(sys_, noise, partial(lqg_policy, tables), 100)
+
+
+class TestProbeIsTheNoiseFreeClosedLoop:
+    """The probe's premise: one closed-loop run without noise from the prior
+    mean emits the filter's predicted outputs, so its innovations are zero and
+    its states are its means; the probe reports that run's covariances and inputs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), m=st.integers(1, 3), p=st.integers(1, 3),
+           horizon_extra=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_systems(self, n, m, p, horizon_extra, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_bilinear(rng, n, m, p, spectral=rng.uniform(0.5, 1.2))
+        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.01), sigma_z=random_spd(rng, m, 0.05),
+                          x0_mean=rng.standard_normal(n), sigma_0=random_spd(rng, n))
+        cost = CostSpec(q=random_spd(rng, n), q_t=random_spd(rng, n), r=random_spd(rng, p))
+        T = n + horizon_extra
+        tables = riccati_recursion(cost, sys_, T)
+        fixed = rng.standard_normal(p)
+        for policy in (partial(lqg_policy, tables), lambda t, mean: fixed):
+            run = SimpleNamespace(system=sys_, noise=noise, states=np.empty((1, T + 1, n)),
+                                  means=np.empty((1, T + 1, n)),
+                                  covs=np.empty((1, T + 1, n, n)),
+                                  inputs=np.empty((1, T, p)), outputs=np.empty((1, T, m)))
+            run.states[:, 0] = run.means[:, 0] = noise.x0_mean
+            run.covs[:, 0] = noise.sigma_0
+            closed_loop(run, lambda r, t: np.reshape(policy(t, r.means[0, t]), (1, p)),
+                        np.zeros((1, T, n)), np.zeros((1, T, m)), lambda t, _: f"step {t}")
+            predicted = matvec(observation_matrix(sys_, run.inputs[0]), run.means[0, :T])
+            assert (run.outputs[0] - predicted == 0.0).all()
+            assert np.array_equal(run.states, run.means)
+            report = covariance_boundedness_probe(sys_, noise, policy, T)
+            covs = run.covs[0]
+            assert report.norms.tobytes() == np.linalg.norm(covs, 2, axis=(1, 2)).tobytes()
+            assert report.traces.tobytes() == np.trace(covs, axis1=1, axis2=2).tobytes()
+            assert report.inputs.tobytes() == run.inputs[0].tobytes()
 
 
 def assert_probe_checks_match(n, m, p, horizon, kind, step, fail_step, seed):
