@@ -420,12 +420,15 @@ def gaussian_draws(mean, cov, normals):
 
     F F^T = cov, computed once: the lower Cholesky factor when cov is PD, a
     symmetric eigendecomposition otherwise (PSD-singular covariances are
-    fine; cov = 0 returns the mean exactly).
+    fine; cov = 0 returns the mean exactly).  Refuses non-finite mean or cov.
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (mean.size, mean.size):
         raise ValueError("cov shape does not match mean")
+    for name, a in (("mean", mean), ("cov", cov)):
+        if not np.isfinite(a).all():  # numpy's Cholesky takes NaN
+            raise ValueError(f"{name} has non-finite entries")
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -3,7 +3,8 @@
 The gain here carries a leading minus sign and the mean update subtracts
 gain times innovation; the covariance recursion is the matching
 ``A S A^T + L C S A^T + sigma_w`` form, symmetrized after evaluation.
-closed_loop runs it with plant and policy over steps, its checks stacked over blocks.
+closed_loop runs it with plant and policy over steps, its checks stacked over blocks;
+it builds the runs' histories from their first slot and returns them.
 The checks prove definiteness by Cholesky, with eigvalsh (whose verdicts they give)
 where that fails; so the gain is one LU solve with the innovation covariance.
 Beside the filter sits a grid Bayes oracle for scalar systems.  Its kernel, cut
@@ -12,6 +13,7 @@ of Greengard & Strain, 1991): O(points x K) per step plus FFTs, not O(points^2).
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,6 +73,19 @@ def _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov):
     return gains, innovations, means_next, covs_next
 
 
+def _step(means, covs, sys, noise, inputs, outputs, cs):
+    """kf_step_batch without its check of the next beliefs."""
+    outputs = np.asarray(outputs, dtype=float)
+    if outputs.shape != (len(means), sys.m):
+        length = outputs.shape[-1] if outputs.ndim else 1
+        raise ValueError(f"output length {length} != m = {sys.m}" if length != sys.m else
+                         f"outputs shape {outputs.shape} != (R, m) = ({len(means)}, {sys.m})")
+    cs_covs = cs @ covs
+    innov_cov = _innovation_cov(cs_covs, noise, cs)
+    _check_step(innov_cov)
+    return _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov)
+
+
 def kf_step_batch(means, covs, sys, noise, inputs, outputs, cs):
     """Advance R predicted beliefs, means (R, n) and covs (R, n, n), through
     one input/output pair each, inputs (R, p) and outputs (R, m), observed
@@ -78,19 +93,16 @@ def kf_step_batch(means, covs, sys, noise, inputs, outputs, cs):
     all R at once, a failure raising BatchCheckError naming the first
     failing entry.  Returns (gains, innovations, next means, next covs),
     entry i bit for bit what kf_step gives on belief i."""
-    cs_covs = cs @ covs
-    innov_cov = _innovation_cov(cs_covs, noise, cs)
-    _check_step(innov_cov)
-    result = _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov)
+    result = _step(means, covs, sys, noise, inputs, outputs, cs)
     check_beliefs(*result[2:])
     return result
 
 
 def kf_step(belief, sys, noise, u, y):
     """Advance the predicted belief through one input/output pair:
-    kf_step_batch on a stack of one belief."""
+    kf_step_batch on a stack of one belief, whose next belief BeliefState checks."""
     u = np.asarray(u, dtype=float).reshape(1, -1)
-    gains, innovations, means, covs = kf_step_batch(
+    gains, innovations, means, covs = _step(
         belief.mean[None], belief.cov[None], sys, noise, u,
         np.asarray(y, dtype=float).reshape(1, -1), observation_matrix(sys, u))
     return KalmanStep(gain=gains[0], innovation=innovations[0],
@@ -118,37 +130,46 @@ def _check_pending(pending, where):
         _at(where, step, _check_step, *args)
 
 
-def closed_loop(run, act, w, z, where):
-    """Advance runs' histories run.states, means (R, T + 1, n), covs (R, T + 1, n, n),
-    inputs (R, T, p) and outputs (R, T, m) from slot 0 on run.system and run.noise:
-    step t takes u_t = act(run, t), emits C(u_t) x_t + z_t, runs the filter's step from
-    slot t to t + 1 unless the means are the states, and sets x_{t+1} = A x_t + B u_t + w_t.
+def closed_loop(system, noise, states0, prior, act, w, z, where):
+    """R closed-loop runs on system and noise over T steps, w (R, T, n) and z (R, T, m)
+    their noises: returns their histories, states and means (R, T + 1, n), covs
+    (R, T + 1, n, n), inputs (R, T, p) and outputs (R, T, m), beside system and noise.
+    Slot 0 holds states0 and prior = (means0, covs0); with prior None the means are the
+    states and the covs stay zero.  Step t takes u_t = act(run, t), which reads slot t,
+    emits C(u_t) x_t + z_t, runs the filter's step from slot t to t + 1 unless prior is
+    None, and sets x_{t+1} = A x_t + B u_t + w_t.
     kf_step_batch's checks run on the prior, then stacked over the steps x runs of each
     CHECK_BLOCK steps, at a non-finite belief (no step runs on one) and after the loop,
     also before any of its exceptions propagates.  A failure, replayed step by step,
     raises what per-step checks raise first: "<check>: <where(step, index)>[, <detail>]",
     also for an indefinite innovation covariance that a step's LU solve took."""
-    sys, noise, means, covs = run.system, run.noise, run.means, run.covs
-    filtered, pending = means is not run.states, {}
-    if filtered:
+    (R, T, n), pending = w.shape, {}
+    states, covs = np.empty((R, T + 1, n)), np.zeros((R, T + 1, n, n))
+    means = states if prior is None else np.empty((R, T + 1, n))
+    run = SimpleNamespace(system=system, noise=noise, states=states, means=means, covs=covs,
+                          inputs=np.empty((R, T, system.p)), outputs=np.empty((R, T, system.m)))
+    states[:, 0] = states0
+    if prior is not None:
+        means[:, 0], covs[:, 0] = prior
         _at(where, 0, check_beliefs, means[:, 0], covs[:, 0])
     try:
-        for t in range(run.inputs.shape[1]):
-            x = run.states[:, t]
+        for t in range(T):
+            x = states[:, t]
             run.inputs[:, t] = u = act(run, t)
-            cs = observation_matrix(sys, u)
+            cs = observation_matrix(system, u)
             run.outputs[:, t] = y = matvec(cs, x) + z[:, t]
-            if filtered:
+            if prior is not None:
                 cs_covs = cs @ covs[:, t]
                 pending[t] = (_innovation_cov(cs_covs, noise, cs),)  # checked if the solve raises
-                pending[t] += _advance(means[:, t], covs[:, t], sys, noise, u, y, cs, cs_covs,
+                pending[t] += _advance(means[:, t], covs[:, t], system, noise, u, y, cs, cs_covs,
                                        pending[t][0])[2:]
                 means[:, t + 1], covs[:, t + 1] = belief = pending[t][1:]
                 if len(pending) == CHECK_BLOCK or not all(np.isfinite(v).all() for v in belief):
                     _check_pending(pending, where)
-            run.states[:, t + 1] = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]
+            states[:, t + 1] = matvec(system.a, x) + matvec(system.b, u) + w[:, t]
     finally:
         _check_pending(pending, where)  # before any failure of the loop: an earlier step's first
+    return run
 
 
 def _hermite_kernel(step):

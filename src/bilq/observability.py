@@ -4,12 +4,11 @@ The observability test sums n terms (A^k)^T C(u_k)^T C(u_k) A^k along an
 input sequence; a time-invariant sufficient condition projects the static
 observation matrix away from the span of the input-dependent ones and
 checks observability of that projection.  A forward covariance probe gives
-the matching empirical boundedness check: kalman.closed_loop on one
+the matching empirical boundedness check: one kalman.closed_loop call, a
 noise-free run from the prior mean, whose innovations are zero.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -150,14 +149,10 @@ def covariance_boundedness_probe(sys, noise, input_policy, horizon):
     PROBE_THRESHOLD; a failed filter check raises ValueError naming its step.
     Empirical only: a finite horizon cannot prove boundedness.
     """
-    T, n = count("horizon", horizon, sys.n), sys.n
-    run = SimpleNamespace(system=sys, noise=noise, states=np.empty((1, T + 1, n)),
-                          means=np.empty((1, T + 1, n)), covs=np.empty((1, T + 1, n, n)),
-                          inputs=np.empty((1, T, sys.p)), outputs=np.empty((1, T, sys.m)))
-    run.states[:, 0] = run.means[:, 0] = noise.x0_mean
-    run.covs[:, 0] = noise.sigma_0
-    closed_loop(run, lambda r, t: np.asarray(input_policy(t, r.means[0, t]), float).reshape(1, -1),
-                np.zeros((1, T, n)), np.zeros((1, T, sys.m)), lambda t, _: f"step {t}")
+    T = count("horizon", horizon, sys.n)
+    run = closed_loop(sys, noise, noise.x0_mean, (noise.x0_mean, noise.sigma_0),
+                      lambda r, t: np.asarray(input_policy(t, r.means[0, t]), float).reshape(1, -1),
+                      np.zeros((1, T, sys.n)), np.zeros((1, T, sys.m)), lambda t, _: f"step {t}")
     covs, inputs = run.covs[0], run.inputs[0]
     norms = np.linalg.norm(covs, 2, axis=(1, 2))
     max_norm = float(norms.max())

@@ -23,20 +23,21 @@ whose filter checks run stacked over blocks of steps; a failure names the run,
 the step and, among several configs, the config's index, as checks made every
 step would.
 
-Policies are a table of functions of (batch, t) returning one action per
+Policies are a table of functions of (tables, run, t) returning one action per
 run.  The certainty-equivalent ones are one stacked matrix-vector product
 per step; ``numeric_bellman`` is one minimizer call per step for every
 run of the group, on its stacked system, and ``scalar_nonlinear_t2`` is
-``numeric_bellman`` restricted to the scalar system at T = 2.  The engine's
-only state is the runs' histories, which policies read at slot t and each
-step extends to slot t + 1; it holds no policy's rule and calls the policy
-at every step.  ``numeric_bellman`` minimizes the stage objective of
-:func:`bilq.control.bellman_objective_Tm2` with the estimation penalty
-weighted by the LQR table ``p_seq[t+1]``: a one-step look-ahead for T > 2,
-not the optimal policy.  For T = 2 it is exactly optimal at one input and
-one output, where the minimizer is global, and locally optimal elsewhere.
-The last stage, t = T - 1, has no estimation penalty: there it takes the
-certainty-equivalent action.
+``numeric_bellman`` restricted to the scalar system at T = 2.  The engine
+draws x_0 and picks the prior (none under ``perfect_state_lqr``, whose means
+are then its states); closed_loop builds the runs' histories, which policies
+read at slot t and each step extends to slot t + 1.  The engine holds no
+policy's rule and calls the policy at every step.  ``numeric_bellman``
+minimizes the stage objective of :func:`bilq.control.bellman_objective_Tm2`
+with the estimation penalty weighted by the LQR table ``p_seq[t+1]``: a
+one-step look-ahead for T > 2, not the optimal policy.  For T = 2 it is
+exactly optimal at one input and one output, where the minimizer is global,
+and locally optimal elsewhere.  The last stage, t = T - 1, has no estimation
+penalty: there it takes the certainty-equivalent action.
 """
 
 from dataclasses import dataclass
@@ -55,48 +56,27 @@ METRICS = ("stage_cost", "cum_cost", "u_norm", "est_err", "cov_trace")
 INIT_ESTIMATE_SUBSTREAM = 0
 
 
-@dataclass
-class _Batch:
-    """N runs' histories on their system (a and b, each run's c0 and ck[k] (N, m, n)):
-    true states (N, T + 1, n), predicted means (N, T + 1, n) and covs (N, T + 1, n, n),
-    inputs (N, T, p) and outputs (N, T, m).  Step t (kalman.closed_loop) reads slot t
-    and writes slot t + 1; under the perfect-observation policy the means are the
-    states and the covs stay zero."""
-
-    system: object
-    noise: object
-    tables: object
-    states: np.ndarray
-    means: np.ndarray
-    covs: np.ndarray
-    inputs: np.ndarray
-    outputs: np.ndarray
+def _lqg(tables, run, t):
+    # perfect_state_lqr too: with closed_loop's prior None the means are the states
+    return lqg_policy(tables, t, run.means[:, t])
 
 
-def _perfect_state_lqr(batch, t):
-    return lqg_policy(batch.tables, t, batch.states[:, t])
-
-
-def _separation_lqg(batch, t):
-    return lqg_policy(batch.tables, t, batch.means[:, t])
-
-
-def _numeric_bellman(batch, t):
+def _numeric_bellman(tables, run, t):
     """Per run, the numeric minimizer of its own observation's stage objective
     whose estimation penalty is weighted by p_seq[t+1], one call for all runs; at
     t = T - 1, which has no estimation penalty, the certainty-equivalent action.
     For T > 2 a one-step look-ahead, not the optimal policy; for T = 2
     exactly optimal at m = p = 1 (a global minimizer), locally elsewhere."""
-    if t == batch.tables.horizon - 1:
-        return _separation_lqg(batch, t)
+    if t == tables.horizon - 1:
+        return _lqg(tables, run, t)
     return bellman_minimize_Tm2(BellmanObjectiveParams(
-        tables=batch.tables, t=t, prior_cov=batch.covs[:, t], x_hat=batch.means[:, t],
-        sys=batch.system, noise=batch.noise))[0]
+        tables=tables, t=t, prior_cov=run.covs[:, t], x_hat=run.means[:, t],
+        sys=run.system, noise=run.noise))[0]
 
 
 POLICIES = {
-    "perfect_state_lqr": _perfect_state_lqr,
-    "separation_lqg": _separation_lqg,
+    "perfect_state_lqr": _lqg,
+    "separation_lqg": _lqg,
     "scalar_nonlinear_t2": _numeric_bellman,
     "numeric_bellman": _numeric_bellman,
 }
@@ -175,36 +155,31 @@ def _simulate(group, streams, labels, tables):
     step_normals = tape[:, n:].reshape(N, T, n + m)
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
-    filtered = policy.kind != "perfect_state_lqr"
-    states = np.empty((N, T + 1, n))
-    batch = _Batch(system=sys, noise=noise, tables=tables, states=states,
-                   means=np.empty((N, T + 1, n)) if filtered else states,
-                   covs=np.zeros((N, T + 1, n, n)), inputs=np.empty((N, T, p)),
-                   outputs=np.empty((N, T, m)))
-    states[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
-    if filtered:
+    x0 = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
+    prior = None
+    if policy.kind != "perfect_state_lqr":
+        means0 = noise.x0_mean
         if policy.init_estimate == "sampled_from_prior":
             init = normal_tape([s.substream(INIT_ESTIMATE_SUBSTREAM) for s in streams], [n])
-            batch.means[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, init[stream_of])
-        else:
-            batch.means[:, 0] = noise.x0_mean
-        batch.covs[:, 0] = noise.sigma_0
+            means0 = gaussian_draws(noise.x0_mean, noise.sigma_0, init[stream_of])
+        prior = (means0, noise.sigma_0)
     decide = POLICIES[policy.kind]
 
-    def act(batch, t):
+    def act(run, t):
         try:
-            return np.asarray(decide(batch, t), dtype=float).reshape(N, p)
+            return np.asarray(decide(tables, run, t), dtype=float).reshape(N, p)
         except ValueError as exc:  # LinAlgError too
             raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
                              f"{exc}") from exc
 
-    closed_loop(batch, act, w, z, lambda t, i: f"{labels[config_of[i]]}run "
-                                               f"{streams[stream_of[i]].stream_id}, step {t}")
-    stage_costs = quadratic(states[:, :T], cost.q) + quadratic(batch.inputs, cost.r)
-    terminal_costs = quadratic(states[:, T], cost.q_t)
-    return tuple(TrajectoryRecord(states=states[r], inputs=batch.inputs[r],
-                                  outputs=batch.outputs[r], means=batch.means[r],
-                                  covs=batch.covs[r], stage_costs=stage_costs[r],
+    run = closed_loop(sys, noise, x0, prior, act, w, z,
+                      lambda t, i: f"{labels[config_of[i]]}run "
+                                   f"{streams[stream_of[i]].stream_id}, step {t}")
+    stage_costs = quadratic(run.states[:, :T], cost.q) + quadratic(run.inputs, cost.r)
+    terminal_costs = quadratic(run.states[:, T], cost.q_t)
+    return tuple(TrajectoryRecord(states=run.states[r], inputs=run.inputs[r],
+                                  outputs=run.outputs[r], means=run.means[r],
+                                  covs=run.covs[r], stage_costs=stage_costs[r],
                                   terminal_cost=float(terminal_costs[r]))
                  for r in range(N))
 

@@ -284,10 +284,10 @@ def reference_simulate(group, streams, labels):
     states = np.empty((N, T + 1, n))
     inputs = np.empty((N, T, p))
     outputs = np.empty((N, T, m))
-    batch = sim._Batch(system=sys, noise=noise, tables=riccati_recursion(cost, shared, T),
-                       states=states,
-                       means=np.empty((N, T + 1, n)) if filtered else states,
-                       covs=np.zeros((N, T + 1, n, n)), inputs=inputs, outputs=outputs)
+    tables = riccati_recursion(cost, shared, T)
+    batch = SimpleNamespace(system=sys, noise=noise, states=states,
+                            means=np.empty((N, T + 1, n)) if filtered else states,
+                            covs=np.zeros((N, T + 1, n, n)), inputs=inputs, outputs=outputs)
     states[:, 0] = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
     if filtered:
         if policy.init_estimate == "sampled_from_prior":
@@ -305,7 +305,7 @@ def reference_simulate(group, streams, labels):
     for t in range(T):
         x = states[:, t]
         try:
-            u = np.asarray(act(batch, t), dtype=float).reshape(N, p)
+            u = np.asarray(act(tables, batch, t), dtype=float).reshape(N, p)
         except ValueError as exc:
             raise ValueError(f"{policy.kind} decision failed: {''.join(labels)}step {t}, "
                              f"{exc}") from exc
@@ -421,12 +421,12 @@ def corrupted_filter(kind, step, index):
 def failing_lqg(fail_step):
     """separation_lqg that fails at step fail_step and, like numeric_bellman,
     on a covariance that is not PSD."""
-    def decide(batch, t):
+    def decide(tables, run, t):
         if t == fail_step:
             raise ValueError("told to fail")
-        if np.linalg.eigvalsh(batch.covs[:, t]).min() < -PSD_TOL:
+        if np.linalg.eigvalsh(run.covs[:, t]).min() < -PSD_TOL:
             raise ValueError("covariance not PSD")
-        return sim._separation_lqg(batch, t)
+        return sim.POLICIES["separation_lqg"](tables, run, t)
     return decide
 
 

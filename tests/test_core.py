@@ -9,8 +9,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
                        RngStream, chol_solve, config_from_dict,
-                       config_to_dict, load_config, normal_tape, observation_matrix,
-                       sample_gaussian, validate_system)
+                       config_to_dict, gaussian_draws, load_config, normal_tape,
+                       observation_matrix, sample_gaussian, validate_system)
 from bilq.control import riccati_recursion
 from bilq.kalman import grid_bayes_oracle
 from bilq.observability import covariance_boundedness_probe
@@ -217,6 +217,18 @@ class TestSampleGaussian:
             sample_gaussian(RngStream(1), [0.0, 0.0], np.diag([1.0, -1e-9]))
         out = sample_gaussian(RngStream(1), [0.0, 0.0], np.diag([1.0, -1e-11]))
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["mean", "cov"])
+    def test_non_finite_argument_refused(self, name, value):
+        # numpy's Cholesky takes NaN without raising: the draws would be NaN
+        args = {"mean": np.zeros(2), "cov": np.eye(2)}
+        args[name] = args[name].copy()
+        args[name].flat[0] = value
+        for draw in (lambda: gaussian_draws(args["mean"], args["cov"], np.ones(2)),
+                     lambda: sample_gaussian(RngStream(1), args["mean"], args["cov"])):
+            with pytest.raises(ValueError, match=rf"^{name} has non-finite entries$"):
+                draw()
 
     def test_covariance_of_batch(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bilq.core
+import bilq.kalman
 from bilq.core import (PSD_TOL, BatchCheckError, BeliefState, BilinearSystem, NoiseSpec,
                        RngStream, check_beliefs, observation_matrix)
 from bilq.kalman import (COND_LIMIT, _check_step, _hermite_kernel, grid_bayes_oracle, kf_step,
                          kf_step_batch)
 
-from helpers import (cov_update_information_form, dense_grid_oracle, kalman_gain,
-                     reference_check_beliefs, reference_check_step, standard_kf_update_predict,
-                     random_spd)
+from helpers import (FAILURE_KINDS, corrupted_filter, cov_update_information_form,
+                     dense_grid_oracle, kalman_gain, reference_check_beliefs,
+                     reference_check_step, standard_kf_update_predict, random_spd)
 
 
 def scalar_setup(a=0.9, b=1.0, c0=0.0, c1=1.0, sw=0.01, sz=0.09, x0=0.1, s0=2.0):
@@ -85,6 +87,52 @@ class TestKfStep:
         assert step.next_belief.cov[0, 0] == pytest.approx(var_expected, abs=1e-15)
         assert mean_expected == pytest.approx(0.43449760765550244, abs=1e-15)
         assert var_expected == pytest.approx(0.07976076555023924, abs=1e-15)
+
+    @staticmethod
+    def two_sensor_setup():
+        sys_ = BilinearSystem(a=0.9 * np.eye(2), b=[[1.0], [0.0]], c0=np.eye(2),
+                              ck=(np.zeros((2, 2)),))
+        noise = NoiseSpec(sigma_w=0.01 * np.eye(2), sigma_z=0.1 * np.eye(2),
+                          x0_mean=[0.0, 0.0], sigma_0=np.eye(2))
+        return sys_, noise, BeliefState(mean=[0.3, -0.2], cov=np.eye(2))
+
+    @pytest.mark.parametrize("y", [[0.5], [0.5, 0.5, 0.5]])
+    def test_output_of_wrong_length_refused(self, y):
+        # a single output was spread over both rows; three failed to broadcast
+        sys_, noise, belief = self.two_sensor_setup()
+        u = np.zeros((1, 1))
+        with pytest.raises(ValueError, match=rf"^output length {len(y)} != m = 2$"):
+            kf_step(belief, sys_, noise, [0.0], y)
+        with pytest.raises(ValueError, match=rf"^output length {len(y)} != m = 2$"):
+            kf_step_batch(belief.mean[None], belief.cov[None], sys_, noise, u, [y],
+                          observation_matrix(sys_, u))
+
+    def test_outputs_for_another_number_of_beliefs_refused(self):
+        sys_, noise, belief = self.two_sensor_setup()
+        u = np.zeros((3, 1))
+        with pytest.raises(ValueError, match=r"^outputs shape \(1, 2\) != \(R, m\) = \(3, 2\)$"):
+            kf_step_batch(np.stack([belief.mean] * 3), np.stack([belief.cov] * 3), sys_, noise,
+                          u, np.zeros((1, 2)), observation_matrix(sys_, u))
+
+    @pytest.mark.parametrize("kind", [k for k in FAILURE_KINDS if not k.startswith("innovation")])
+    def test_next_belief_checked_once(self, monkeypatch, kind):
+        # kf_step raises the text kf_step_batch raises on a bad next belief, from one check
+        sys_, noise, belief = self.two_sensor_setup()
+        u, y = np.array([[0.5]]), np.array([[0.1, 0.4]])
+        messages = []
+        for step in (lambda: kf_step_batch(belief.mean[None], belief.cov[None], sys_, noise,
+                                           u, y, observation_matrix(sys_, u)),
+                     lambda: kf_step(belief, sys_, noise, u[0], y[0])):
+            with corrupted_filter(kind, 0, 0), pytest.raises(ValueError) as info:
+                step()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        checks = []
+        for module in (bilq.core, bilq.kalman):
+            monkeypatch.setattr(module, "check_beliefs", lambda *args, check=module.check_beliefs:
+                                checks.append(1) or check(*args))
+        kf_step(belief, sys_, noise, u[0], y[0])
+        assert len(checks) == 1
 
     def test_matches_textbook_filter_when_observation_static(self):
         rng = np.random.default_rng(5)

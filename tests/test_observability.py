@@ -1,5 +1,4 @@
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,14 +284,9 @@ class TestProbeIsTheNoiseFreeClosedLoop:
         tables = riccati_recursion(cost, sys_, T)
         fixed = rng.standard_normal(p)
         for policy in (partial(lqg_policy, tables), lambda t, mean: fixed):
-            run = SimpleNamespace(system=sys_, noise=noise, states=np.empty((1, T + 1, n)),
-                                  means=np.empty((1, T + 1, n)),
-                                  covs=np.empty((1, T + 1, n, n)),
-                                  inputs=np.empty((1, T, p)), outputs=np.empty((1, T, m)))
-            run.states[:, 0] = run.means[:, 0] = noise.x0_mean
-            run.covs[:, 0] = noise.sigma_0
-            closed_loop(run, lambda r, t: np.reshape(policy(t, r.means[0, t]), (1, p)),
-                        np.zeros((1, T, n)), np.zeros((1, T, m)), lambda t, _: f"step {t}")
+            run = closed_loop(sys_, noise, noise.x0_mean, (noise.x0_mean, noise.sigma_0),
+                              lambda r, t: np.reshape(policy(t, r.means[0, t]), (1, p)),
+                              np.zeros((1, T, n)), np.zeros((1, T, m)), lambda t, _: f"step {t}")
             predicted = matvec(observation_matrix(sys_, run.inputs[0]), run.means[0, :T])
             assert (run.outputs[0] - predicted == 0.0).all()
             assert np.array_equal(run.states, run.means)

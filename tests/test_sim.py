@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scipy.stats import chi2
+
 from bilq.core import (PSD_TOL, BeliefState, BilinearSystem, CostSpec, NoiseSpec,
-                       RngStream, sample_gaussian)
-from bilq.kalman import kf_step
+                       RngStream, observation_matrix, sample_gaussian)
+from bilq.kalman import kf_step, kf_step_batch
 from bilq.control import (BellmanObjectiveParams, bellman_minimize_Tm2,
                           lqg_policy, riccati_recursion, scalar_cost_to_go,
                           scalar_gap_params, scalar_optimal_controller_T2, unit_design)
@@ -70,6 +72,14 @@ class TestRollout:
         expected += x @ cost.q_t @ x
         assert rec.metric("cum_cost")[-1] == pytest.approx(expected, rel=1e-9)
         assert rec.metric("est_err").max() == 0.0
+
+    def test_perfect_state_lqr_is_lqg_on_means_that_are_the_states(self):
+        # one rule serves both: without a prior the closed loop's means are its states
+        assert bilq.sim.POLICIES["perfect_state_lqr"] is bilq.sim.POLICIES["separation_lqg"]
+        sys_, noise, cost = double_integrator_config("bilinear")
+        rec = rollout(sys_, noise, cost, PolicyConfig("perfect_state_lqr", "sampled_from_prior"),
+                      8, RngStream(4))
+        assert rec.means.tobytes() == rec.states.tobytes() and not rec.covs.any()
 
     def test_static_observation_matches_independent_lqg(self):
         sys_, noise, cost = lqg_testbed()
@@ -151,7 +161,7 @@ class TestRollout:
         # the engine holds no policy's rule: the last step's action is the policy's too
         original, steps = bilq.sim.POLICIES[kind], []
         monkeypatch.setitem(bilq.sim.POLICIES, kind,
-                            lambda batch, t: steps.append(t) or original(batch, t))
+                            lambda tables, run, t: steps.append(t) or original(tables, run, t))
         sys_, noise, cost = double_integrator_config("bilinear")
         rollout(sys_, noise, cost, PolicyConfig(kind, "sampled_from_prior"), 5, RngStream(2))
         assert steps == [0, 1, 2, 3, 4]
@@ -678,6 +688,72 @@ class TestChecksMatchPerStepReference:
         assert message == (f"innovation covariance singular: config 1, run 1, step {step}, "
                            "condition number inf")
         assert caught == []
+
+
+def stacked(records, field):
+    return np.stack([getattr(rec, field) for rec in records])
+
+
+def run_summed_nis(records, sys_, sigma_z, means, covs):
+    """Per step t, the innovations' e^T S^-1 e summed over the records' runs: e = y_t -
+    C(u_t) x_hat_t, S = C(u_t) Sigma_t C(u_t)^T + sigma_z, from beliefs (runs, T, ...)."""
+    inputs, outputs = stacked(records, "inputs"), stacked(records, "outputs")
+    runs, horizon, p = inputs.shape
+    cs = observation_matrix(sys_, inputs.reshape(-1, p)).reshape(runs, horizon, sys_.m, sys_.n)
+    e = outputs - np.einsum("rtij,rtj->rti", cs, means)
+    s = cs @ covs @ cs.swapaxes(-1, -2) + sigma_z
+    return np.einsum("rti,rti->t", e, np.linalg.solve(s, e[..., None])[..., 0])
+
+
+class TestInnovationConsistency:
+    """Given u_t the filter is exact, so its innovation is N(0, S_t), independent
+    across steps and runs, and the run-summed NIS of each step is chi^2 with
+    runs x m degrees of freedom (Bar-Shalom, Li & Kirubarajan, 2001, ch. 5).
+    Under prior_mean only: sampled_from_prior draws x_hat_0 apart from x_0, so
+    the initial error covariance is 2 Sigma_0, not the filter's Sigma_0."""
+
+    RUNS, HORIZON, SEED = 200, 100, 3
+
+    def records(self, config, kind):
+        sys_, noise, cost = config
+        return monte_carlo(SimConfig(sys_, noise, cost, PolicyConfig(kind, "prior_mean"),
+                                     self.HORIZON), self.RUNS, self.SEED).records
+
+    def in_band(self, nis, m):
+        """Which steps' NIS lie in two-sided 99.9% bands, and whether their total does."""
+        dof = self.RUNS * m
+        lo, hi = chi2.ppf([0.0005, 0.9995], dof)
+        total_lo, total_hi = chi2.ppf([0.0005, 0.9995], dof * len(nis))
+        return (nis >= lo) & (nis <= hi), total_lo <= nis.sum() <= total_hi
+
+    @pytest.mark.parametrize("preset, kind", [("orthogonal", "separation_lqg"),
+                                              ("bilinear_integrator", "numeric_bellman")])
+    def test_run_summed_nis_is_chi_square(self, preset, kind):
+        config = {"orthogonal": lambda: orthogonal_config(RngStream(0), "a"),
+                  "bilinear_integrator": lambda: double_integrator_config("bilinear")}[preset]()
+        records = self.records(config, kind)
+        nis = run_summed_nis(records, config[0], config[1].sigma_z,
+                             stacked(records, "means")[:, :-1], stacked(records, "covs")[:, :-1])
+        steps, total = self.in_band(nis, config[0].m)
+        assert steps.all() and total
+
+    def test_filter_told_four_times_the_noise_fails(self):
+        # the records' outputs replayed through kf_step_batch told 4 sigma_z
+        sys_, noise, cost = config = orthogonal_config(RngStream(0), "a")
+        records = self.records(config, "separation_lqg")
+        told = replace(noise, sigma_z=4.0 * noise.sigma_z)
+        inputs, outputs = stacked(records, "inputs"), stacked(records, "outputs")
+        means = np.empty((self.RUNS, self.HORIZON, sys_.n))
+        covs = np.empty((self.RUNS, self.HORIZON, sys_.n, sys_.n))
+        mean, cov = np.tile(noise.x0_mean, (self.RUNS, 1)), np.tile(noise.sigma_0,
+                                                                    (self.RUNS, 1, 1))
+        for t in range(self.HORIZON):
+            means[:, t], covs[:, t] = mean, cov
+            _, _, mean, cov = kf_step_batch(mean, cov, sys_, told, inputs[:, t], outputs[:, t],
+                                            observation_matrix(sys_, inputs[:, t]))
+        steps, total = self.in_band(run_summed_nis(records, sys_, told.sigma_z, means, covs),
+                                    sys_.m)
+        assert not total and steps.mean() < 0.1
 
 
 class TestLandscapeSweep:
