@@ -6,6 +6,7 @@ line endings) and ends by printing one JSON status line; the exit code is
 """
 
 import json
+import sys
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
@@ -41,6 +42,14 @@ def _grid(ctx, param, grid):
     return grid
 
 
+def _echo(text, err=False):
+    """click.echo to sys.stdout (or sys.stderr) as it is at call time.
+    click's default stream is cached in a WeakKeyDictionary that maps a
+    stream to itself, so a buffer captured around an in-process call
+    (redirect_stdout) would never be freed."""
+    click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
 def _finish(command, config, out, overrides, failures):
     """Print the status line (the overrides are the effective ones); exit 1
     on any failed postcondition."""
@@ -50,7 +59,7 @@ def _finish(command, config, out, overrides, failures):
               "overrides": overrides,
               "status": "fail" if failures else "ok",
               "failures": list(failures)}
-    click.echo(json.dumps(status, sort_keys=True))
+    _echo(json.dumps(status, sort_keys=True))
     if failures:
         raise SystemExit(1)
 
@@ -119,7 +128,7 @@ def main():
 def cmd_scalar_landscape(offset, grid, c1, out):
     """Sweep the scalar stage objective and classify its critical points."""
     if abs(offset) > 1.0:
-        click.echo("warning: offset outside [-1, 1]", err=True)
+        _echo("warning: offset outside [-1, 1]", err=True)
     try:
         table = landscape_sweep(*scalar_config(c1=c1, offset=offset), grid)
     except ValueError as exc:  # c1 = 0: use LQG closed form
@@ -279,16 +288,16 @@ def cmd_observability(config_path, horizon, delta):
         probe = _lqg_probe(system, noise, riccati_recursion(cost, system, horizon))
     except ValueError as exc:  # a horizon below n; a failed filter check
         raise click.ClickException(str(exc))
-    click.echo("window_start,gramian_min_eigenvalue,uniformly_observable")
     _, lows = window_gramians(system, probe.inputs)
-    for start, low in enumerate(lows):
-        click.echo(f"{start},{format_float(low)},{low > delta}")
     prop = check_proposition1(system, delta=delta)
-    click.echo(f"proposition1_ok,{prop.ok}")
-    click.echo(f"proposition1_min_eigenvalue,{format_float(prop.min_eigenvalue)}")
-    click.echo(f"probe_max_norm,{format_float(probe.max_norm)}")
-    click.echo(f"probe_exceeded_threshold,{probe.exceeded}")
-    click.echo(f"probe_final_trace,{format_float(probe.traces[-1])}")
+    _echo("\n".join(["window_start,gramian_min_eigenvalue,uniformly_observable",
+                     *(f"{start},{format_float(low)},{low > delta}"
+                       for start, low in enumerate(lows)),
+                     f"proposition1_ok,{prop.ok}",
+                     f"proposition1_min_eigenvalue,{format_float(prop.min_eigenvalue)}",
+                     f"probe_max_norm,{format_float(probe.max_norm)}",
+                     f"probe_exceeded_threshold,{probe.exceeded}",
+                     f"probe_final_trace,{format_float(probe.traces[-1])}"]))
     _finish(*status, [])
 
 
@@ -314,10 +323,10 @@ def cmd_critical_points(config_path, x0hat, c0, c1):
             k: v for k, v in (("c0", c0), ("c1", c1)) if v is not None}))
     except ValueError as exc:  # not scalar; a zero prior variance; c1 = 0: LQG closed form
         raise click.ClickException(str(exc))
-    click.echo("u,kind,f_value,second_derivative")
+    _echo("u,kind,f_value,second_derivative")
     for pt in points:
-        click.echo(f"{format_float(pt.u)},{pt.kind},{format_float(pt.f_value)},"
-                   f"{format_float(pt.second_derivative)}")
+        _echo(f"{format_float(pt.u)},{pt.kind},{format_float(pt.f_value)},"
+              f"{format_float(pt.second_derivative)}")
     _finish(*status, _check_classifications(points))
 
 

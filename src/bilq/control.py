@@ -459,8 +459,10 @@ def unit_design(p):
 
 
 # design points evaluated in one stacked call: a larger stack of beliefs is
-# searched in parts, so memory does not grow with the number of beliefs
-DESIGN_BUDGET = 131_072
+# searched in parts, so memory does not grow with the number of beliefs.
+# A part's temporaries (12 beliefs at p = 3, 6 at p = 2) stay near cache
+# size; larger parts take more memory and no less time
+DESIGN_BUDGET = 16_384
 
 
 def _quintic_candidates(bp, u_lqg):

@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -459,6 +463,30 @@ def test_one_riccati_table_per_command(runner, tmp_path, monkeypatch, command):
     result = invoke(runner, [command, *args])
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
+
+
+def test_in_process_calls_leave_no_captured_stream_alive(runner, tmp_path):
+    # click.echo's default stream is cached per stream, and the cache keeps
+    # the stream alive; each buffer captured around an in-process call must
+    # be freed with its text as the test runner captures it
+    sys_, noise, cost = orthogonal_config(RngStream(12), "a")
+    config = tmp_path / "ortho.json"
+    config.write_text(json.dumps(config_to_dict(sys_, noise, cost, 100, 5, 1)))
+    buffers = []
+    for args in (["observability", "--config", str(config), "--horizon", "8"],
+                 ["critical-points"],
+                 ["scalar-landscape", "--offset", "2", "--out", str(tmp_path / "l.csv")]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(args, standalone_mode=False)
+        expected = invoke(runner, args)
+        assert (out.getvalue(), err.getvalue()) == (expected.stdout, expected.stderr)
+        assert json.loads(out.getvalue().splitlines()[-1])["status"] == "ok"
+        buffers += [weakref.ref(out), weakref.ref(err)]
+    assert expected.stderr == "warning: offset outside [-1, 1]\n"
+    del out, err
+    gc.collect()
+    assert [buffer() for buffer in buffers] == [None] * 6
 
 
 class TestCriticalPointsCommand:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bilq import control
-from bilq.core import BeliefState, BilinearSystem, CostSpec, NoiseSpec
+from bilq.core import BeliefState, BilinearSystem, CostSpec, NoiseSpec, RngStream
 from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, BellmanObjectiveParams,
                           ScalarGapParams, affine_falsification_test, bellman_minimize_Tm2,
                           bellman_objective_Tm2,
@@ -15,7 +16,7 @@ from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, BellmanObjectivePa
                           scalar_critical_points, scalar_gap_params,
                           scalar_optimal_controller_T2, unit_design)
 from bilq.kalman import kf_step
-from bilq.presets import double_integrator_config, scalar_config
+from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
 
 from helpers import information_form_taylor, random_spd, reference_minimize_Tm2
 
@@ -617,6 +618,24 @@ class TestBellmanMinimize:
         monkeypatch.setattr(control, "DESIGN_BUDGET", 2 * len(unit_design(1)))
         u_parts, f_parts = bellman_minimize_Tm2(bp)
         assert u_parts.tobytes() == u.tobytes() and f_parts.tobytes() == f.tobytes()
+
+    def test_design_pass_memory_follows_the_slice(self):
+        # 100 beliefs at p = 3 (1,331 design points each): the design is
+        # evaluated DESIGN_BUDGET points at a time, so the call's peak is a
+        # slice's temporaries, not the whole stack's (a 131,072-point slice
+        # peaks at 114.5 MiB)
+        sys_, noise, cost = orthogonal_config(RngStream(1), "a")
+        means = np.random.default_rng(0).standard_normal((100, sys_.n))
+        covs = np.broadcast_to(noise.sigma_0, (100, sys_.n, sys_.n))
+        bp = BellmanObjectiveParams(tables=riccati_recursion(cost, sys_, 3), t=0, prior_cov=covs,
+                                    x_hat=means, sys=sys_, noise=noise)
+        tracemalloc.start()
+        try:
+            bellman_minimize_Tm2(bp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
     def test_ties_go_to_smallest_then_most_negative_input(self):
         # symmetric cases: the two minimizers +-u* tie exactly; on the double
