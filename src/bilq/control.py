@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PSD_TOL, chol_solve, count, matvec, min_eigenvalue, quadratic, symmetrize
+from .core import check_beliefs, chol_solve, count, matvec, quadratic, symmetrize
 
 LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
@@ -291,12 +291,12 @@ def scalar_optimal_controller_T2(params):
 @dataclass(frozen=True)
 class BellmanObjectiveParams:
     """The stage objective at stage t <= T - 2 of a Riccati table (exact at T - 2, a
-    one-step look-ahead earlier) for one belief, x_hat (n,) and prior_cov Sigma (n, n)
-    PSD, or a stack of R, (R, n) and (R, n, n), sys's c0 and ck[k] (m, n) or per belief
-    (R, m, n).  Its weights cal_a and cal_b are the table's, checked once by the
-    recursion; cal_g = A'P_{t+1}A.  Stacked for one belief too (R = 1): cal_b_x_hat
-    (R, p), trace_g = tr(Sigma cal_g) (R,) and blocks (R, p+1, -1), row l the m x m
-    C_k Sigma C_l', C_k Sigma cal_g Sigma C_l' of C = (c0, *ck)."""
+    one-step look-ahead earlier) for one belief, x_hat (n,) and prior_cov Sigma (n, n),
+    or a stack, (R, n) and (R, n, n), checked by check_beliefs once x_hat has sys's n;
+    sys's c0 and ck[k] (m, n) or per belief (R, m, n).  Its weights cal_a and cal_b are
+    the table's, checked once by the recursion; cal_g = A'P_{t+1}A.  Stacked for one
+    belief too (R = 1): cal_b_x_hat (R, p), trace_g = tr(Sigma cal_g) (R,) and blocks
+    (R, p+1, -1), row l the m x m C_k Sigma C_l', C_k Sigma cal_g Sigma C_l' of C = (c0, *ck)."""
 
     tables: RiccatiTables
     t: int
@@ -308,12 +308,14 @@ class BellmanObjectiveParams:
     def __post_init__(self):
         if not 0 <= self.t <= self.tables.horizon - 2:
             raise ValueError(f"stage {self.t} has no estimation-penalty objective")
+        n, m, k = self.sys.a.shape[0], self.sys.m, self.sys.p + 1
+        x_hat = np.atleast_1d(np.asarray(self.x_hat, dtype=float))
+        if x_hat.shape[-1] != n:
+            raise ValueError(f"x_hat length {x_hat.shape[-1]} != n = {n}")
+        prior_cov = np.asarray(self.prior_cov, dtype=float)
+        check_beliefs(x_hat, prior_cov)
         cal_g = symmetrize(self.sys.a.T @ self.tables.p_seq[self.t + 1] @ self.sys.a)
-        prior_cov = symmetrize(np.asarray(self.prior_cov, dtype=float))
-        if min_eigenvalue(prior_cov) < -PSD_TOL:
-            raise ValueError("prior_cov must be PSD")
-        n, m, k = prior_cov.shape[-1], self.sys.m, self.sys.p + 1
-        covs = prior_cov.reshape(-1, n, n)
+        covs = symmetrize(prior_cov).reshape(-1, n, n)
         c_all = np.concatenate([self.sys.c0, *self.sys.ck], axis=-2)
         if c_all.ndim == 3 and len(c_all) != len(covs):
             raise ValueError(f"per-belief c0/ck: {len(c_all)} stacked for {len(covs)} beliefs")
@@ -324,10 +326,9 @@ class BellmanObjectiveParams:
         object.__setattr__(self, "cal_a", self.tables.cal_a_seq[self.t])
         object.__setattr__(self, "cal_b", self.tables.cal_b_seq[self.t])
         object.__setattr__(self, "cal_g", cal_g)
-        object.__setattr__(self, "prior_cov", prior_cov)
-        object.__setattr__(self, "x_hat", np.reshape(np.asarray(self.x_hat, dtype=float),
-                                                     prior_cov.shape[:-1]))
-        object.__setattr__(self, "cal_b_x_hat", matvec(self.cal_b, self.x_hat.reshape(-1, n)))
+        object.__setattr__(self, "prior_cov", covs.reshape(prior_cov.shape))
+        object.__setattr__(self, "x_hat", x_hat)
+        object.__setattr__(self, "cal_b_x_hat", matvec(self.cal_b, x_hat.reshape(-1, n)))
         object.__setattr__(self, "trace_g", (covs @ cal_g).diagonal(0, -2, -1).sum(-1))
         object.__setattr__(self, "blocks", blocks.reshape(len(covs), k, -1))
 

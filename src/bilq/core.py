@@ -247,27 +247,30 @@ def raise_first_failure(bad, check, detail=None):
 
 
 def check_beliefs(means, covs):
-    """BeliefState's checks on a stack of beliefs, means (R, n) and covs
-    (R, n, n), all at once: finite entries, covariance symmetric within
-    SYM_TOL (relative to max(1, max |entry|)) and PSD within PSD_TOL.
+    """The belief rule, on mean (n,) and cov (n, n) or a stack, (R, n) and (R, n, n), at
+    once: cov shaped for the mean (else ValueError), finite entries, covariance symmetric
+    within SYM_TOL (relative to max(1, max |entry|)) and PSD within PSD_TOL.
 
     A Cholesky of sym + (PSD_TOL / 2) I, where the scale keeps its error within
     PSD_TOL / 10, proves min eigenvalue >= -0.6 PSD_TOL; the other covs (all if
     it fails) take eigvalsh.  Raises BatchCheckError naming the first failing belief.
     """
+    n = means.shape[-1]
+    if covs.shape != means.shape + (n,):
+        raise ValueError(f"cov shape {covs.shape} does not match mean size {n}")
+    if n == 0:
+        return
+    means, covs = means.reshape(-1, n), covs.reshape(-1, n, n)
     raise_first_failure(~np.isfinite(means).all(axis=-1), "mean has non-finite entries")
     raise_first_failure(~np.isfinite(covs).all(axis=(-2, -1)), "cov has non-finite entries")
-    if covs.shape[-1] == 0:
-        return
     scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
     asym = np.abs(covs - covs.swapaxes(-1, -2)).max(axis=(-2, -1))
     raise_first_failure(asym > SYM_TOL * scale, "cov not symmetric")
-    sym, n = symmetrize(covs), covs.shape[-1]
     fit = scale * (n * (n + 2) * EPS) <= 0.1 * PSD_TOL  # bounds its error, as scale >= 1
-    rest = ~cholesky_certified(sym[fit] + 0.5 * PSD_TOL * np.eye(n), fit)
+    rest = ~cholesky_certified(symmetrize(covs[fit]) + 0.5 * PSD_TOL * np.eye(n), fit)
     if rest.any():
         low = np.zeros(len(covs))
-        low[rest] = np.linalg.eigvalsh(sym[rest]).min(axis=-1)
+        low[rest] = np.linalg.eigvalsh(symmetrize(covs[rest])).min(axis=-1)
         raise_first_failure(low < -PSD_TOL, "cov not PSD",
                             lambda i: f"min eigenvalue {low[i]:.3e}")
 
@@ -282,9 +285,7 @@ class BeliefState:
     def __post_init__(self):
         mean = _as_array(self.mean, "mean", ndim=1)
         cov = _as_array(self.cov, "cov")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match mean size {mean.size}")
-        check_beliefs(mean[None], cov[None])
+        check_beliefs(mean, cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -420,21 +421,15 @@ def gaussian_draws(mean, cov, normals):
 
     F F^T = cov, computed once: the lower Cholesky factor when cov is PD, a
     symmetric eigendecomposition otherwise (PSD-singular covariances are
-    fine; cov = 0 returns the mean exactly).  Refuses non-finite mean or cov.
+    fine; cov = 0 returns the mean exactly).  Refuses what check_beliefs refuses.
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
-    if cov.shape != (mean.size, mean.size):
-        raise ValueError("cov shape does not match mean")
-    for name, a in (("mean", mean), ("cov", cov)):
-        if not np.isfinite(a).all():  # numpy's Cholesky takes NaN
-            raise ValueError(f"{name} has non-finite entries")
+    check_beliefs(mean, cov)
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(symmetrize(cov))
-        if vals.min() < -PSD_TOL:
-            raise ValueError(f"cov not PSD: min eigenvalue {vals.min():.3e}")
         factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     return mean + matvec(factor, normals)
 

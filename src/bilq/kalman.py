@@ -161,9 +161,10 @@ def closed_loop(system, noise, states0, prior, act, w, z, where):
             if prior is not None:
                 cs_covs = cs @ covs[:, t]
                 pending[t] = (_innovation_cov(cs_covs, noise, cs),)  # checked if the solve raises
-                pending[t] += _advance(means[:, t], covs[:, t], system, noise, u, y, cs, cs_covs,
-                                       pending[t][0])[2:]
-                means[:, t + 1], covs[:, t + 1] = belief = pending[t][1:]
+                means[:, t + 1], covs[:, t + 1] = _advance(means[:, t], covs[:, t], system, noise,
+                                                           u, y, cs, cs_covs, pending[t][0])[2:]
+                belief = means[:, t + 1], covs[:, t + 1]  # views: pending holds no copy
+                pending[t] += belief
                 if len(pending) == CHECK_BLOCK or not all(np.isfinite(v).all() for v in belief):
                     _check_pending(pending, where)
             states[:, t + 1] = matvec(system.a, x) + matvec(system.b, u) + w[:, t]
@@ -195,8 +196,8 @@ def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):
     noise, its Hermite terms below 1e-17 of its peak: see _hermite_kernel)
     and returns the predicted posterior's mean/variance, at O(points x K)
     per step for K terms plus FFTs.  With no observations, returns the prior
-    moments.  Raises "grid truncation" if posterior mass touches the grid
-    boundary; the grid step may be at most 8 sigma of process noise.
+    moments.  Raises "grid truncation" if posterior mass touches the grid boundary;
+    the variances must be positive, the grid step at most 8 sigma of process noise.
     """
     if not (sys.n == 1 and sys.m == 1 and sys.p == 1):
         raise ValueError("grid oracle requires a scalar system")
@@ -214,8 +215,9 @@ def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):
         raise ValueError("grid oracle requires finite inputs and outputs")
     if not inputs:
         return mu0, v0
-    if sw <= 0.0:
-        raise ValueError("grid oracle requires positive process noise")
+    for name, value in (("process noise", sw), ("measurement noise", sz), ("prior variance", v0)):
+        if value <= 0.0:
+            raise ValueError(f"grid oracle requires positive {name}")
 
     if grid is None:
         # envelope of the open-loop predictive moments, +/- 8 sigma

@@ -156,6 +156,7 @@ def _simulate(group, streams, labels, tables):
     w = gaussian_draws(np.zeros(n), noise.sigma_w, step_normals[..., :n])
     z = gaussian_draws(np.zeros(m), noise.sigma_z, step_normals[..., n:])
     x0 = gaussian_draws(noise.x0_mean, noise.sigma_0, tape[:, :n])
+    del tape, step_normals  # w, z and x0 are copies: the tape need not outlive them
     prior = None
     if policy.kind != "perfect_state_lqr":
         means0 = noise.x0_mean

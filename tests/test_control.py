@@ -410,7 +410,7 @@ class TestBellmanObjective:
         with pytest.raises(ValueError, match="stage 1 has no estimation-penalty objective"):
             BellmanObjectiveParams(tables=tables, t=1, prior_cov=[[1.0]], x_hat=[0.0],
                                    sys=sys_, noise=noise)
-        with pytest.raises(ValueError, match="prior_cov"):
+        with pytest.raises(ValueError, match=r"^cov not PSD \(min eigenvalue -1\.000e\+00\)$"):
             BellmanObjectiveParams(tables=tables, t=0, prior_cov=[[-1.0]], x_hat=[0.0],
                                    sys=sys_, noise=noise)
         # a singular prior is PSD: no measurement can reduce a zero variance,

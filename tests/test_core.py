@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from bilq.core import (BeliefState, BilinearSystem, CostSpec, NoiseSpec,
-                       RngStream, chol_solve, config_from_dict,
+from bilq.core import (BatchCheckError, BeliefState, BilinearSystem, CostSpec, NoiseSpec,
+                       RngStream, check_beliefs, chol_solve, config_from_dict,
                        config_to_dict, gaussian_draws, load_config, normal_tape,
                        observation_matrix, sample_gaussian, validate_system)
-from bilq.control import riccati_recursion
+from bilq.control import BellmanObjectiveParams, riccati_recursion
 from bilq.kalman import grid_bayes_oracle
 from bilq.observability import covariance_boundedness_probe
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
@@ -213,7 +213,7 @@ class TestSampleGaussian:
 
     def test_psd_tolerance_is_the_package_one(self):
         # the rule BeliefState and validate_system use: min eigenvalue >= -1e-10
-        with pytest.raises(ValueError, match=r"not PSD: min eigenvalue -1\.000e-09"):
+        with pytest.raises(ValueError, match=r"^cov not PSD \(min eigenvalue -1\.000e-09\)$"):
             sample_gaussian(RngStream(1), [0.0, 0.0], np.diag([1.0, -1e-9]))
         out = sample_gaussian(RngStream(1), [0.0, 0.0], np.diag([1.0, -1e-11]))
         assert np.isfinite(out).all()
@@ -236,6 +236,95 @@ class TestSampleGaussian:
         draws = np.array([sample_gaussian(stream, [0.0, 0.0], cov)
                           for _ in range(20000)])
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.1)
+
+
+# beliefs (mean, cov) that the belief rule refuses, and the check each fails:
+# non-finite entries, a cov not shaped for its mean, an asymmetry of 1e-6 and
+# a min eigenvalue of -1e-9 (PSD_TOL is 1e-10)
+BAD_BELIEFS = {
+    **{f"{value} in mean": ([value, 0.0], np.eye(2), "mean has non-finite entries")
+       for value in (np.nan, np.inf, -np.inf)},
+    **{f"{value} in cov": ([0.0, 0.0], [[1.0, value], [value, 1.0]], "cov has non-finite entries")
+       for value in (np.nan, np.inf, -np.inf)},
+    "(1, 2) cov for n = 1": ([0.0], [[1.0, 0.0]], "cov shape"),
+    "asymmetric cov": ([0.0, 0.0], [[1.0, 1e-6], [0.0, 1.0]], "cov not symmetric"),
+    "min eigenvalue -1e-9": ([0.0, 0.0], np.diag([1.0, -1e-9]), "cov not PSD"),
+}
+
+
+def _stage(n):
+    """BellmanObjectiveParams on the scalar preset (n = 1) or the double
+    integrator (n = 2) for the given beliefs."""
+    sys_, noise, cost = scalar_config() if n == 1 else double_integrator_config("bilinear")
+    tables = riccati_recursion(cost, sys_, 3)
+    return lambda means, covs: BellmanObjectiveParams(tables=tables, t=0, prior_cov=covs,
+                                                      x_hat=means, sys=sys_, noise=noise)
+
+
+def _verdict(call):
+    """The check a refused call failed: BatchCheckError.check, else the message."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return getattr(info.value, "check", str(info.value)), getattr(info.value, "index", None)
+
+
+class TestBeliefRule:
+    """One verdict per belief at every entry that takes one: check_beliefs's."""
+
+    @pytest.mark.parametrize("case", BAD_BELIEFS)
+    def test_every_entry_refuses_with_the_same_check(self, case):
+        mean, cov, check = BAD_BELIEFS[case]
+        mean, cov = np.array(mean), np.array(cov)
+        want, index = _verdict(lambda: check_beliefs(mean, cov))
+        assert want.startswith(check) and index in (None, 0)
+        entries = {
+            "BeliefState": lambda: BeliefState(mean=mean, cov=cov),
+            "gaussian_draws": lambda: gaussian_draws(mean, cov, np.zeros((4, mean.size))),
+            "sample_gaussian": lambda: sample_gaussian(RngStream(1), mean, cov),
+            "BellmanObjectiveParams": lambda: _stage(mean.size)(mean, cov),
+        }
+        for name, call in entries.items():
+            assert _verdict(call)[0] == want, name
+
+    @pytest.mark.parametrize("case", BAD_BELIEFS)
+    def test_a_stack_names_its_bad_belief(self, case):
+        # three beliefs, the middle one bad; a cov not shaped for its mean
+        # leaves the whole stack misshapen
+        mean, cov, check = BAD_BELIEFS[case]
+        mean, cov = np.array(mean), np.array(cov)
+        n = mean.size
+        means, covs = np.zeros((3, n)), np.stack([np.eye(n, cov.shape[-1])] * 3)
+        means[1], covs[1] = mean, cov
+        want = _verdict(lambda: check_beliefs(means, covs))
+        assert want[0].startswith(check)
+        assert want[1] == (None if check == "cov shape" else 1)
+        assert _verdict(lambda: _stage(n)(means, covs)) == want
+
+    def test_eigenvalue_within_the_tolerance_accepted_by_all(self):
+        mean, cov = np.zeros(2), np.diag([1.0, -1e-11])
+        check_beliefs(mean, cov)
+        BeliefState(mean=mean, cov=cov)
+        assert np.isfinite(gaussian_draws(mean, cov, np.ones((4, 2)))).all()
+        assert np.isfinite(sample_gaussian(RngStream(1), mean, cov)).all()
+        _stage(2)(mean, cov)
+        _stage(2)(np.zeros((3, 2)), np.stack([np.eye(2), cov, np.eye(2)]))
+
+    def test_monte_carlo_refuses_an_asymmetric_process_noise(self):
+        # Cholesky reads the lower triangle: the plant would draw w with
+        # [[.01, -.008], [-.008, .01]] while its filter models sigma_w
+        sys_, noise, cost = double_integrator_config("bilinear")
+        noise = replace(noise, sigma_w=[[0.01, 0.008], [-0.008, 0.01]])
+        assert validate_system(sys_, noise, cost).violations == ["sigma_w not symmetric"]
+        config = SimConfig(sys_, noise, cost, PolicyConfig("separation_lqg"), 5)
+        with pytest.raises(BatchCheckError, match="^cov not symmetric$"):
+            monte_carlo(config, 2, 1)
+
+    def test_stage_objective_names_a_short_estimate(self):
+        sys_, noise, cost = orthogonal_config(RngStream(1), "a")
+        with pytest.raises(ValueError, match=r"^x_hat length 5 != n = 6$"):
+            BellmanObjectiveParams(tables=riccati_recursion(cost, sys_, 3), t=0,
+                                   prior_cov=noise.sigma_0, x_hat=np.zeros(5), sys=sys_,
+                                   noise=noise)
 
 
 def _config_count(name):

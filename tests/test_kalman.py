@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bilq.core import (PSD_TOL, BatchCheckError, BeliefState, BilinearSystem, No
                        RngStream, check_beliefs, observation_matrix)
 from bilq.kalman import (COND_LIMIT, _check_step, _hermite_kernel, grid_bayes_oracle, kf_step,
                          kf_step_batch)
+from bilq.presets import scalar_config
 
 from helpers import (FAILURE_KINDS, corrupted_filter, cov_update_information_form,
                      dense_grid_oracle, kalman_gain, reference_check_beliefs,
@@ -362,6 +364,17 @@ class TestGridBayesOracle:
         sys_, noise = scalar_setup()
         with pytest.raises(ValueError, match="grid truncation"):
             grid_bayes_oracle(sys_, noise, [0.5], [0.2], grid=(-0.5, 0.5, 101))
+
+    @pytest.mark.parametrize("field, value, name", [("sigma_0", 0.0, "prior variance"),
+                                                    ("sigma_0", -1.0, "prior variance"),
+                                                    ("sigma_z", 0.0, "measurement noise")])
+    def test_non_positive_variance_rejected(self, field, value, name):
+        # as non-positive process noise is: the density would divide by zero
+        # (or take the root of a negative variance) before any grid truncation
+        sys_, noise, _ = scalar_config()
+        noise = replace(noise, **{field: [[value]]})
+        with pytest.raises(ValueError, match=f"^grid oracle requires positive {name}$"):
+            grid_bayes_oracle(sys_, noise, [0.3], [0.1])
 
     def test_vector_system_rejected(self):
         sys_ = BilinearSystem(a=np.eye(2), b=np.ones((2, 1)), c0=np.ones((1, 2)),
