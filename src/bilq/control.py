@@ -56,9 +56,15 @@ def riccati_recursion(cost, sys, horizon):
         P_t = A^T K_{t+1} B (B^T K_{t+1} B + R)^-1 B^T K_{t+1} A
         K_t = A^T K_{t+1} A - P_t + Q
         gain_t = -(B^T K_{t+1} B + R)^-1 B^T K_{t+1} A
+
+    q and q_t must be n x n and r p x p (shapes only: a singular q is valid LQR).
     """
     horizon = count("horizon", horizon, 1)
     a, b = sys.a, sys.b
+    n, p = b.shape
+    for name, mat, dim in (("q", cost.q, n), ("q_t", cost.q_t, n), ("r", cost.r, p)):
+        if mat.shape != (dim, dim):
+            raise ValueError(f"{name} shape {mat.shape} != ({dim}, {dim})")
     k_seq = [None] * (horizon + 1)
     p_seq, gain_seq, cal_a_seq, cal_b_seq = ([None] * horizon for _ in range(4))
     k_seq[horizon] = cost.q_t
@@ -76,9 +82,10 @@ def riccati_recursion(cost, sys, horizon):
 
 
 def lqg_policy(tables, t, x_hat):
-    """Certainty-equivalent action gain_seq[t] @ x_hat; a stack of
-    estimates (R, n) gives one action per estimate, (R, p)."""
-    if not 0 <= t < tables.horizon:
+    """Certainty-equivalent action gain_seq[t] @ x_hat at stage t (see core.count);
+    a stack of estimates (R, n) gives one action per estimate, (R, p)."""
+    t = count("stage", t, 0)
+    if t >= tables.horizon:
         raise ValueError(f"stage {t} out of range for horizon {tables.horizon}")
     x_hat = np.asarray(x_hat, dtype=float)
     if x_hat.ndim != 2:
@@ -306,7 +313,8 @@ class BellmanObjectiveParams:
     noise: object
 
     def __post_init__(self):
-        if not 0 <= self.t <= self.tables.horizon - 2:
+        object.__setattr__(self, "t", count("stage", self.t, 0))
+        if self.t > self.tables.horizon - 2:
             raise ValueError(f"stage {self.t} has no estimation-penalty objective")
         n, m, k = self.sys.a.shape[0], self.sys.m, self.sys.p + 1
         x_hat = np.atleast_1d(np.asarray(self.x_hat, dtype=float))

@@ -99,9 +99,9 @@ def _raise_not_pd(a):
 
 
 def chol_solve(a, b):
-    """a^-1 b for symmetric PD a: the Cholesky factorization tests that a is
-    PD, then numpy's LU solve of a itself, so both triangles are read and
-    callers pass symmetric matrices.
+    """a^-1 b for symmetric PD a (n, n) and b (n, k): the Cholesky factorization
+    tests that a is PD, then numpy's LU solve of a itself, so both triangles
+    are read and callers pass symmetric matrices.
 
     A stack a (R, n, n) or b (R, n, k), the other stacked alike or shared,
     gives a C-contiguous (R, n, k), each item bit for bit its own solve;
@@ -116,8 +116,7 @@ def chol_solve(a, b):
     except np.linalg.LinAlgError:
         _raise_not_pd(a)
         raise
-    x = np.linalg.solve(a, b[:, None] if b.ndim == 1 else b)
-    return x[..., 0] if b.ndim == 1 else x
+    return np.linalg.solve(a, b)
 
 
 def cholesky_certified(shifted, rows):
@@ -298,21 +297,18 @@ class ValidationReport:
     def ok(self):
         return not self.violations
 
-    def add(self, message):
-        self.violations.append(message)
-
 
 def _check_matrix(report, mat, name, dim, *, strict):
     """Shape (dim, dim), then symmetry within 1e-12 (relative to max(1, max |entry|)),
     then PD (strict) or PSD within PSD_TOL."""
     if mat.shape != (dim, dim):
-        report.add(f"{name} shape {mat.shape} != ({dim}, {dim})")
+        report.violations.append(f"{name} shape {mat.shape} != ({dim}, {dim})")
     elif np.abs(mat - mat.T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
-        report.add(f"{name} not symmetric")
+        report.violations.append(f"{name} not symmetric")
     elif strict and min_eigenvalue(mat) <= 0.0:
-        report.add(f"{name} not positive definite")
+        report.violations.append(f"{name} not positive definite")
     elif not strict and min_eigenvalue(mat) < -PSD_TOL:
-        report.add(f"{name} not positive semidefinite")
+        report.violations.append(f"{name} not positive semidefinite")
 
 
 def validate_system(sys, noise, cost):
@@ -325,7 +321,7 @@ def validate_system(sys, noise, cost):
     _check_matrix(report, noise.sigma_w, "sigma_w", n, strict=False)
     _check_matrix(report, noise.sigma_z, "sigma_z", m, strict=True)
     if noise.x0_mean.shape != (n,):
-        report.add(f"x0_mean length {noise.x0_mean.size} != {n}")
+        report.violations.append(f"x0_mean length {noise.x0_mean.size} != {n}")
     _check_matrix(report, noise.sigma_0, "sigma_0", n, strict=False)
     for mat, name, dim in ((cost.q, "q", n), (cost.q_t, "q_t", n), (cost.r, "r", p)):
         _check_matrix(report, mat, name, dim, strict=True)

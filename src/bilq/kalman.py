@@ -196,7 +196,7 @@ def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):
     noise, its Hermite terms below 1e-17 of its peak: see _hermite_kernel)
     and returns the predicted posterior's mean/variance, at O(points x K)
     per step for K terms plus FFTs.  With no observations, returns the prior
-    moments.  Raises "grid truncation" if posterior mass touches the grid boundary;
+    moments (sigma_0 >= 0).  Raises "grid truncation" if posterior mass touches the grid boundary;
     the variances must be positive, the grid step at most 8 sigma of process noise.
     """
     if not (sys.n == 1 and sys.m == 1 and sys.p == 1):
@@ -214,6 +214,8 @@ def grid_bayes_oracle(sys, noise, inputs, outputs, grid=None):
     if not np.isfinite(inputs + outputs).all():
         raise ValueError("grid oracle requires finite inputs and outputs")
     if not inputs:
+        if v0 < 0.0:
+            raise ValueError("grid oracle requires nonnegative prior variance")
         return mu0, v0
     for name, value in (("process noise", sw), ("measurement noise", sz), ("prior variance", v0)):
         if value <= 0.0:

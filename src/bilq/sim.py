@@ -108,13 +108,6 @@ class TrajectoryRecord:
     stage_costs: np.ndarray
     terminal_cost: float
 
-    def metric(self, name):
-        """Per-step series for t = 0..T, a column of metric_table; the t = T slot
-        of stage_cost and cum_cost carries the terminal cost (u_norm is 0 there)."""
-        if name not in METRICS:
-            raise ValueError(f"unknown metric {name!r}")
-        return metric_table([self])[0, :, METRICS.index(name)]
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -194,7 +187,6 @@ def rollout(sys, noise, cost, policy, horizon, stream):
 
 @dataclass(frozen=True)
 class PercentileSeries:
-    metric: str
     p25: np.ndarray
     p50: np.ndarray
     p75: np.ndarray
@@ -258,9 +250,9 @@ def metric_table(records):
 
 
 def aggregate_percentiles(table):
-    """Linear percentiles per metric and step of a metric_table, in one np.percentile call."""
+    """Linear percentiles per metric (the keys) and step of a metric_table, in one call."""
     q = np.percentile(table, [25.0, 50.0, 75.0], axis=0, method="linear")
-    return {name: PercentileSeries(metric=name, p25=q[0, :, j], p50=q[1, :, j], p75=q[2, :, j])
+    return {name: PercentileSeries(p25=q[0, :, j], p50=q[1, :, j], p75=q[2, :, j])
             for j, name in enumerate(METRICS)}
 
 
@@ -270,7 +262,6 @@ class LandscapeTable:
     f_total: np.ndarray
     f_lqg: np.ndarray
     g: np.ndarray
-    params: object
     critical_points: tuple
 
 
@@ -286,7 +277,6 @@ def landscape_sweep(sys, noise, cost, grid=(-3.0, 3.0, 1201)):
     cvals = params.c0 + params.c1 * us
     g = params.gamma / (cvals * cvals + params.kappa)
     return LandscapeTable(u=us, f_total=f_lqg + g, f_lqg=f_lqg, g=g,
-                          params=params,
                           critical_points=tuple(scalar_critical_points(params)))
 
 

@@ -17,6 +17,7 @@ from bilq.control import (COMPLEX_PAIR, LOCAL_MAX, LOCAL_MIN, BellmanObjectivePa
                           scalar_optimal_controller_T2, unit_design)
 from bilq.kalman import kf_step
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
+from bilq.sim import PolicyConfig, SimConfig, monte_carlo
 
 from helpers import information_form_taylor, random_spd, reference_minimize_Tm2
 
@@ -138,6 +139,26 @@ class TestRiccati:
         with pytest.raises(ValueError):
             riccati_recursion(cost, sys_, 0)
 
+    @pytest.mark.parametrize("name, shape", [("q", (3, 3)), ("q_t", (1, 1)), ("r", (2, 2))])
+    def test_cost_of_another_shape_refused(self, name, shape):
+        # in validate_system's words, where the cost enters: for the library's
+        # callers too, not only the CLI's, which validates the config first
+        sys_, noise, cost = double_integrator_config("bilinear")
+        cost = replace(cost, **{name: np.eye(shape[0])})
+        dim = 1 if name == "r" else 2
+        message = rf"^{name} shape \({shape[0]}, {shape[1]}\) != \({dim}, {dim}\)$"
+        with pytest.raises(ValueError, match=message):
+            riccati_recursion(cost, sys_, 3)
+        config = SimConfig(sys_, noise, cost, PolicyConfig("separation_lqg"), 3)
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(config, 2, 1)
+
+    def test_singular_state_cost_accepted(self):
+        # shapes only: a PSD-singular q is valid LQR
+        sys_, _, cost = double_integrator_config("bilinear")
+        tables = riccati_recursion(replace(cost, q=np.diag([1.0, 0.0])), sys_, 3)
+        assert np.isfinite(tables.gain_seq[0]).all()
+
 
 class TestLqgPolicy:
     def test_zero_estimate(self):
@@ -162,6 +183,22 @@ class TestLqgPolicy:
         tables = riccati_recursion(cost, sys_, 2)
         with pytest.raises(ValueError, match="out of range"):
             lqg_policy(tables, 2, [0.1])
+
+    # the stage follows the count rule: a bool or a float is not a stage
+    @pytest.mark.parametrize("stage, message", [(True, "^stage must be an integer, got True$"),
+                                                (1.0, r"^stage must be an integer, got 1\.0$"),
+                                                (-1, "^stage must be at least 0, got -1$")])
+    def test_stage_follows_the_count_rule(self, stage, message):
+        sys_, _, cost = scalar_config()
+        tables = riccati_recursion(cost, sys_, 2)
+        with pytest.raises(ValueError, match=message):
+            lqg_policy(tables, stage, [0.1])
+
+    def test_numpy_integer_stage_accepted(self):
+        sys_, _, cost = scalar_config()
+        tables = riccati_recursion(cost, sys_, 2)
+        assert (lqg_policy(tables, np.int64(1), [0.2]).tobytes()
+                == lqg_policy(tables, 1, [0.2]).tobytes())
 
 
 class TestScalarGapParams:
@@ -410,6 +447,14 @@ class TestBellmanObjective:
         with pytest.raises(ValueError, match="stage 1 has no estimation-penalty objective"):
             BellmanObjectiveParams(tables=tables, t=1, prior_cov=[[1.0]], x_hat=[0.0],
                                    sys=sys_, noise=noise)
+        # the stage follows the count rule: a bool or a float is not a stage
+        for stage in (True, 0.0, 1.0, -1):
+            with pytest.raises(ValueError, match="^stage must be "):
+                BellmanObjectiveParams(tables=tables, t=stage, prior_cov=[[1.0]], x_hat=[0.0],
+                                       sys=sys_, noise=noise)
+        bp = BellmanObjectiveParams(tables=tables, t=np.int64(0), prior_cov=[[1.0]],
+                                    x_hat=[0.0], sys=sys_, noise=noise)
+        assert type(bp.t) is int and bp.t == 0
         with pytest.raises(ValueError, match=r"^cov not PSD \(min eigenvalue -1\.000e\+00\)$"):
             BellmanObjectiveParams(tables=tables, t=0, prior_cov=[[-1.0]], x_hat=[0.0],
                                    sys=sys_, noise=noise)

@@ -323,6 +323,14 @@ class TestGridBayesOracle:
         mean, var = grid_bayes_oracle(sys_, noise, [], [])
         assert (mean, var) == (0.1, 2.0)
 
+    def test_no_observations_refuse_a_negative_prior_variance(self):
+        # a known state (sigma_0 = 0) is exact without observations; a negative
+        # variance is no moment to hand back
+        sys_, noise = scalar_setup()
+        assert grid_bayes_oracle(sys_, replace(noise, sigma_0=[[0.0]]), [], []) == (0.1, 0.0)
+        with pytest.raises(ValueError, match="^grid oracle requires nonnegative prior variance$"):
+            grid_bayes_oracle(sys_, replace(noise, sigma_0=[[-1.0]]), [], [])
+
     def test_one_step_matches_filter(self):
         rng = np.random.default_rng(2)
         for _ in range(3):

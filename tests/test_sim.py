@@ -71,8 +71,9 @@ class TestRollout:
             expected += x @ cost.q @ x + u @ cost.r @ u
             x = sys_.a @ x + sys_.b @ u
         expected += x @ cost.q_t @ x
-        assert rec.metric("cum_cost")[-1] == pytest.approx(expected, rel=1e-9)
-        assert rec.metric("est_err").max() == 0.0
+        table = metric_table([rec])[0]
+        assert table[-1, METRICS.index("cum_cost")] == pytest.approx(expected, rel=1e-9)
+        assert table[:, METRICS.index("est_err")].max() == 0.0
 
     def test_perfect_state_lqr_is_lqg_on_means_that_are_the_states(self):
         # one rule serves both: without a prior the closed loop's means are its states
@@ -261,7 +262,7 @@ class TestRollout:
                       RngStream(2, 0))
         assert rec.stage_costs.min() >= 0.0
         assert rec.terminal_cost >= 0.0
-        cum = rec.metric("cum_cost")
+        cum = metric_table([rec])[0, :, METRICS.index("cum_cost")]
         assert np.all(np.diff(cum) >= 0.0)
 
 
@@ -798,9 +799,9 @@ class TestLandscapeSweep:
 
     def test_penalty_peaks_at_observation_blind_point(self):
         for offset in (0.0, 0.5, -0.7):
-            table = landscape_sweep(*scalar_config(offset=offset),
-                                    grid=(-3.0, 3.0, 60001))
-            blind = -table.params.c0 / table.params.c1
+            system, noise, cost = scalar_config(offset=offset)
+            table = landscape_sweep(system, noise, cost, grid=(-3.0, 3.0, 60001))
+            blind = -system.c0[0, 0] / system.ck[0][0, 0]
             peak = table.u[np.argmax(table.g)]
             assert abs(peak - blind) <= (table.u[1] - table.u[0])
 
@@ -820,7 +821,7 @@ def random_records(rng, runs, horizon, n, m, p):
 
 class TestMetricTable:
     """The stacked metric table gives what the metrics computed one record
-    and one metric at a time give, bit for bit: in each record's metric(),
+    and one metric at a time give, bit for bit: in each record's own table,
     in the percentiles and in the trajectory CSV."""
 
     @settings(max_examples=60, deadline=None)
@@ -832,14 +833,14 @@ class TestMetricTable:
     def test_matches_per_record_route(self, runs, horizon, n, m, p, seed):
         records = random_records(np.random.default_rng(seed), runs, horizon, n, m, p)
         for rec in records:
-            for name in METRICS:
-                assert rec.metric(name).tobytes() == reference_metric(rec, name).tobytes()
+            for j, name in enumerate(METRICS):
+                assert (metric_table([rec])[0, :, j].tobytes()
+                        == reference_metric(rec, name).tobytes())
         percentiles = aggregate_percentiles(metric_table(records))
         assert list(percentiles) == list(METRICS)
         for name, series in percentiles.items():
             expected = np.percentile(np.stack([reference_metric(rec, name) for rec in records]),
                                      [25.0, 50.0, 75.0], axis=0, method="linear")
-            assert series.metric == name
             assert (np.stack([series.p25, series.p50, series.p75]).tobytes()
                     == expected.tobytes()), name
         with tempfile.TemporaryDirectory() as tmp:
@@ -847,11 +848,6 @@ class TestMetricTable:
             reference_trajectory_csv(f"{tmp}/reference.csv", records)
             with open(f"{tmp}/table.csv", "rb") as got, open(f"{tmp}/reference.csv", "rb") as ref:
                 assert got.read() == ref.read()
-
-    def test_unknown_metric(self):
-        rec = random_records(np.random.default_rng(0), 1, 2, 1, 1, 1)[0]
-        with pytest.raises(ValueError, match="unknown metric 'cost'"):
-            rec.metric("cost")
 
 
 class TestCsvWriters:
@@ -867,7 +863,7 @@ class TestCsvWriters:
         assert len(lines) == 1 + 3 * 8
         # 17 significant digits round-trip exactly
         first = lines[1].split(",")
-        assert float(first[3]) == res.records[0].metric("cum_cost")[0]
+        assert float(first[3]) == res.table[0, 0, METRICS.index("cum_cost")]
 
     def test_summary_rows(self, tmp_path):
         sys_, noise, cost = lqg_testbed()
