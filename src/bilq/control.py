@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import check_beliefs, chol_solve, count, matvec, quadratic, symmetrize
+from .core import check_beliefs, chol_solve, count, matvec, quadratic, real, symmetrize
 
 LOCAL_MIN = "local_min"
 LOCAL_MAX = "local_max"
@@ -133,8 +133,13 @@ def scalar_gap_params(sys, noise, cost, prior_var, x_hat0=None):
     """
     if not (sys.n == 1 and sys.m == 1 and sys.p == 1):
         raise ValueError("gap parameters require a scalar system")
-    if float(prior_var) <= 0.0:
+    prior_var = real(prior_var, "prior_var")
+    x_hat0 = float(noise.x0_mean[0]) if x_hat0 is None else real(x_hat0, "x_hat0")
+    if not prior_var > 0.0:
         raise ValueError("prior variance must be positive")
+    if not np.isfinite([prior_var, x_hat0]).all():
+        raise ValueError(f"gap parameters require a finite prior_var and x_hat0, "
+                         f"got {prior_var!r} and {x_hat0!r}")
     tables = riccati_recursion(cost, sys, 1)
     k_last = float(tables.k_seq[0][0, 0])
     p_last = float(tables.p_seq[0][0, 0])
@@ -142,16 +147,14 @@ def scalar_gap_params(sys, noise, cost, prior_var, x_hat0=None):
     b = float(sys.b[0, 0])
     r = float(cost.r[0, 0])
     sz = float(noise.sigma_z[0, 0])
-    if x_hat0 is None:
-        x_hat0 = float(noise.x0_mean[0])
     return ScalarGapParams(
         alpha=b * b * k_last + r,
         beta=b * k_last * a,
         gamma=sz * a * a * p_last,
-        kappa=sz / float(prior_var),
+        kappa=sz / prior_var,
         c0=float(sys.c0[0, 0]),
         c1=float(sys.ck[0][0, 0]),
-        x_hat0=float(x_hat0),
+        x_hat0=x_hat0,
         u1_gain=float(tables.gain_seq[0][0, 0]),
     )
 
@@ -347,29 +350,81 @@ class BellmanObjectiveParams:
         return u.reshape(self.x_hat.shape[:-1] + u.shape[-1:])
 
 
-def _stage_terms(bp, u, runs, derivatives=False):
-    """The stage objective at inputs u (..., p) under the beliefs runs
-    (broadcast against u), the summed magnitudes of its terms, and the one
-    solve S^-1 N or, with derivatives (u (P, p)), S^-1 [N | I | dS/du_k | dN/du_k].
-    S and N are bp.blocks contracted with (1, u), by way of the rows
-    C_k Sigma C' and C_k Sigma cal_g Sigma C'."""
+def _innovations(bp, u, runs):
+    """The rows C_k Sigma C' and C_k Sigma cal_g Sigma C' contracted with (1, u),
+    (..., p + 1, 2, m, m), S = C(u) Sigma C(u)' + sigma_z and N = C(u) Sigma cal_g
+    Sigma C(u)', (..., m, m), at inputs u (..., p) under the beliefs runs: bp.blocks
+    contracted with (1, u) twice."""
     (*lead, p), m = u.shape, bp.sys.m
     coef = np.concatenate([np.ones((*lead, 1)), u], -1)[..., None, :]
     rows = (coef @ bp.blocks[runs]).reshape(*lead, p + 1, 2, m, m)
     s_n = (coef @ rows.reshape(*lead, p + 1, -1)).reshape(*lead, 2, m, m)
-    rhs = n = s_n[..., 1, :, :]
+    return rows, symmetrize(s_n[..., 0, :, :] + bp.noise.sigma_z), s_n[..., 1, :, :]
+
+
+def _value(bp, u, runs, gain):
+    """The stage objective given gain = tr(S^-1 N), and the summed magnitudes of its terms."""
+    quad = quadratic(u, bp.cal_a)
+    linear = 2.0 * (u[..., None, :] @ bp.cal_b_x_hat[runs][..., :, None])[..., 0, 0]
+    trace_g = bp.trace_g[runs]
+    return (quad + linear + trace_g - gain,
+            np.abs(quad) + np.abs(linear) + np.abs(trace_g) + np.abs(gain))
+
+
+def _stage_terms(bp, u, runs, derivatives=False):
+    """The stage objective at inputs u (..., p) under the beliefs runs
+    (broadcast against u), the summed magnitudes of its terms, and the one
+    solve S^-1 N or, with derivatives (u (P, p)), S^-1 [N | I | dS/du_k | dN/du_k]."""
+    (*lead, p), m = u.shape, bp.sys.m
+    rows, s, n = _innovations(bp, u, runs)
+    rhs = n
     if derivatives:                     # dS/du_k and dN/du_k, k = 1..p
         d = rows[:, 1:] + rows[:, 1:].swapaxes(-1, -2)
         rhs = np.empty((*lead, m, 2 * (p + 1) * m))
         rhs[..., :m], rhs[..., m:2 * m] = n, np.eye(m)
         rhs[..., 2 * m:] = d.transpose(0, 3, 2, 1, 4).reshape(*lead, m, -1)
-    sol = chol_solve(symmetrize(s_n[..., 0, :, :] + bp.noise.sigma_z), rhs)
-    quad = quadratic(u, bp.cal_a)
-    linear = 2.0 * (u[..., None, :] @ bp.cal_b_x_hat[runs][..., :, None])[..., 0, 0]
-    trace_g = bp.trace_g[runs]
-    gain = sol[..., :m].diagonal(0, -2, -1).sum(-1)
-    return (quad + linear + trace_g - gain,
-            np.abs(quad) + np.abs(linear) + np.abs(trace_g) + np.abs(gain), sol)
+    sol = chol_solve(s, rhs)
+    return (*_value(bp, u, runs, sol[..., :m].diagonal(0, -2, -1).sum(-1)), sol)
+
+
+# the design pass's closed form takes an S whose leading minors d_k are at least this
+# share of s_11 ... s_kk; its cancellation grows as eps / d_k, and at this margin it
+# stayed within 1e-13 of the solve (relative to the terms' magnitudes) on random stages
+ADJUGATE_MARGIN = 1e-3
+
+
+def _adjugate_trace(s, n):
+    """tr(S^-1 N) as tr(adj(S) N) / det S for stacks of symmetric m x m S and of N
+    (..., m, m), m <= 3, by cofactors, if Sylvester's criterion certifies every S PD
+    with a margin: every s_ii > 0 and each leading minor d_k >= ADJUGATE_MARGIN
+    s_11 ... s_kk, all finite; else None.  The test runs with overflow and invalid
+    values unflagged (they fail it), so only certified S are divided by."""
+    m = s.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m == 1:
+            adj = np.ones_like(s)
+        elif m == 2:
+            adj = np.stack([s[..., 1, 1], -s[..., 0, 1], -s[..., 1, 0], s[..., 0, 0]],
+                           -1).reshape(s.shape)
+        else:                           # adj_ij = the cofactor of s_ji
+            i, j = np.indices((3, 3))
+            adj = (s[..., (j + 1) % 3, (i + 1) % 3] * s[..., (j + 2) % 3, (i + 2) % 3]
+                   - s[..., (j + 1) % 3, (i + 2) % 3] * s[..., (j + 2) % 3, (i + 1) % 3])
+        det = (s[..., 0, :] * adj[..., :, 0]).sum(-1)
+        bound = ADJUGATE_MARGIN * np.cumprod(s.diagonal(0, -2, -1), -1)
+        # d_1, d_(m-1) (the cofactor of s_mm) and d_m: every leading minor at m <= 3
+        leading = zip((1, m - 1, m), (s[..., 0, 0], adj[..., -1, -1], det))
+        certified = ((s.diagonal(0, -2, -1) > 0.0).all() and np.isfinite(bound).all()
+                     and all((minor >= bound[..., k - 1]).all() for k, minor in leading if k))
+    return (adj * n.swapaxes(-1, -2)).sum((-2, -1)) / det if certified else None
+
+
+def _design_values(bp, u, runs):
+    """_stage_terms' values at the design points u (..., p), with the solve's
+    tr(S^-1 N) taken by _adjugate_trace at m <= 3 where it certifies every S
+    (the same within 1e-12 (1 + the summed magnitudes of the terms))."""
+    gain = _adjugate_trace(*_innovations(bp, u, runs)[1:]) if bp.sys.m <= 3 else None
+    return (_stage_terms(bp, u, runs) if gain is None else _value(bp, u, runs, gain))[0]
 
 
 def bellman_objective_Tm2(bp, u):
@@ -572,7 +627,7 @@ def bellman_minimize_Tm2(bp):
         best = []
         for part in np.split(runs, range(size, beliefs, size)):
             grid = u_lqg[part] + half[part, None] * design[:, None]
-            order = np.argsort(_stage_terms(bp, grid, part)[0], axis=0, kind="stable")
+            order = np.argsort(_design_values(bp, grid, part), axis=0, kind="stable")
             best.append(np.take_along_axis(grid, order[:4, :, None], 0))
         starts = np.concatenate([u_lqg[None], np.concatenate(best, 1)])
         owners = np.tile(runs, len(starts))         # the belief of each start

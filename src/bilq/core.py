@@ -23,18 +23,22 @@ SYM_TOL = 1e-10
 EPS = float(np.finfo(float).eps)  # 2u, twice the unit roundoff
 
 
-def _as_array(x, name, ndim=2):
-    """x as a read-only float64 copy with ndim dimensions (a matrix by default)
-    and finite entries, each a real number: a bool or a string, which float()
-    would take, is not."""
+def _numbers(x, name):
+    """x as a float64 copy whose entries are each a real number: a bool or a
+    string, which float() would take, is not."""
     if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
-        a = x.astype(float)
-    else:
-        items = np.asarray(x, dtype=object)
-        for v in items.flat:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} entries must be numbers, got {v!r}")
-        a = items.astype(float)
+        return x.astype(float)
+    items = np.asarray(x, dtype=object)
+    for v in items.flat:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name} entries must be numbers, got {v!r}")
+    return items.astype(float)
+
+
+def _as_array(x, name, ndim=2):
+    """x as a read-only float64 copy (_numbers) with ndim dimensions (a matrix
+    by default) and finite entries."""
+    a = _numbers(x, name)
     if a.ndim != ndim:
         kind = "1-d vector" if ndim == 1 else "2-d matrix"
         raise ValueError(f"{name} must be a {kind}, got shape {a.shape}")
@@ -62,6 +66,26 @@ def count(name, value, low, high=None):
         below = "" if high is None else f" and below {high}"
         raise ValueError(f"{name} must be at least {low}{below}, got {number}")
     return number
+
+
+def real(x, name):
+    """x, a number or an array of one, as a Python float by _as_array's number
+    rule (_numbers: a bool or a string is refused).  Its finiteness is the
+    caller's to check, in the caller's words."""
+    a = _numbers(x, name)
+    if a.size != 1:
+        raise ValueError(f"{name} must be a number, got shape {a.shape}")
+    return float(a.reshape(-1)[0])
+
+
+def grid_points(grid, least, owner):
+    """lo, hi and the point count of a uniform grid (lo, hi, points): lo < hi,
+    both finite (else "<owner> requires a finite grid lo < hi"), then points a
+    count of at least `least` (see count)."""
+    lo, hi = float(grid[0]), float(grid[1])
+    if not (np.isfinite([lo, hi]).all() and lo < hi):
+        raise ValueError(f"{owner} requires a finite grid lo < hi")
+    return lo, hi, count("grid points", grid[2], least)
 
 
 def symmetrize(s):

@@ -45,7 +45,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import RngStream, count, gaussian_draws, normal_tape, quadratic
+from .core import RngStream, count, gaussian_draws, grid_points, normal_tape, quadratic
 from .kalman import closed_loop
 from .control import (BellmanObjectiveParams, bellman_minimize_Tm2, lqg_policy,
                       riccati_recursion, scalar_critical_points, scalar_gap_params)
@@ -250,8 +250,17 @@ def metric_table(records):
 
 
 def aggregate_percentiles(table):
-    """Linear percentiles per metric (the keys) and step of a metric_table, in one call."""
-    q = np.percentile(table, [25.0, 50.0, 75.0], axis=0, method="linear")
+    """Linear percentiles per metric (the keys) and step of a metric_table, from one sort
+    along the runs: bit for bit np.percentile(table, [25, 50, 75], axis=0, method="linear"),
+    whose rule, numpy's _lerp, this repeats (a + (b - a) g, b - (b - a)(1 - g) at g >= 0.5),
+    a NaN in a column giving NaN."""
+    ranked = np.sort(table, axis=0)
+    at = np.array([0.25, 0.5, 0.75]) * (len(ranked) - 1)
+    below = np.floor(at).astype(int)
+    g = (at - below)[:, None, None]
+    low, high = ranked[below], ranked[np.minimum(below + 1, len(ranked) - 1)]
+    q = np.where(g >= 0.5, high - (high - low) * (1 - g), low + (high - low) * g)
+    q = np.where(np.isnan(ranked[-1]), ranked[-1], q)
     return {name: PercentileSeries(p25=q[0, :, j], p50=q[1, :, j], p75=q[2, :, j])
             for j, name in enumerate(METRICS)}
 
@@ -271,7 +280,7 @@ def landscape_sweep(sys, noise, cost, grid=(-3.0, 3.0, 1201)):
     returns the decomposed objective on the grid plus the critical points.
     """
     params = scalar_gap_params(sys, noise, cost, prior_var=float(noise.sigma_0[0, 0]))
-    lo, hi, points = float(grid[0]), float(grid[1]), count("grid points", grid[2], 2)
+    lo, hi, points = grid_points(grid, 2, "landscape sweep")
     us = np.linspace(lo, hi, points)
     f_lqg = params.alpha * us * us + 2.0 * params.beta * params.x_hat0 * us
     cvals = params.c0 + params.c1 * us

@@ -1,10 +1,12 @@
+import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bilq import control
 from bilq.core import BeliefState, BilinearSystem, CostSpec, NoiseSpec, RngStream
@@ -227,6 +229,24 @@ class TestScalarGapParams:
         sys_, noise, cost = scalar_config()
         with pytest.raises(ValueError, match="prior variance"):
             scalar_gap_params(sys_, noise, cost, prior_var=0.0)
+
+    @pytest.mark.parametrize("values, message", [
+        ({"prior_var": True}, "prior_var entries must be numbers, got True"),
+        ({"prior_var": 2.0, "x_hat0": True}, "x_hat0 entries must be numbers, got True"),
+        ({"prior_var": 2.0, "x_hat0": np.inf},
+         "gap parameters require a finite prior_var and x_hat0, got 2.0 and inf"),
+        ({"prior_var": np.inf}, "gap parameters require a finite prior_var and x_hat0, "
+                                "got inf and 0.1")])
+    def test_numbers_read_by_the_config_rule(self, values, message):
+        # core.real: no bool, and a non-finite value is refused where it enters
+        sys_, noise, cost = scalar_config()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scalar_gap_params(sys_, noise, cost, **values)
+
+    def test_number_or_array_of_one_accepted(self, fig_params):
+        sys_, noise, cost = scalar_config()
+        assert scalar_gap_params(sys_, noise, cost, prior_var=np.array([2.0]),
+                                 x_hat0=np.float64(0.1)) == fig_params
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -757,6 +777,87 @@ class TestBellmanMinimize:
             _, f = bellman_minimize_Tm2(bp)
             assert np.isfinite(f) and f <= bellman_objective_Tm2(bp, bp.u_lqg)
             assert f <= grid_minimum(bp) + 1e-12 * (1.0 + abs(f))
+
+
+def design_grid(bp):
+    """The design points of bellman_minimize_Tm2's box for every belief of bp,
+    (points, beliefs, p), and the beliefs' indices."""
+    u_lqg = bp.u_lqg.reshape(-1, bp.cal_a.shape[0])
+    half = np.maximum(3.0 * np.linalg.norm(u_lqg, axis=1), 1.0)
+    return u_lqg + half[:, None] * unit_design(u_lqg.shape[1])[:, None], np.arange(len(u_lqg))
+
+
+def twin_sensor_stage(sigma_z):
+    """A stage of two identical sensor rows, C = (c, c) for c0 and each ck, at
+    sigma_z I: S is singular but for sigma_z."""
+    bp = random_stage(3, n=2, m=2, p=2, runs=2)
+    twin = replace(bp.sys, c0=bp.sys.c0[[0, 0]], ck=tuple(c[[0, 0]] for c in bp.sys.ck))
+    noise = replace(bp.noise, sigma_z=sigma_z * np.eye(2))
+    return replace(bp, sys=twin, noise=noise)
+
+
+def design_outcome(evaluate, bp, grid, runs):
+    """evaluate's values as bytes, or its exception, with the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            verdict = evaluate(bp, grid, runs).tobytes()
+        except ValueError as exc:  # LinAlgError too
+            verdict = (type(exc).__name__, str(exc))
+    return verdict, [w.category for w in caught]
+
+
+class TestDesignTrace:
+    """The design pass takes tr(S^-1 N) as tr(adj(S) N) / det S at m <= 3 where
+    Sylvester's leading minors certify every S of a slice (_adjugate_trace);
+    elsewhere the solve."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), p=st.integers(2, 3), t=st.integers(0, 1),
+           noise_scale=st.sampled_from([0.01, 0.1, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+    # certified with a leading minor ratio of 1.7e-3, near ADJUGATE_MARGIN: the
+    # largest difference found over 1,200 such stages, 9.5e-14 of the magnitudes
+    @example(n=3, m=3, p=2, t=0, noise_scale=0.01, seed=212)
+    def test_values_match_the_solve(self, n, m, p, t, noise_scale, seed):
+        bp = random_stage(seed, n, m, p, t, runs=2, noise_scale=noise_scale)
+        grid, runs = design_grid(bp)
+        f, scale, _ = control._stage_terms(bp, grid, runs)
+        values = control._design_values(bp, grid, runs)
+        assert np.all(np.abs(values - f) <= 1e-12 * (1.0 + scale))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_closed_form_where_certified(self, m, monkeypatch):
+        # a well-conditioned stage is certified and never solves; its values
+        # differ from the solve's only by roundoff
+        bp = random_stage(1, n=3, m=m, p=2, runs=3, noise_scale=1.0)
+        grid, runs = design_grid(bp)
+        expected = control._stage_terms(bp, grid, runs)
+        monkeypatch.setattr(control, "chol_solve", None)
+        values = control._design_values(bp, grid, runs)
+        assert np.all(np.abs(values - expected[0]) <= 1e-12 * (1.0 + expected[1]))
+
+    @pytest.mark.parametrize("sigma_z", [1e-16, 1e-9])
+    def test_uncertified_slice_takes_the_solve(self, sigma_z):
+        # twin sensors: S fails the minors test, so the slice's values (or its
+        # error) are the solve's own, with no warning
+        bp = twin_sensor_stage(sigma_z)
+        grid, runs = design_grid(bp)
+        assert control._adjugate_trace(*control._innovations(bp, grid, runs)[1:]) is None
+        outcome = design_outcome(control._design_values, bp, grid, runs)
+        assert outcome == design_outcome(lambda *a: control._stage_terms(*a)[0], bp, grid, runs)
+        assert outcome[1] == []
+
+    def test_decisions_unchanged_without_the_certificate(self, monkeypatch):
+        # with every slice refused, each design takes the solve: the same (u, f)
+        stages = [random_stage(seed, n, m, p, t=seed % 2, runs=3)
+                  for seed, (n, m, p) in enumerate([(2, 1, 2), (3, 2, 2), (3, 3, 2), (4, 2, 3),
+                                                    (2, 3, 3), (3, 2, 2), (1, 2, 2)])]
+        stages.append(twin_sensor_stage(1e-9))
+        decided = [bellman_minimize_Tm2(bp) for bp in stages]
+        monkeypatch.setattr(control, "ADJUGATE_MARGIN", np.inf)
+        for bp, (u, f) in zip(stages, decided):
+            u_solve, f_solve = bellman_minimize_Tm2(bp)
+            assert u_solve.tobytes() == u.tobytes() and f_solve.tobytes() == f.tobytes()
 
 
 class TestStackedObjective:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -488,6 +489,36 @@ class TestGridBayesOracle:
         sys_, noise = scalar_setup()
         with pytest.raises(ValueError, match="finite inputs and outputs"):
             grid_bayes_oracle(sys_, noise, inputs, outputs)
+
+    def test_push_memory_is_one_term(self):
+        # a one-step scenario of the benchmark's kind (sigma_w / sigma_0 = 0.02,
+        # 4001 points): the push holds one Hermite term's lane and transform at a
+        # time, not all K of them (2.4 MiB when they were stacked)
+        sys_, noise = scalar_setup(a=1.05, c0=0.6, c1=0.5, sw=0.04, sz=0.1, x0=0.0, s0=2.0)
+        tracemalloc.start()
+        try:
+            grid_bayes_oracle(sys_, noise, [0.5], [0.3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 2 ** 20
+
+    @pytest.mark.parametrize("inputs, outputs, message", [
+        ([True], [0.1], "input entries must be numbers, got True"),
+        ([0.3], [np.bool_(False)], "output entries must be numbers, got np.False_"),
+        (["0.3"], [0.1], "input entries must be numbers, got '0.3'"),
+        ([[0.3, 0.2]], [0.1], "input must be a number, got shape (2,)")])
+    def test_inputs_and_outputs_are_numbers(self, inputs, outputs, message):
+        # core.real: the number rule of config matrices, on one number a step
+        sys_, noise = scalar_setup()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid_bayes_oracle(sys_, noise, inputs, outputs)
+
+    def test_scalar_or_length_one_array_per_step(self):
+        sys_, noise = scalar_setup()
+        expected = grid_bayes_oracle(sys_, noise, [0.5, -0.2], [0.2, 0.1])
+        assert grid_bayes_oracle(sys_, noise, [np.array([0.5]), np.float64(-0.2)],
+                                 [np.array([[0.2]]), 0.1]) == expected
 
     def test_output_off_the_grid_is_truncation(self):
         # the likelihood of y = 1e6 underflows to zero on the whole grid

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from bilq.sim import (INIT_ESTIMATES, METRICS, PolicyConfig, SimConfig,
                       metric_table, monte_carlo, rollout, write_landscape_csv,
                       write_summary_csv, write_trajectory_csv)
 
+import bilq
 import bilq.control
 import bilq.kalman
 import bilq.sim
@@ -806,6 +811,14 @@ class TestLandscapeSweep:
             assert abs(peak - blind) <= (table.u[1] - table.u[0])
 
 
+    @pytest.mark.parametrize("grid", [(np.nan, 3.0, 5), (3.0, -3.0, 5), (1.0, 1.0, 5),
+                                      (-3.0, np.inf, 5)])
+    def test_grid_the_oracle_refuses_is_refused(self, grid):
+        # core.grid_points, the oracle's rule: a finite lo < hi, then the count
+        with pytest.raises(ValueError, match="^landscape sweep requires a finite grid lo < hi$"):
+            landscape_sweep(*scalar_config(), grid=grid)
+
+
 def random_records(rng, runs, horizon, n, m, p):
     """Records of random arrays; stage costs from a few values, so that the
     percentiles meet ties."""
@@ -848,6 +861,44 @@ class TestMetricTable:
             reference_trajectory_csv(f"{tmp}/reference.csv", records)
             with open(f"{tmp}/table.csv", "rb") as got, open(f"{tmp}/reference.csv", "rb") as ref:
                 assert got.read() == ref.read()
+
+
+class TestAggregatePercentiles:
+    @pytest.mark.parametrize("runs", [1, 2, 3, 4, 10, 201])
+    def test_one_sort_matches_numpy_percentile(self, runs):
+        # ties (costs from a few values, repeated rows) and a column with a NaN
+        rng = np.random.default_rng(runs)
+        table = rng.choice([0.0, 0.1, 0.3, 7.0], (runs, 6, len(METRICS)))
+        table[:, :, 2:] = rng.standard_normal((runs, 6, len(METRICS) - 2))
+        table[runs // 2:, 1] = table[0, 1]
+        table[rng.integers(runs), 4, 3] = np.nan
+        expected = np.percentile(table, [25.0, 50.0, 75.0], axis=0, method="linear")
+        percentiles = aggregate_percentiles(table)
+        got = np.stack([[percentiles[name].p25, percentiles[name].p50, percentiles[name].p75]
+                        for name in METRICS], -1)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_commands_leave_numpy_ma_unimported(self, tmp_path):
+        # np.percentile imports numpy.ma (by way of np.unique) on numpy 2.4;
+        # the percentiles' own sort does not
+        src = Path(bilq.__file__).resolve().parents[1]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from bilq.cli import main\n"
+            "from bilq.core import config_to_dict\n"
+            "from bilq.presets import scalar_config\n"
+            "out = sys.argv[1]\n"
+            "json.dump(config_to_dict(*scalar_config(), 2, 5, 1), open(f'{out}/c.json', 'w'))\n"
+            "for args in (['double-integrator', '--runs', '3', '--seed', '1', '--out', f'{out}/di'],\n"
+            "             ['simulate', '--config', f'{out}/c.json', '--out', f'{out}/sim']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        main(args, standalone_mode=False)\n"
+            "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout == "False\n"
+        assert (tmp_path / "di" / "summary.csv").exists()
+        assert (tmp_path / "sim" / "summary.csv").exists()
 
 
 class TestCsvWriters:
