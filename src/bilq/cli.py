@@ -14,9 +14,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .core import RngStream, config_to_dict, load_config, validate_system
+from .core import RngStream, config_to_dict, grid_points, load_config, validate_system
 from .control import (lqg_policy, riccati_recursion, scalar_critical_points,
-                      scalar_gap_params, LOCAL_MAX, LOCAL_MIN)
+                      scalar_gap_params, CURVATURE_TOL, LOCAL_MAX, LOCAL_MIN)
 from .observability import (DEFAULT_DELTA, check_proposition1, covariance_boundedness_probe,
                             gramian_decomposition, window_gramians)
 from .presets import double_integrator_config, orthogonal_config, scalar_config
@@ -36,9 +36,10 @@ def _finite(ctx, param, value):
 
 
 def _grid(ctx, param, grid):
-    lo, hi, points = grid
-    if not (np.isfinite([lo, hi]).all() and lo < hi and points >= 2):
-        raise click.BadParameter(f"needs finite LO < HI and N >= 2, got {grid!r}.")
+    try:
+        grid_points(grid, 2, "landscape sweep")
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     return grid
 
 
@@ -103,7 +104,7 @@ def _check_classifications(points):
     for pt in points:
         if not np.isfinite(pt.u):
             failures.append(f"non-finite critical point {pt!r}")
-        if np.isfinite(pt.second_derivative) and abs(pt.second_derivative) > 1e-10:
+        if np.isfinite(pt.second_derivative) and abs(pt.second_derivative) > CURVATURE_TOL:
             expected = LOCAL_MIN if pt.second_derivative > 0 else LOCAL_MAX
             if pt.kind != expected:
                 failures.append(f"classification inconsistent at u={pt.u!r}")
@@ -317,8 +318,7 @@ def cmd_critical_points(config_path, x0hat, c0, c1):
               {"x0hat": x0hat, "c0": c0, "c1": c1})
     _fail_if_invalid(status, system, noise, cost)
     try:
-        params = scalar_gap_params(system, noise, cost,
-                                   prior_var=float(noise.sigma_0[0, 0]), x_hat0=x0hat)
+        params = scalar_gap_params(system, noise, cost, x_hat0=x0hat)
         points = scalar_critical_points(replace(params, **{
             k: v for k, v in (("c0", c0), ("c1", c1)) if v is not None}))
     except ValueError as exc:  # not scalar; a zero prior variance; c1 = 0: LQG closed form

@@ -124,16 +124,16 @@ class ScalarGapParams:
         return -self.beta * self.x_hat0 / self.alpha
 
 
-def scalar_gap_params(sys, noise, cost, prior_var, x_hat0=None):
+def scalar_gap_params(sys, noise, cost, prior_var=None, x_hat0=None):
     """Gap parameters of the scalar stage objective.
 
-    prior_var is the predicted state variance entering the stage; the
-    stage-independent pieces come from one backward Riccati step off the
-    terminal cost (the values at stage T-1 do not depend on T).
+    prior_var is the predicted state variance entering the stage (default noise.sigma_0),
+    x_hat0 the estimate (default noise.x0_mean); the stage-independent pieces come from
+    one backward Riccati step off the terminal cost (stage T-1's values do not depend on T).
     """
     if not (sys.n == 1 and sys.m == 1 and sys.p == 1):
         raise ValueError("gap parameters require a scalar system")
-    prior_var = real(prior_var, "prior_var")
+    prior_var = real(noise.sigma_0 if prior_var is None else prior_var, "prior_var")
     x_hat0 = float(noise.x0_mean[0]) if x_hat0 is None else real(x_hat0, "x_hat0")
     if not prior_var > 0.0:
         raise ValueError("prior variance must be positive")
@@ -244,11 +244,11 @@ def scalar_critical_points(params):
 
 @dataclass(frozen=True)
 class T2ControllerResult:
-    """Two-stage controller: first-stage global minimizers (all ties), the
-    linear final-stage rule, and whether the closed-form regime held."""
+    """Two-stage controller: first-stage global minimizers (all ties), the final-stage
+    gain (u1 = u1_gain * x_hat, None if unknown) and whether the closed-form regime held."""
 
     u0_candidates: tuple
-    u1_rule: object
+    u1_gain: float
     in_closed_form_regime: bool
 
 
@@ -265,7 +265,7 @@ def _minima(points):
 
 def scalar_optimal_controller_T2(params):
     """First-stage minimizers of the scalar stage objective plus the
-    final-stage linear rule.
+    final-stage gain.
 
     Checks the closed-form hypotheses (noise bound, expressed as
     alpha*kappa^2 <= gamma*c1^2, and c0 = -u_lqg*c1); when violated the
@@ -289,12 +289,7 @@ def scalar_optimal_controller_T2(params):
         # collapse repeated roots of the same point (degenerate multiplicities)
         if not candidates or abs(u - candidates[-1]) > 1e-7 * (1.0 + abs(u)):
             candidates.append(u)
-    candidates = tuple(candidates)
-    u1_rule = None
-    if params.u1_gain is not None:
-        gain = float(params.u1_gain)
-        u1_rule = lambda x_hat: gain * float(x_hat)  # noqa: E731
-    return T2ControllerResult(u0_candidates=candidates, u1_rule=u1_rule,
+    return T2ControllerResult(u0_candidates=tuple(candidates), u1_gain=params.u1_gain,
                               in_closed_form_regime=in_regime)
 
 

@@ -36,10 +36,10 @@ def scalar_config(c1=None, offset=0.0):
                       sigma_0=[[2.0]])
     cost = CostSpec(q=[[1.0]], q_t=[[1.0]], r=[[1.0]])
     probe = BilinearSystem(a=[[0.9]], b=[[1.0]], c0=[[0.0]], ck=([[1.0]],))
-    base = scalar_gap_params(probe, noise, cost, prior_var=2.0)
+    base = scalar_gap_params(probe, noise, cost)
     if c1 is None:
         c1 = base.alpha
-    c0 = c1 * (base.beta * base.x_hat0 / base.alpha - float(offset))
+    c0 = c1 * (-base.u_lqg - float(offset))
     system = BilinearSystem(a=[[0.9]], b=[[1.0]], c0=[[float(c0)]],
                             ck=([[float(c1)]],))
     return system, noise, cost

@@ -279,7 +279,7 @@ def landscape_sweep(sys, noise, cost, grid=(-3.0, 3.0, 1201)):
     scalar_config's offset for placing its observation-blind point);
     returns the decomposed objective on the grid plus the critical points.
     """
-    params = scalar_gap_params(sys, noise, cost, prior_var=float(noise.sigma_0[0, 0]))
+    params = scalar_gap_params(sys, noise, cost)
     lo, hi, points = grid_points(grid, 2, "landscape sweep")
     us = np.linspace(lo, hi, points)
     f_lqg = params.alpha * us * us + 2.0 * params.beta * params.x_hat0 * us

@@ -601,6 +601,19 @@ class TestInputRanges:
         assert not out.exists()
         assert '"status"' not in result.output
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0 1 1", "grid points must be at least 2, got 1"),
+        ("1 0 5", "landscape sweep requires a finite grid lo < hi"),
+        ("0 nan 5", "landscape sweep requires a finite grid lo < hi")])
+    def test_grid_refused_in_the_sweeps_words(self, runner, tmp_path, grid, message):
+        # the option reads core.grid_points, the rule landscape_sweep applies
+        out = tmp_path / "landscape.csv"
+        result = runner.invoke(main, ["scalar-landscape", "--grid", *grid.split(),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"Invalid value for '--grid': {message}" in result.output
+        assert not out.exists()
+
     def test_landscape_static_coefficient_rejected(self, runner, tmp_path):
         out = tmp_path / "landscape.csv"
         result = runner.invoke(main, ["scalar-landscape", "--c1", "0", "--out", str(out)])

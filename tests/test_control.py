@@ -225,6 +225,15 @@ class TestScalarGapParams:
             assert p.gamma == pytest.approx(sz * 0.81 * 0.405, rel=1e-12)
             assert p.kappa == pytest.approx(sz / 2.0, rel=1e-12)
 
+    def test_prior_variance_defaults_to_the_prior(self, fig_params):
+        # like x_hat0 (noise.x0_mean), prior_var is read from noise.sigma_0 when not given
+        sys_, noise, cost = scalar_config()
+        assert scalar_gap_params(sys_, noise, cost) == fig_params
+        wide = replace(noise, sigma_0=[[8.0]])
+        assert (scalar_gap_params(sys_, wide, cost)
+                == scalar_gap_params(sys_, noise, cost, prior_var=8.0))
+        assert scalar_gap_params(sys_, wide, cost).kappa == 0.09 / 8.0
+
     def test_zero_prior_variance_rejected(self):
         sys_, noise, cost = scalar_config()
         with pytest.raises(ValueError, match="prior variance"):
@@ -407,10 +416,12 @@ class TestT2Controller:
         assert res.u0_candidates[0] == pytest.approx(p.u_lqg, abs=1e-6)
 
     def test_u1_rule(self, fig_params):
+        # the final-stage action is u1 = u1_gain * x_hat, the gain the parameters carry
         res = scalar_optimal_controller_T2(fig_params)
-        assert res.u1_rule(0.3) == pytest.approx(-0.135, abs=1e-12)
+        assert res.u1_gain == fig_params.u1_gain
+        assert res.u1_gain * 0.3 == pytest.approx(-0.135, abs=1e-12)
         bare = replace(fig_params, u1_gain=None)
-        assert scalar_optimal_controller_T2(bare).u1_rule is None
+        assert scalar_optimal_controller_T2(bare).u1_gain is None
 
 
 class TestBellmanObjective:

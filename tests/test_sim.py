@@ -161,7 +161,7 @@ class TestRollout:
         # stage-1 action is the linear terminal rule on the updated estimate
         assert rec.inputs[1, 0] == pytest.approx(-0.45 * rec.means[1, 0], abs=1e-12)
         params = scalar_gap_params(sys_, noise, cost, prior_var=2.0)
-        assert rec.inputs[1, 0] == scalar_optimal_controller_T2(params).u1_rule(rec.means[1, 0])
+        assert rec.inputs[1, 0] == scalar_optimal_controller_T2(params).u1_gain * rec.means[1, 0]
 
     @pytest.mark.parametrize("kind", ["perfect_state_lqr", "separation_lqg", "numeric_bellman"])
     def test_engine_asks_the_policy_at_every_step(self, monkeypatch, kind):
