@@ -82,20 +82,22 @@ def riccati_recursion(cost, sys, horizon):
 
 
 def lqg_policy(tables, t, x_hat):
-    """Certainty-equivalent action gain_seq[t] @ x_hat at stage t (see core.count);
-    a stack of estimates (R, n) gives one action per estimate, (R, p)."""
+    """Certainty-equivalent action gain_seq[t] @ x_hat at stage t (see core.count) for
+    one estimate (n,); a stack of estimates (R, n) gives one action per estimate, (R, p)."""
     t = count("stage", t, 0)
     if t >= tables.horizon:
         raise ValueError(f"stage {t} out of range for horizon {tables.horizon}")
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.ndim != 2:
-        x_hat = x_hat.reshape(-1)
+    x_hat, n = np.asarray(x_hat, dtype=float), tables.gain_seq[t].shape[1]
+    if x_hat.ndim not in (1, 2):
+        raise ValueError(f"x_hat must be (n,) or (R, n), got shape {x_hat.shape}")
+    if x_hat.shape[-1] != n:
+        raise ValueError(f"x_hat length {x_hat.shape[-1]} != n = {n}")
     return matvec(tables.gain_seq[t], x_hat)
 
 
 @dataclass(frozen=True)
 class ScalarGapParams:
-    """Scalars of the stage cost-to-go for n = m = p = 1.
+    """Scalars of the stage cost-to-go for n = m = p = 1, each one finite.
 
     alpha/beta weight the quadratic control cost, gamma/kappa the
     estimation penalty; c0/c1 define the observation coefficient
@@ -112,6 +114,9 @@ class ScalarGapParams:
     u1_gain: float = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"gap parameter {name} must be finite, got {value!r}")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
         if self.gamma < 0.0:

@@ -79,10 +79,10 @@ def real(x, name):
 
 
 def grid_points(grid, least, owner):
-    """lo, hi and the point count of a uniform grid (lo, hi, points): lo < hi,
-    both finite (else "<owner> requires a finite grid lo < hi"), then points a
-    count of at least `least` (see count)."""
-    lo, hi = float(grid[0]), float(grid[1])
+    """lo, hi and the point count of a uniform grid (lo, hi, points): lo and hi
+    numbers (see real), finite with lo < hi (else "<owner> requires a finite
+    grid lo < hi"), then points a count of at least `least` (see count)."""
+    lo, hi = real(grid[0], "grid lo"), real(grid[1], "grid hi")
     if not (np.isfinite([lo, hi]).all() and lo < hi):
         raise ValueError(f"{owner} requires a finite grid lo < hi")
     return lo, hi, count("grid points", grid[2], least)

@@ -21,7 +21,7 @@ import bilq.sim
 from bilq.cli import main
 from bilq.core import PSD_TOL, RngStream, config_from_dict, config_to_dict
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
-from bilq.sim import PolicyConfig, SimConfig, monte_carlo, write_trajectory_csv
+from bilq.sim import METRICS, PolicyConfig, SimConfig, monte_carlo, write_trajectory_csv
 
 from helpers import failing_lqg
 
@@ -53,7 +53,51 @@ def scalar_config_file(tmp_path, horizon=2, runs=6, seed=4):
     return path
 
 
+def assert_failed_on(result, failure):
+    """The command printed its status line and failed on one postcondition, whose
+    entry starts with `failure`: exit 1 and no traceback."""
+    assert result.exit_code == 1, result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    status = status_line(result)
+    assert status["status"] == "fail"
+    assert len(status["failures"]) == 1 and status["failures"][0].startswith(failure)
+
+
+def perturb_result(monkeypatch, name, perturb):
+    """bilq.cli's imported `name` hands the command its result passed through perturb."""
+    original = getattr(bilq.cli, name)
+    monkeypatch.setattr(bilq.cli, name, lambda *args, **kw: perturb(original(*args, **kw)))
+
+
+def with_series(result, metric, **series):
+    """A Monte Carlo result with one metric's percentile series changed."""
+    percentiles = dict(result.percentiles)
+    percentiles[metric] = replace(percentiles[metric], **series)
+    return replace(result, percentiles=percentiles)
+
+
+# faults in the first critical point of the default scalar objective, a strict local minimum
+CRITICAL_POINT_FAULTS = [
+    (lambda points: [replace(points[0], u=np.nan), *points[1:]], "non-finite critical point"),
+    (lambda points: [replace(points[0], kind=bilq.control.LOCAL_MAX), *points[1:]],
+     "classification inconsistent at u=")]
+CRITICAL_POINT_IDS = ["non-finite", "misclassified"]
+
+
 class TestScalarLandscape:
+    @pytest.mark.parametrize("perturb, failure", [
+        *((lambda table, fault=fault: replace(
+            table, critical_points=tuple(fault(table.critical_points))), failure)
+          for fault, failure in CRITICAL_POINT_FAULTS),
+        (lambda table: replace(table, f_total=np.full_like(table.f_total, np.nan)),
+         "non-finite landscape values")], ids=[*CRITICAL_POINT_IDS, "landscape"])
+    def test_failed_postcondition_named(self, runner, tmp_path, monkeypatch, perturb, failure):
+        perturb_result(monkeypatch, "landscape_sweep", perturb)
+        result = runner.invoke(main, ["scalar-landscape", "--grid", "-3", "3", "51",
+                                      "--out", str(tmp_path / "landscape.csv")])
+        assert_failed_on(result, failure)
+
     def test_row_count_contract(self, runner, tmp_path):
         out = tmp_path / "landscape.csv"
         result = invoke(runner, ["scalar-landscape", "--grid", "-3", "3", "2001",
@@ -161,7 +205,46 @@ class TestDoubleIntegrator:
             assert a["cov_trace"] == b["cov_trace"]
 
 
+    # the results come in variant order: perfect, linear, bilinear
+    @pytest.mark.parametrize("variant, metric, p50, failure", [
+        (2, "cum_cost", np.zeros_like, "bilinear median cumulative cost does not exceed linear"),
+        (2, "cov_trace", np.ones_like, "bilinear median covariance trace did not double from t=20"),
+        (1, "cov_trace", lambda p50: np.linspace(1.0, 2.0, p50.size),
+         "linear median covariance trace not stable")], ids=["cost", "growth", "plateau"])
+    def test_failed_postcondition_named(self, runner, tmp_path, monkeypatch,
+                                        variant, metric, p50, failure):
+        def perturb(results):
+            results = list(results)
+            series = results[variant].percentiles[metric]
+            results[variant] = with_series(results[variant], metric, p50=p50(series.p50))
+            return results
+
+        perturb_result(monkeypatch, "monte_carlo", perturb)
+        result = runner.invoke(main, ["double-integrator", "--runs", "10", "--seed", "1",
+                                      "--out", str(tmp_path / "di")])
+        assert_failed_on(result, failure)
+
+
+def growing_tail(probe):
+    """The probe with every norm after step 50 at twice its largest."""
+    norms = probe.norms.copy()
+    norms[51:] = 2.0 * norms.max()
+    return replace(probe, norms=norms)
+
+
 class TestOrthogonal:
+    @pytest.mark.parametrize("name, perturb, failure", [
+        ("check_proposition1", lambda prop: replace(prop, ok=False),
+         "sufficient observability condition failed"),
+        ("covariance_boundedness_probe", growing_tail,
+         "covariance norm still growing in the second half")], ids=["condition", "tail"])
+    def test_failed_postcondition_named(self, runner, tmp_path, monkeypatch,
+                                        name, perturb, failure):
+        perturb_result(monkeypatch, name, perturb)
+        result = runner.invoke(main, ["orthogonal", "--runs", "2", "--seed", "0",
+                                      "--out", str(tmp_path / "o")])
+        assert_failed_on(result, failure)
+
     def test_both_variants(self, runner, tmp_path):
         reports = {}
         for variant in ("a", "b"):
@@ -205,7 +288,24 @@ class TestOrthogonal:
             assert row["p25"] == row["p50"] == row["p75"]
 
 
+def negative_cost(result):
+    """The result with run 0's first stage cost at -1."""
+    table = result.table.copy()
+    table[0, 0, METRICS.index("stage_cost")] = -1.0
+    return replace(result, table=table)
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("perturb, failure", [
+        (lambda res: with_series(res, "cum_cost", p25=res.percentiles["cum_cost"].p50 + 1.0),
+         "percentile ordering violated for cum_cost"),
+        (negative_cost, "negative realized cost")], ids=["ordering", "cost"])
+    def test_failed_postcondition_named(self, runner, tmp_path, monkeypatch, perturb, failure):
+        perturb_result(monkeypatch, "monte_carlo", perturb)
+        result = runner.invoke(main, ["simulate", "--config", str(scalar_config_file(tmp_path)),
+                                      "--out", str(tmp_path / "sim")])
+        assert_failed_on(result, failure)
+
     def test_runs_and_summary(self, runner, tmp_path):
         config = scalar_config_file(tmp_path, horizon=2, runs=6, seed=4)
         out = tmp_path / "sim"
@@ -498,6 +598,11 @@ class TestCriticalPointsCommand:
         kinds = [l.split(",")[1] for l in lines]
         assert kinds.count("local_min") == 2
         assert kinds.count("local_max") == 1
+
+    @pytest.mark.parametrize("perturb, failure", CRITICAL_POINT_FAULTS, ids=CRITICAL_POINT_IDS)
+    def test_failed_postcondition_named(self, runner, monkeypatch, perturb, failure):
+        perturb_result(monkeypatch, "scalar_critical_points", perturb)
+        assert_failed_on(runner.invoke(main, ["critical-points"]), failure)
 
     def test_static_coefficient_rejected(self, runner):
         result = runner.invoke(main, ["critical-points", "--c1", "0"])

@@ -196,6 +196,19 @@ class TestLqgPolicy:
         with pytest.raises(ValueError, match=message):
             lqg_policy(tables, stage, [0.1])
 
+    @pytest.mark.parametrize("x_hat, message", [
+        ([1.0, 2.0, 3.0], "x_hat length 3 != n = 2"),
+        (np.ones((4, 3)), "x_hat length 3 != n = 2"),
+        (np.ones((2, 1)), "x_hat length 1 != n = 2"),
+        (1.0, "x_hat must be (n,) or (R, n), got shape ()"),
+        (np.ones((3, 4, 2)), "x_hat must be (n,) or (R, n), got shape (3, 4, 2)")])
+    def test_misshapen_estimate_named(self, x_hat, message):
+        # one estimate (n,) or a stack (R, n); no other shape is reshaped into one
+        sys_, _, cost = double_integrator_config("bilinear")
+        tables = riccati_recursion(cost, sys_, 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lqg_policy(tables, 0, x_hat)
+
     def test_numpy_integer_stage_accepted(self):
         sys_, _, cost = scalar_config()
         tables = riccati_recursion(cost, sys_, 2)
@@ -256,6 +269,18 @@ class TestScalarGapParams:
         sys_, noise, cost = scalar_config()
         assert scalar_gap_params(sys_, noise, cost, prior_var=np.array([2.0]),
                                  x_hat0=np.float64(0.1)) == fig_params
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", np.inf), ("beta", np.nan), ("gamma", np.nan), ("kappa", np.inf),
+        ("c0", -np.inf), ("c1", np.nan), ("x_hat0", np.inf), ("u1_gain", np.nan)])
+    def test_non_finite_field_refused(self, fig_params, field, value):
+        # refused where the parameters are built, also through dataclasses.replace
+        # (critical-points' --c0/--c1, the x_hat0 sweep of affine_falsification_test)
+        message = f"^gap parameter {field} must be finite, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            ScalarGapParams(**{**vars(fig_params), field: value})
+        with pytest.raises(ValueError, match=message):
+            replace(fig_params, **{field: value})
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -476,7 +476,10 @@ class TestGridBayesOracle:
         ((-1.0, 1.0, 2), "grid points must be at least 3, got 2"),
         *(((lo, hi, n), "grid oracle requires a finite grid lo < hi")
           for lo, hi, n in ((10.0, -10.0, 4001), (1.0, 1.0, 11), (np.nan, 1.0, 11),
-                            (-1.0, np.inf, 11)))])
+                            (-1.0, np.inf, 11))),
+        # the bounds follow core.real: a bool or a numeric string is no bound
+        ((True, 5.0, 801), "grid lo entries must be numbers, got True"),
+        ((-5.0, "5", 801), "grid hi entries must be numbers, got '5'")])
     def test_invalid_grid_rejected(self, grid, message):
         sys_, noise = scalar_setup()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -816,6 +817,17 @@ class TestLandscapeSweep:
     def test_grid_the_oracle_refuses_is_refused(self, grid):
         # core.grid_points, the oracle's rule: a finite lo < hi, then the count
         with pytest.raises(ValueError, match="^landscape sweep requires a finite grid lo < hi$"):
+            landscape_sweep(*scalar_config(), grid=grid)
+
+
+    @pytest.mark.parametrize("grid, message", [
+        (("-3", "3", 5), "grid lo entries must be numbers, got '-3'"),
+        ((-3.0, "3", 5), "grid hi entries must be numbers, got '3'"),
+        ((False, True, 3), "grid lo entries must be numbers, got False"),
+        ((-3.0, np.array([3.0, 4.0]), 5), "grid hi must be a number, got shape (2,)")])
+    def test_grid_bounds_read_by_the_number_rule(self, grid, message):
+        # core.real: a bool or a numeric string is no bound
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             landscape_sweep(*scalar_config(), grid=grid)
 
 
