@@ -649,7 +649,7 @@ class AffineFalsificationReport:
     falsified: bool
 
 
-def affine_falsification_test(params, x_hat_grid=None):
+def affine_falsification_test(params, x_hat_grid):
     """Fit u*(x_hat) with an affine map and report the worst residual.
 
     The minimizer branch is tracked continuously in x_hat starting from
@@ -657,8 +657,6 @@ def affine_falsification_test(params, x_hat_grid=None):
     not branch jumps.  falsified is True when the residual exceeds
     1e-4 times the policy scale.
     """
-    if x_hat_grid is None:
-        x_hat_grid = np.linspace(-0.4, 0.4, 9)
     x_hat_grid = np.asarray(x_hat_grid, dtype=float)
     if x_hat_grid.size < 9:
         raise ValueError("need at least 9 estimate values")

@@ -74,27 +74,28 @@ def _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov):
     return gains, innovations, means_next, covs_next
 
 
-def _step(means, covs, sys, noise, inputs, outputs, cs):
+def _step(means, covs, sys, noise, inputs, outputs):
     """kf_step_batch without its check of the next beliefs."""
     outputs = np.asarray(outputs, dtype=float)
     if outputs.shape != (len(means), sys.m):
         length = outputs.shape[-1] if outputs.ndim else 1
         raise ValueError(f"output length {length} != m = {sys.m}" if length != sys.m else
                          f"outputs shape {outputs.shape} != (R, m) = ({len(means)}, {sys.m})")
+    cs = observation_matrix(sys, inputs)
     cs_covs = cs @ covs
     innov_cov = _innovation_cov(cs_covs, noise, cs)
     _check_step(innov_cov)
     return _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov)
 
 
-def kf_step_batch(means, covs, sys, noise, inputs, outputs, cs):
+def kf_step_batch(means, covs, sys, noise, inputs, outputs):
     """Advance R predicted beliefs, means (R, n) and covs (R, n, n), through
     one input/output pair each, inputs (R, p) and outputs (R, m), observed
-    through cs (R, m, n), C(u) of each input; _check_step's checks run on
-    all R at once, a failure raising BatchCheckError naming the first
-    failing entry.  Returns (gains, innovations, next means, next covs),
-    entry i bit for bit what kf_step gives on belief i."""
-    result = _step(means, covs, sys, noise, inputs, outputs, cs)
+    through C(u) of each input (per belief when sys holds stacks c0 and ck[k],
+    (R, m, n)); _check_step's checks run on all R at once, a failure raising
+    BatchCheckError naming the first failing entry.  Returns (gains,
+    innovations, next means, next covs), entry i bit for bit kf_step's on belief i."""
+    result = _step(means, covs, sys, noise, inputs, outputs)
     check_beliefs(*result[2:])
     return result
 
@@ -102,10 +103,9 @@ def kf_step_batch(means, covs, sys, noise, inputs, outputs, cs):
 def kf_step(belief, sys, noise, u, y):
     """Advance the predicted belief through one input/output pair:
     kf_step_batch on a stack of one belief, whose next belief BeliefState checks."""
-    u = np.asarray(u, dtype=float).reshape(1, -1)
     gains, innovations, means, covs = _step(
-        belief.mean[None], belief.cov[None], sys, noise, u,
-        np.asarray(y, dtype=float).reshape(1, -1), observation_matrix(sys, u))
+        belief.mean[None], belief.cov[None], sys, noise, np.asarray(u, dtype=float).reshape(1, -1),
+        np.asarray(y, dtype=float).reshape(1, -1))
     return KalmanStep(gain=gains[0], innovation=innovations[0],
                       next_belief=BeliefState(mean=means[0], cov=covs[0]))
 

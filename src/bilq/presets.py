@@ -74,7 +74,7 @@ def _draw_matrix(stream, rows, cols, scale):
     return scale * stream.standard_normal(rows * cols).reshape(rows, cols)
 
 
-def orthogonal_config(stream, variant="a"):
+def orthogonal_config(stream, variant):
     """Random six-state system satisfying the orthogonal-observation
     sufficient condition.
 

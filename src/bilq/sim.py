@@ -274,7 +274,7 @@ class LandscapeTable:
     critical_points: tuple
 
 
-def landscape_sweep(sys, noise, cost, grid=(-3.0, 3.0, 1201)):
+def landscape_sweep(sys, noise, cost, grid):
     """Sweep the scalar stage objective of the system as given (see
     scalar_config's offset for placing its observation-blind point);
     returns the decomposed objective on the grid plus the critical points.

@@ -248,7 +248,7 @@ def per_step_probe_covs(sys, noise, input_policy, horizon):
             u = inputs[t:t + 1]
             cs = observation_matrix(sys, u)
             _, _, means, cov_next = kf_step_batch(means, covs[t:t + 1], sys, noise,
-                                                  u, matvec(cs, means), cs)
+                                                  u, matvec(cs, means))
             covs[t + 1] = cov_next[0]
     except BatchCheckError as exc:
         raise exc.localized(f"step {t}") from exc
@@ -317,7 +317,7 @@ def reference_simulate(group, streams, labels):
         if filtered:
             try:
                 _, _, batch.means[:, t + 1], batch.covs[:, t + 1] = kf_step_batch(
-                    batch.means[:, t], batch.covs[:, t], sys, noise, u, y, cs)
+                    batch.means[:, t], batch.covs[:, t], sys, noise, u, y)
             except BatchCheckError as exc:
                 raise exc.localized(f"{names[exc.index]}, step {t}") from exc
         states[:, t + 1] = matvec(sys.a, x) + matvec(sys.b, u) + w[:, t]

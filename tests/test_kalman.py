@@ -107,15 +107,14 @@ class TestKfStep:
         with pytest.raises(ValueError, match=rf"^output length {len(y)} != m = 2$"):
             kf_step(belief, sys_, noise, [0.0], y)
         with pytest.raises(ValueError, match=rf"^output length {len(y)} != m = 2$"):
-            kf_step_batch(belief.mean[None], belief.cov[None], sys_, noise, u, [y],
-                          observation_matrix(sys_, u))
+            kf_step_batch(belief.mean[None], belief.cov[None], sys_, noise, u, [y])
 
     def test_outputs_for_another_number_of_beliefs_refused(self):
         sys_, noise, belief = self.two_sensor_setup()
         u = np.zeros((3, 1))
         with pytest.raises(ValueError, match=r"^outputs shape \(1, 2\) != \(R, m\) = \(3, 2\)$"):
             kf_step_batch(np.stack([belief.mean] * 3), np.stack([belief.cov] * 3), sys_, noise,
-                          u, np.zeros((1, 2)), observation_matrix(sys_, u))
+                          u, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("kind", [k for k in FAILURE_KINDS if not k.startswith("innovation")])
     def test_next_belief_checked_once(self, monkeypatch, kind):
@@ -124,7 +123,7 @@ class TestKfStep:
         u, y = np.array([[0.5]]), np.array([[0.1, 0.4]])
         messages = []
         for step in (lambda: kf_step_batch(belief.mean[None], belief.cov[None], sys_, noise,
-                                           u, y, observation_matrix(sys_, u)),
+                                           u, y),
                      lambda: kf_step(belief, sys_, noise, u[0], y[0])):
             with corrupted_filter(kind, 0, 0), pytest.raises(ValueError) as info:
                 step()
@@ -225,8 +224,7 @@ class TestKfStepBatch:
             inputs = input_scale * rng.standard_normal((runs, p))
             outputs = rng.standard_normal((runs, m))
             gains, innovations, means, covs = kf_step_batch(
-                means, covs, sys_, noise, inputs, outputs,
-                observation_matrix(sys_, inputs))
+                means, covs, sys_, noise, inputs, outputs)
             for r, belief in enumerate(beliefs):
                 step = kf_step(belief, sys_, noise, inputs[r], outputs[r])
                 assert gains[r].tobytes() == step.gain.tobytes()
@@ -257,8 +255,7 @@ class TestKfStepBatch:
         with pytest.raises(BatchCheckError,
                            match=r"^innovation covariance singular "
                                  r"\(condition number 2\.000e\+15\)$") as info:
-            kf_step_batch(means, covs, sys_, noise, inputs, np.zeros((4, 2)),
-                          observation_matrix(sys_, inputs))
+            kf_step_batch(means, covs, sys_, noise, inputs, np.zeros((4, 2)))
         assert info.value.index == 2
 
     @settings(max_examples=40, deadline=None)
@@ -281,7 +278,7 @@ class TestKfStepBatch:
         with pytest.raises(BatchCheckError, match=r"^innovation covariance has non-finite "
                                                   r"entries$") as info:
             kf_step_batch(rng.standard_normal((runs, n)), covs, sys_, noise, inputs,
-                          np.zeros((runs, m)), observation_matrix(sys_, inputs))
+                          np.zeros((runs, m)))
         assert info.value.index == bad
 
 

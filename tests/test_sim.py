@@ -774,8 +774,7 @@ class TestInnovationConsistency:
                                                                     (self.RUNS, 1, 1))
         for t in range(self.HORIZON):
             means[:, t], covs[:, t] = mean, cov
-            _, _, mean, cov = kf_step_batch(mean, cov, sys_, told, inputs[:, t], outputs[:, t],
-                                            observation_matrix(sys_, inputs[:, t]))
+            _, _, mean, cov = kf_step_batch(mean, cov, sys_, told, inputs[:, t], outputs[:, t])
         steps, total = self.in_band(run_summed_nis(records, sys_, told.sigma_z, means, covs),
                                     sys_.m)
         assert not total and steps.mean() < 0.1
