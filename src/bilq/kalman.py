@@ -17,9 +17,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (EPS, BatchCheckError, BeliefState, check_beliefs, cholesky_certified,
-                   grid_points, matvec, observation_matrix, raise_first_failure, real,
-                   symmetrize)
+from .core import (EPS, BatchCheckError, BeliefState, _as_array, _numbers, check_beliefs,
+                   cholesky_certified, grid_points, matvec, observation_matrix,
+                   raise_first_failure, real, symmetrize)
 
 COND_LIMIT = 1e14
 CHECK_BLOCK = 25  # steps per closed_loop check; vs 4, 2 vCPUs: monte_carlo wall_s -4%, RSS +0.7%
@@ -74,13 +74,20 @@ def _advance(means, covs, sys, noise, inputs, outputs, cs, cs_covs, innov_cov):
     return gains, innovations, means_next, covs_next
 
 
+def _rows(values, name, beliefs, width, letter):
+    """values as core._as_array reads a matrix (numbers, all finite), (beliefs, width)."""
+    values = _as_array(values, name)
+    if values.shape != (beliefs, width):
+        length = values.shape[-1]
+        raise ValueError(f"{name} length {length} != {letter} = {width}" if length != width else
+                         f"{name}s shape {values.shape} != (R, {letter}) = ({beliefs}, {width})")
+    return values
+
+
 def _step(means, covs, sys, noise, inputs, outputs):
     """kf_step_batch without its check of the next beliefs."""
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.shape != (len(means), sys.m):
-        length = outputs.shape[-1] if outputs.ndim else 1
-        raise ValueError(f"output length {length} != m = {sys.m}" if length != sys.m else
-                         f"outputs shape {outputs.shape} != (R, m) = ({len(means)}, {sys.m})")
+    inputs = _rows(inputs, "input", len(means), sys.p, "p")
+    outputs = _rows(outputs, "output", len(means), sys.m, "m")
     cs = observation_matrix(sys, inputs)
     cs_covs = cs @ covs
     innov_cov = _innovation_cov(cs_covs, noise, cs)
@@ -89,12 +96,12 @@ def _step(means, covs, sys, noise, inputs, outputs):
 
 
 def kf_step_batch(means, covs, sys, noise, inputs, outputs):
-    """Advance R predicted beliefs, means (R, n) and covs (R, n, n), through
-    one input/output pair each, inputs (R, p) and outputs (R, m), observed
-    through C(u) of each input (per belief when sys holds stacks c0 and ck[k],
-    (R, m, n)); _check_step's checks run on all R at once, a failure raising
-    BatchCheckError naming the first failing entry.  Returns (gains,
-    innovations, next means, next covs), entry i bit for bit kf_step's on belief i."""
+    """Advance R predicted beliefs, means (R, n) and covs (R, n, n), through one
+    input/output pair each, inputs (R, p) and outputs (R, m) of finite numbers,
+    observed through C(u) of each input (per belief when sys holds stacks c0 and
+    ck[k], (R, m, n)); _check_step's checks run on all R at once, a failure raising
+    BatchCheckError naming the first failing entry.  Returns (gains, innovations,
+    next means, next covs), entry i bit for bit kf_step's on belief i."""
     result = _step(means, covs, sys, noise, inputs, outputs)
     check_beliefs(*result[2:])
     return result
@@ -104,8 +111,8 @@ def kf_step(belief, sys, noise, u, y):
     """Advance the predicted belief through one input/output pair:
     kf_step_batch on a stack of one belief, whose next belief BeliefState checks."""
     gains, innovations, means, covs = _step(
-        belief.mean[None], belief.cov[None], sys, noise, np.asarray(u, dtype=float).reshape(1, -1),
-        np.asarray(y, dtype=float).reshape(1, -1))
+        belief.mean[None], belief.cov[None], sys, noise, _numbers(u, "input").reshape(1, -1),
+        _numbers(y, "output").reshape(1, -1))
     return KalmanStep(gain=gains[0], innovation=innovations[0],
                       next_belief=BeliefState(mean=means[0], cov=covs[0]))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import count, observation_matrix, symmetrize
+from .core import _as_array, _numbers, count, observation_matrix, symmetrize
 from .kalman import closed_loop
 
 DEFAULT_DELTA = 1e-8
@@ -28,11 +28,11 @@ class GramianReport:
 
 
 def _observations(sys, inputs):
-    """Observation matrices C(u_k) of the inputs, stacked (T, m, n); T >= n."""
-    inputs = np.asarray(list(inputs), dtype=float)
+    """Observation matrices C(u_k) of the inputs, finite numbers, stacked (T, m, n); T >= n."""
+    inputs = _numbers(list(inputs), "input")
     if len(inputs) < sys.n:
         raise ValueError(f"need at least {sys.n} inputs, got {len(inputs)}")
-    return observation_matrix(sys, inputs.reshape(len(inputs), -1))
+    return observation_matrix(sys, _as_array(inputs.reshape(len(inputs), -1), "input"))
 
 
 def _blocks(sys, cs):

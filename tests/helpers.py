@@ -27,6 +27,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import bilq.kalman
@@ -610,3 +611,27 @@ def reference_minimize_Tm2(bp):
         if float(np.abs(u - u_prev).max()) < 1e-8:
             break
     return u, bellman_objective_Tm2(bp, u)
+
+
+# (entry, check): entries the number rule of core._as_array refuses, a string,
+# bools and non-finite floats, with the check's words after the array's name
+REFUSED_ENTRIES = tuple(pytest.param(entry, check, id=name) for name, entry, check in (
+    ("string", "0.5", "entries must be numbers, got '0.5'"),
+    ("bool", True, "entries must be numbers, got True"),
+    ("numpy-bool", np.False_, "entries must be numbers, got np.False_"),
+    ("nan", np.nan, "has non-finite entries"), ("inf", np.inf, "has non-finite entries"),
+    ("-inf", -np.inf, "has non-finite entries")))
+
+
+def assert_refused_quietly(message, call, *args):
+    """call(*args) raises ValueError reading exactly message, with no
+    RuntimeWarning on the way (no arithmetic ran on the refused entry)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call(*args)
+        except ValueError as exc:
+            assert str(exc) == message
+        else:
+            raise AssertionError(f"{call.__name__} took what it should refuse: {message}")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

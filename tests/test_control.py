@@ -289,6 +289,9 @@ class TestScalarGapParams:
         with pytest.raises(ValueError, match="kappa"):
             ScalarGapParams(alpha=1.0, beta=0.0, gamma=0.1, kappa=0.0,
                             c0=0.0, c1=1.0, x_hat0=0.0)
+        with pytest.raises(ValueError, match="^gamma must be nonnegative$"):
+            ScalarGapParams(alpha=1.0, beta=0.0, gamma=-0.1, kappa=0.1,
+                            c0=0.0, c1=1.0, x_hat0=0.0)
 
 
 class TestScalarCostToGo:

@@ -69,6 +69,13 @@ class TestValidation:
         assert validate_system(*double_integrator_config("bilinear")).ok
         assert validate_system(*orthogonal_config(RngStream(3), "a")).ok
 
+    @pytest.mark.parametrize("preset, message", [
+        (lambda: double_integrator_config("quadratic"), "unknown obs_model 'quadratic'"),
+        (lambda: orthogonal_config(RngStream(3), "c"), "variant must be one of ['a', 'b']")])
+    def test_presets_refuse_an_unknown_choice(self, preset, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            preset()
+
 
 class TestConstruction:
     def test_nan_rejected(self):
@@ -80,10 +87,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^ck count 0 != 2 columns of b$"):
             BilinearSystem(a=np.eye(2), b=np.ones((2, 2)), c0=np.eye(2), ck=())
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            BilinearSystem(a=np.eye(2), b=np.ones((3, 1)), c0=np.eye(2),
-                           ck=(np.zeros((2, 2)),))
+    @pytest.mark.parametrize("fields, message", [
+        ({"b": np.ones((3, 1))}, "b must have 2 rows, got (3, 1)"),
+        ({"a": np.ones((2, 3))}, "a must be square, got (2, 3)"),
+        ({"c0": np.eye(2, 3)}, "c0 must have 2 columns, got (2, 3)"),
+        ({"ck": (np.zeros((1, 2)),)}, "ck[0] shape (1, 2) != c0 shape (2, 2)")])
+    def test_shape_mismatch_rejected(self, fields, message):
+        matrices = {"a": np.eye(2), "b": np.ones((2, 1)), "c0": np.eye(2),
+                    "ck": (np.zeros((2, 2)),)}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BilinearSystem(**{**matrices, **fields})
 
     @pytest.mark.parametrize("n, m, p", [(0, 2, 1), (2, 0, 1), (2, 2, 0)],
                              ids=["no-states", "no-outputs", "no-inputs"])

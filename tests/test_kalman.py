@@ -3,6 +3,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from bilq.core import (PSD_TOL, BatchCheckError, BeliefState, BilinearSystem, No
                        RngStream, check_beliefs, observation_matrix)
 from bilq.kalman import (COND_LIMIT, _check_step, _hermite_kernel, grid_bayes_oracle, kf_step,
                          kf_step_batch)
-from bilq.presets import scalar_config
+from bilq.presets import double_integrator_config, scalar_config
 
-from helpers import (FAILURE_KINDS, corrupted_filter, cov_update_information_form,
-                     dense_grid_oracle, kalman_gain, reference_check_beliefs,
-                     reference_check_step, standard_kf_update_predict, random_spd)
+from helpers import (FAILURE_KINDS, REFUSED_ENTRIES, assert_refused_quietly, corrupted_filter,
+                     cov_update_information_form, dense_grid_oracle, kalman_gain,
+                     reference_check_beliefs, reference_check_step, standard_kf_update_predict,
+                     random_spd)
 
 
 def scalar_setup(a=0.9, b=1.0, c0=0.0, c1=1.0, sw=0.01, sz=0.09, x0=0.1, s0=2.0):
@@ -108,6 +110,16 @@ class TestKfStep:
             kf_step(belief, sys_, noise, [0.0], y)
         with pytest.raises(ValueError, match=rf"^output length {len(y)} != m = 2$"):
             kf_step_batch(belief.mean[None], belief.cov[None], sys_, noise, u, [y])
+
+    @pytest.mark.parametrize("name", ["input", "output"])
+    @pytest.mark.parametrize("entry, check", REFUSED_ENTRIES)
+    def test_inputs_and_outputs_read_by_the_number_rule(self, name, entry, check):
+        # the grid oracle's rule (core._numbers), and a non-finite entry refused in
+        # its own name before any arithmetic, which would warn, runs on it
+        sys_, noise, _ = double_integrator_config("bilinear")
+        belief = BeliefState(mean=noise.x0_mean, cov=noise.sigma_0)
+        u, y = {"input": ([entry], [0.1]), "output": ([0.5], [entry])}[name]
+        assert_refused_quietly(f"{name} {check}", kf_step, belief, sys_, noise, u, y)
 
     def test_outputs_for_another_number_of_beliefs_refused(self):
         sys_, noise, belief = self.two_sensor_setup()
@@ -239,6 +251,46 @@ class TestKfStepBatch:
                                            atol=1e-9 * np.abs(ref_mean).max())
                 np.testing.assert_allclose(covs[r], ref_cov, rtol=1e-9,
                                            atol=1e-9 * np.abs(ref_cov).max())
+                beliefs[r] = step.next_belief
+
+    @pytest.mark.parametrize("name", ["input", "output"])
+    @pytest.mark.parametrize("entry, check", REFUSED_ENTRIES)
+    def test_inputs_and_outputs_read_by_the_number_rule(self, name, entry, check):
+        # kf_step's rule, on an entry of the second of three beliefs
+        sys_, noise, _ = double_integrator_config("bilinear")
+        rows = {"input": [[0.5], [0.5], [0.5]], "output": [[0.1], [0.1], [0.1]]}
+        rows[name][1][0] = entry
+        assert_refused_quietly(f"{name} {check}", kf_step_batch, np.zeros((3, 2)),
+                               np.stack([noise.sigma_0] * 3), sys_, noise, rows["input"],
+                               rows["output"])
+
+    def test_per_belief_system_steps_each_belief_on_its_own(self):
+        # a system whose c0/ck are stacked (R, m, n), as sim._simulate builds one,
+        # observes belief i through C(u) of system i: kf_step on it, bit for bit
+        rng = np.random.default_rng(17)
+        n, m, p = 3, 2, 2
+        shared = random_system(rng, n, m, p)
+        systems = [replace(shared, c0=rng.standard_normal((m, n)),
+                           ck=tuple(rng.standard_normal((m, n)) for _ in range(p)))
+                   for _ in range(3)]
+        stacked = SimpleNamespace(a=shared.a, b=shared.b, m=m, p=p,
+                                  c0=np.stack([s.c0 for s in systems]),
+                                  ck=tuple(map(np.stack, zip(*(s.ck for s in systems)))))
+        noise = NoiseSpec(sigma_w=random_spd(rng, n, 0.05), sigma_z=random_spd(rng, m, 0.1),
+                          x0_mean=np.zeros(n), sigma_0=np.eye(n))
+        means = rng.standard_normal((3, n))
+        covs = np.stack([random_spd(rng, n) for _ in range(3)])
+        beliefs = [BeliefState(mean=mu, cov=s) for mu, s in zip(means, covs)]
+        for _ in range(4):
+            inputs, outputs = rng.standard_normal((3, p)), rng.standard_normal((3, m))
+            gains, innovations, means, covs = kf_step_batch(means, covs, stacked, noise,
+                                                            inputs, outputs)
+            for r, (system, belief) in enumerate(zip(systems, beliefs)):
+                step = kf_step(belief, system, noise, inputs[r], outputs[r])
+                assert gains[r].tobytes() == step.gain.tobytes()
+                assert innovations[r].tobytes() == step.innovation.tobytes()
+                assert means[r].tobytes() == step.next_belief.mean.tobytes()
+                assert covs[r].tobytes() == step.next_belief.cov.tobytes()
                 beliefs[r] = step.next_belief
 
     def test_innovation_check_names_first_failing_entry(self):
@@ -507,7 +559,8 @@ class TestGridBayesOracle:
         ([True], [0.1], "input entries must be numbers, got True"),
         ([0.3], [np.bool_(False)], "output entries must be numbers, got np.False_"),
         (["0.3"], [0.1], "input entries must be numbers, got '0.3'"),
-        ([[0.3, 0.2]], [0.1], "input must be a number, got shape (2,)")])
+        ([[0.3, 0.2]], [0.1], "input must be a number, got shape (2,)"),
+        ([0.3, 0.2], [0.1], "inputs and outputs must have equal length")])
     def test_inputs_and_outputs_are_numbers(self, inputs, outputs, message):
         # core.real: the number rule of config matrices, on one number a step
         sys_, noise = scalar_setup()

@@ -13,8 +13,9 @@ from bilq.observability import (check_proposition1, covariance_boundedness_probe
                                 orthogonal_complement_c0, window_gramians)
 from bilq.presets import double_integrator_config, orthogonal_config, scalar_config
 
-from helpers import (BLOCK_EDGES, FAILURE_KINDS, SHIPPED_BLOCK, outcome_corrupted,
-                     per_step_probe_covs, random_spd, reference_boundedness_probe, reference_gramian)
+from helpers import (BLOCK_EDGES, FAILURE_KINDS, REFUSED_ENTRIES, SHIPPED_BLOCK,
+                     assert_refused_quietly, outcome_corrupted, per_step_probe_covs, random_spd,
+                     reference_boundedness_probe, reference_gramian)
 
 
 def random_bilinear(rng, n=3, m=2, p=2, spectral=0.9):
@@ -55,6 +56,14 @@ class TestGramian:
         sys_, _, _ = double_integrator_config("bilinear")
         with pytest.raises(ValueError, match="at least 2"):
             gramian(sys_, [np.ones(1)])
+
+    @pytest.mark.parametrize("entry, check", REFUSED_ENTRIES)
+    @pytest.mark.parametrize("test", [gramian, window_gramians, gramian_decomposition])
+    def test_inputs_read_by_the_number_rule(self, test, entry, check):
+        # the filter's rule (core._numbers), a NaN refused rather than read as
+        # "not uniformly observable", and no arithmetic run on an infinite entry
+        sys_, _, _ = double_integrator_config("bilinear")
+        assert_refused_quietly(f"input {check}", test, sys_, [[0.5], [entry]])
 
     def test_delta_threshold_semantics(self):
         sys_, _, _ = double_integrator_config("bilinear", c1=1.0)

@@ -260,6 +260,8 @@ class TestRollout:
                     3, RngStream(0))
         with pytest.raises(ValueError, match="unknown policy"):
             PolicyConfig("mystery")
+        with pytest.raises(ValueError, match="^unknown init_estimate 'posterior'$"):
+            PolicyConfig("separation_lqg", "posterior")
 
     def test_costs_nonnegative_and_cumulative_monotone(self):
         sys_, noise, cost = double_integrator_config("bilinear")
