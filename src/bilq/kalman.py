@@ -78,7 +78,7 @@ def _rows(values, name, beliefs, width, letter):
     """values as core._as_array reads a matrix (numbers, all finite), (beliefs, width)."""
     values = _as_array(values, name)
     if values.shape != (beliefs, width):
-        length = values.shape[-1]
+        length = values.shape[1]
         raise ValueError(f"{name} length {length} != {letter} = {width}" if length != width else
                          f"{name}s shape {values.shape} != (R, {letter}) = ({beliefs}, {width})")
     return values

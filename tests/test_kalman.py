@@ -114,8 +114,8 @@ class TestKfStep:
     @pytest.mark.parametrize("name", ["input", "output"])
     @pytest.mark.parametrize("entry, check", REFUSED_ENTRIES)
     def test_inputs_and_outputs_read_by_the_number_rule(self, name, entry, check):
-        # the grid oracle's rule (core._numbers), and a non-finite entry refused in
-        # its own name before any arithmetic, which would warn, runs on it
+        # the grid oracle's number rule (core._numbers); a non-finite entry is refused
+        # in its own name before any arithmetic, which would warn, runs on it
         sys_, noise, _ = double_integrator_config("bilinear")
         belief = BeliefState(mean=noise.x0_mean, cov=noise.sigma_0)
         u, y = {"input": ([entry], [0.1]), "output": ([0.5], [entry])}[name]
@@ -127,6 +127,10 @@ class TestKfStep:
         with pytest.raises(ValueError, match=r"^outputs shape \(1, 2\) != \(R, m\) = \(3, 2\)$"):
             kf_step_batch(np.stack([belief.mean] * 3), np.stack([belief.cov] * 3), sys_, noise,
                           u, np.zeros((1, 2)))
+        # and inputs: one row would otherwise broadcast to all three beliefs
+        with pytest.raises(ValueError, match=r"^inputs shape \(1, 1\) != \(R, p\) = \(3, 1\)$"):
+            kf_step_batch(np.stack([belief.mean] * 3), np.stack([belief.cov] * 3), sys_, noise,
+                          u[:1], np.zeros((3, 2)))
 
     @pytest.mark.parametrize("kind", [k for k in FAILURE_KINDS if not k.startswith("innovation")])
     def test_next_belief_checked_once(self, monkeypatch, kind):

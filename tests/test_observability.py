@@ -58,12 +58,12 @@ class TestGramian:
             gramian(sys_, [np.ones(1)])
 
     @pytest.mark.parametrize("entry, check", REFUSED_ENTRIES)
-    @pytest.mark.parametrize("test", [gramian, window_gramians, gramian_decomposition])
-    def test_inputs_read_by_the_number_rule(self, test, entry, check):
+    @pytest.mark.parametrize("entry_point", [gramian, window_gramians, gramian_decomposition])
+    def test_inputs_read_by_the_number_rule(self, entry_point, entry, check):
         # the filter's rule (core._numbers), a NaN refused rather than read as
         # "not uniformly observable", and no arithmetic run on an infinite entry
         sys_, _, _ = double_integrator_config("bilinear")
-        assert_refused_quietly(f"input {check}", test, sys_, [[0.5], [entry]])
+        assert_refused_quietly(f"input {check}", entry_point, sys_, [[0.5], [entry]])
 
     def test_delta_threshold_semantics(self):
         sys_, _, _ = double_integrator_config("bilinear", c1=1.0)
